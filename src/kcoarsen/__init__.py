@@ -8,15 +8,13 @@ connectivity exactly and hop distances up to bounded distortion.
 
 from .coarsen import (CoarsenedGraph, Partition, cluster, coarsen_pipeline,
                       reduce)
-from .graph import (DEFAULT_ORACLE_CAP, DistanceMatrixView, Graph,
-                    GraphFormatError, NodeWeights, bfs, build,
-                    connected_components, load, power, store)
-from .kmis import KMisResult, k_mis, k_mis_reference
+from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, NodeWeights,
+                    bfs, build, connected_components, load, power, store)
+from .kmis import KMisResult, k_mis
 from .oracle import (EXACT_MWIS_CAP, OracleReport, compare, exact_mwis,
                      sequential_greedy_mwis)
 from .ranking import (Ranking, WalkVector, load_scores, rank_by_degree_rule,
-                      rank_by_weight_rule, rank_static, resolve_ranking,
-                      walk_counts)
+                      rank_by_weight_rule, resolve_ranking, walk_counts)
 from .verify import (ComponentReport, DistortionReport, ValidityReport,
                      VerificationReport, Violation, check_components,
                      check_distortion, check_edge_bounds, check_kmis_validity,
@@ -28,7 +26,6 @@ __all__ = [
     "CoarsenedGraph",
     "ComponentReport",
     "DEFAULT_ORACLE_CAP",
-    "DistanceMatrixView",
     "DistortionReport",
     "EXACT_MWIS_CAP",
     "Graph",
@@ -54,13 +51,11 @@ __all__ = [
     "connected_components",
     "exact_mwis",
     "k_mis",
-    "k_mis_reference",
     "load",
     "load_scores",
     "power",
     "rank_by_degree_rule",
     "rank_by_weight_rule",
-    "rank_static",
     "reduce",
     "resolve_ranking",
     "sequential_greedy_mwis",

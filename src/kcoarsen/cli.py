@@ -20,12 +20,14 @@ from time import perf_counter
 import numpy as np
 
 from . import oracle
-from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, NODE_AGGREGATIONS,
-                      Partition, coarsen_pipeline)
+from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
+                      coarsen_pipeline)
 from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, load, store,
                     _build_arrays)
 from .kmis import KMisResult
-from .ranking import RANKING_SPECS, load_scores, rank_static, resolve_ranking
+# Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
+# to time the ranking phase.
+from .ranking import resolve_ranking as _resolve_rank_spec
 from .verify import verify_reduction
 
 __all__ = ["RunConfig", "main"]
@@ -59,6 +61,14 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
+def _thread_count(text: str) -> int:
+    """A --threads value, capped at the CPU count: extra threads only queue."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return min(value, os.cpu_count() or 1)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-i", "--input", required=True, help="input graph file")
     parser.add_argument("-f", "--format", choices=["edgelist", "mm"],
@@ -67,8 +77,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="ranking: kdeg, kweight, id, random, const, or file:PATH")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random rankings and sampling")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker count; results do not depend on it")
+    parser.add_argument("--threads", type=_thread_count,
+                        default=os.cpu_count() or 1,
+                        help="worker count, capped at the CPU count; results "
+                             "do not depend on it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,24 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args) -> tuple[Graph, np.ndarray]:
-    return load(args.input, format=args.format)
-
-
-def _resolve_rank_spec(g: Graph, spec: str, k: int | None, seed: int,
-                       workers: int):
-    """Ranking from a CLI spec; file:PATH reads one score per line."""
-    if spec.startswith("file:"):
-        scores = load_scores(spec[len("file:"):])
-        if scores.size != g.n:
-            raise ValueError(
-                f"score file has {scores.size} entries, graph has {g.n} nodes")
-        return rank_static(g.n, "external", scores=scores)
-    if spec not in RANKING_SPECS:
-        raise ValueError(f"unknown ranking spec {spec!r}")
-    return resolve_ranking(g, spec, k=k, seed=seed, workers=workers)
-
-
 def _write_coarsen_artifacts(outdir: Path, config: RunConfig, g: Graph,
                              original_ids: np.ndarray, h: CoarsenedGraph,
                              partition: Partition, result: KMisResult) -> None:
@@ -171,10 +165,10 @@ def cmd_coarsen(args) -> int:
                        k=args.k, rank=args.rank, edge_agg=args.edge_agg,
                        node_agg=args.node_agg, output=args.output,
                        seed=args.seed, threads=args.threads)
-    g, original_ids = _load_graph(args)
+    g, original_ids = load(args.input, format=args.format)
     timings: dict[str, float] = {}
     ranking = "const" if args.k == 0 else _resolve_rank_spec(
-        g, args.rank, args.k, args.seed, args.threads)
+        g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
     h, partition, result = coarsen_pipeline(
         g, args.k, ranking=ranking, edge_agg=args.edge_agg,
         node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
@@ -191,9 +185,14 @@ def cmd_coarsen(args) -> int:
     return 0
 
 
-def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray
-                    ) -> tuple[CoarsenedGraph, KMisResult]:
-    """Rebuild a coarsening from files written by cmd_coarsen."""
+def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
+                    k: int) -> tuple[CoarsenedGraph, KMisResult]:
+    """Rebuild a coarsening from files written by cmd_coarsen.
+
+    Raises ValueError unless the centroid rows carry coarse indices
+    0..nc-1, each once, with centroid ids increasing by index (the
+    writer's order), so the stored index is the one verified.
+    """
     to_dense = {orig: i for i, orig in enumerate(original_ids.tolist())}
 
     def dense_of(original: int, path: Path) -> int:
@@ -220,11 +219,16 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray
             line = raw.strip()
             if not line or line[0] in "#%":
                 continue
-            parts = line.split()
-            centroid_rows.append((int(parts[0]),
-                                  dense_of(int(parts[1]), centroids_path)))
+            index, centroid = line.split()[:2]  # ValueError on a short row
+            centroid_rows.append((int(index),
+                                  dense_of(int(centroid), centroids_path)))
     centroid_rows.sort()
-    centroids = np.sort(np.array([c for _, c in centroid_rows], dtype=np.int64))
+    index = np.array([i for i, _ in centroid_rows], dtype=np.int64)
+    centroids = np.array([c for _, c in centroid_rows], dtype=np.int64)
+    if (not np.array_equal(index, np.arange(index.size))
+            or np.any(np.diff(centroids) <= 0)):
+        raise ValueError(f"{centroids_path}: coarse indices must run 0..nc-1 "
+                         "with centroid ids increasing by index")
 
     # the stored edgelist drops isolated coarse nodes and load() re-densifies
     # ids, so rebuild the coarse graph through the loader's id map
@@ -238,8 +242,7 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray
                           cluster_count=int(centroids.size))
     h = CoarsenedGraph(graph=coarse_graph, centroids=centroids,
                        provenance=partition)
-    result = KMisResult(selected=centroids.copy(), rounds=0, k=0)
-    return h, result
+    return h, KMisResult(selected=centroids.copy(), rounds=0, k=k)
 
 
 def cmd_verify(args) -> int:
@@ -248,14 +251,13 @@ def cmd_verify(args) -> int:
                        node_agg=args.node_agg, output=args.output,
                        seed=args.seed, threads=args.threads, pairs=args.pairs,
                        artifacts=args.artifacts)
-    g, original_ids = _load_graph(args)
+    g, original_ids = load(args.input, format=args.format)
     if args.artifacts:
-        h, result = _read_artifacts(Path(args.artifacts), g, original_ids)
-        result = KMisResult(selected=result.selected, rounds=result.rounds,
-                            k=args.k)
+        h, result = _read_artifacts(Path(args.artifacts), g, original_ids,
+                                    args.k)
     else:
         ranking = "const" if args.k == 0 else _resolve_rank_spec(
-            g, args.rank, args.k, args.seed, args.threads)
+            g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
         h, _, result = coarsen_pipeline(
             g, args.k, ranking=ranking, edge_agg=args.edge_agg,
             node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
@@ -297,7 +299,7 @@ def cmd_bench(args) -> int:
                        compare_greedy=args.compare_greedy,
                        weight_range=args.weight_range,
                        oracle_cap=args.oracle_cap)
-    g, _ = _load_graph(args)
+    g, _ = load(args.input, format=args.format)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -305,8 +307,9 @@ def cmd_bench(args) -> int:
     for k in k_values:
         for trial in range(args.trials):
             timings: dict[str, float] = {}
-            ranking = _resolve_rank_spec(g, args.rank, k, args.seed + trial,
-                                         args.threads)
+            ranking = _resolve_rank_spec(g, args.rank, k=k,
+                                         seed=args.seed + trial,
+                                         workers=args.threads)
             t0 = perf_counter()
             h, _, result = coarsen_pipeline(g, k, ranking=ranking,
                                             workers=args.threads,

@@ -94,10 +94,9 @@ class CoarsenedGraph:
     centroids: np.ndarray
     provenance: Partition
     node_values: np.ndarray | None = None
-    intra_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.centroids, self.node_values, self.intra_weights):
+        for arr in (self.centroids, self.node_values):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -147,17 +146,14 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
 
 
 def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
-           node_weights=None, node_agg: str = "keep_centroid",
-           keep_intra_weights: bool = False) -> CoarsenedGraph:
+           node_weights=None, node_agg: str = "keep_centroid") -> CoarsenedGraph:
     """Contract each cluster to its centroid.
 
     Crossing edges between two clusters merge into a single coarse edge
     whose weight aggregates their weights (1 each when g is unweighted)
-    by `edge_agg`.  Intra-cluster edges are dropped; pass
-    `keep_intra_weights` to retain their aggregate per cluster as a node
-    attribute.  `node_agg` aggregates optional node weights:
-    keep_centroid takes the centroid's own value, sum/mean fold the
-    whole fiber.
+    by `edge_agg`.  Intra-cluster edges are dropped.  `node_agg`
+    aggregates optional node weights: keep_centroid takes the
+    centroid's own value, sum/mean fold the whole fiber.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
@@ -200,29 +196,8 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
                 sizes = np.bincount(node_cluster, minlength=nc)
                 node_values = sums / sizes
 
-    intra = None
-    if keep_intra_weights:
-        intra = np.zeros(nc, dtype=np.float64)
-        iu = cu[~cross]
-        if iu.size:
-            iw = wt[~cross]
-            if edge_agg in ("sum", "mean"):
-                intra_sum = np.bincount(iu, weights=iw, minlength=nc)
-                if edge_agg == "sum":
-                    intra = intra_sum
-                else:
-                    counts = np.maximum(np.bincount(iu, minlength=nc), 1)
-                    intra = intra_sum / counts
-            else:
-                ufunc = np.maximum if edge_agg == "max" else np.minimum
-                fill = -np.inf if edge_agg == "max" else np.inf
-                intra = np.full(nc, fill)
-                ufunc.at(intra, iu, iw)
-                intra[np.isinf(intra)] = 0.0
-
     return CoarsenedGraph(graph=coarse, centroids=centroids,
-                          provenance=partition, node_values=node_values,
-                          intra_weights=intra)
+                          provenance=partition, node_values=node_values)
 
 
 def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,

@@ -18,7 +18,6 @@ DEFAULT_ORACLE_CAP = 100_000
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
-    "DistanceMatrixView",
     "Graph",
     "GraphFormatError",
     "NodeWeights",
@@ -117,7 +116,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class NodeWeights:
-    """Strictly positive per-node weights."""
+    """Finite, strictly positive per-node weights."""
 
     values: np.ndarray
 
@@ -125,8 +124,8 @@ class NodeWeights:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("node weights must be one-dimensional")
-        if values.size and not np.all(values > 0):
-            raise ValueError("node weights must be strictly positive")
+        if values.size and not np.all((values > 0) & np.isfinite(values)):
+            raise ValueError("node weights must be finite and strictly positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -152,29 +151,6 @@ class NodeWeights:
         return w
 
 
-@dataclass(frozen=True)
-class DistanceMatrixView:
-    """Hop distances from one source node.
-
-    ``dist[v] == unreachable`` marks nodes with no path from the source
-    (or beyond the requested depth cap); the sentinel exceeds any valid
-    hop count.
-    """
-
-    source: int
-    dist: np.ndarray
-    unreachable: int
-
-    def __post_init__(self):
-        self.dist.setflags(write=False)
-
-    def __getitem__(self, v):
-        return self.dist[v]
-
-    def __len__(self):
-        return self.dist.size
-
-
 def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
                   n: int) -> Graph:
     """Assemble a normalized Graph from parallel endpoint arrays."""
@@ -183,8 +159,8 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
     if u.size:
         if u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n:
             raise ValueError("edge endpoint outside 0..n-1")
-        if w is not None and w.size and not np.all(w > 0):
-            raise ValueError("edge weights must be strictly positive")
+        if w is not None and w.size and not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("edge weights must be finite and strictly positive")
     keep = u != v
     u, v = u[keep], v[keep]
     if w is not None:
@@ -226,8 +202,8 @@ def build(edges, n: int | None = None) -> Graph:
     explicit weight count as 1.0).  When n is omitted it is inferred as
     max endpoint + 1.
 
-    Raises ValueError for endpoints outside 0..n-1 or nonpositive
-    explicit weights.
+    Raises ValueError for endpoints outside 0..n-1 or explicit weights
+    that are not finite and positive.
     """
     us, vs, ws = [], [], []
     any_weight = False
@@ -278,9 +254,9 @@ def _parse_edgelist(path: Path):
                 except ValueError:
                     raise GraphFormatError(path, lineno,
                                            f"weight must be a real number: {line!r}") from None
-                if not w > 0:
+                if not 0 < w < np.inf:
                     raise GraphFormatError(path, lineno,
-                                           f"nonpositive edge weight: {line!r}")
+                                           f"edge weight must be finite and positive: {line!r}")
                 any_weight = True
             us.append(u)
             vs.append(v)
@@ -355,8 +331,9 @@ def _parse_matrix_market(path: Path):
             except ValueError:
                 raise GraphFormatError(path, lineno,
                                        f"entry value must be a real number: {line!r}") from None
-            if not value > 0:
-                raise GraphFormatError(path, lineno, f"nonpositive entry value: {line!r}")
+            if not 0 < value < np.inf:
+                raise GraphFormatError(path, lineno,
+                                       f"entry value must be finite and positive: {line!r}")
         seen += 1
         # Store one canonical entry per unordered pair.  A symmetric value
         # stored in both triangles must agree; summing it would double the
@@ -437,11 +414,12 @@ def _gather_neighbors(g: Graph, nodes: np.ndarray) -> np.ndarray:
     return g.indices[base + within]
 
 
-def bfs(g: Graph, source: int, max_depth: int | None = None) -> DistanceMatrixView:
+def bfs(g: Graph, source: int, max_depth: int | None = None) -> np.ndarray:
     """Level-synchronous breadth-first search from one source.
 
-    Distances beyond `max_depth` (when given) are left at the
-    unreachable sentinel, which equals ``g.n``.
+    Returns the int64 hop distances.  Unreachable nodes, and those
+    beyond `max_depth` when given, hold the sentinel ``g.n``, which
+    exceeds any valid hop count.
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} outside 0..{g.n - 1}")
@@ -460,7 +438,7 @@ def bfs(g: Graph, source: int, max_depth: int | None = None) -> DistanceMatrixVi
         frontier = np.unique(neigh)
         depth += 1
         dist[frontier] = depth
-    return DistanceMatrixView(source=source, dist=dist, unreachable=sentinel)
+    return dist
 
 
 def power(g: Graph, k: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Graph:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._propagate import neighbor_reduce, worker_pool
-from .graph import DEFAULT_ORACLE_CAP, Graph, power
+from .graph import Graph
 from .ranking import Ranking
 
-__all__ = ["KMisResult", "greedy_mis_rounds", "k_mis", "k_mis_reference"]
+__all__ = ["KMisResult", "k_mis"]
 
 
 @dataclass(frozen=True)
@@ -81,47 +81,3 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1) -> KMisResult:
                 covered = nxt
             active &= covered == 0
     return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds, k=k)
-
-
-def greedy_mis_rounds(g: Graph, ranking: Ranking) -> KMisResult:
-    """Reference greedy MIS on an explicit graph, in plain Python.
-
-    Rounds select every active node whose rank is a strict minimum over
-    its active neighbors, then drop closed neighborhoods; this is the
-    classic parallel emulation of sequential greedy in rank order.
-    """
-    ranking.validate(g.n)
-    rank = ranking.rank.tolist()
-    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
-    active = set(range(g.n))
-    picked: list[int] = []
-    rounds = 0
-    while active:
-        rounds += 1
-        chosen = [v for v in active
-                  if all(rank[u] > rank[v] for u in adj[v] & active)]
-        removed = set(chosen)
-        for v in chosen:
-            removed |= adj[v] & active
-        active -= removed
-        picked.extend(chosen)
-    return KMisResult(selected=np.array(sorted(picked), dtype=np.int64),
-                      rounds=rounds, k=1)
-
-
-def k_mis_reference(g: Graph, k: int, ranking: Ranking,
-                    oracle_cap: int = DEFAULT_ORACLE_CAP,
-                    power_graph: Graph | None = None) -> KMisResult:
-    """Oracle twin of :func:`k_mis`: greedy MIS on the explicit k-th power.
-
-    Small graphs only (the power construction enforces `oracle_cap`).  A
-    precomputed `power_graph` may be supplied when checking many
-    rankings against the same graph.
-    """
-    if k < 1:
-        raise ValueError("k_mis_reference requires k >= 1")
-    gk = power_graph if power_graph is not None else power(g, k, oracle_cap)
-    if gk.n != g.n:
-        raise ValueError("power graph does not match g")
-    result = greedy_mis_rounds(gk, ranking)
-    return KMisResult(selected=result.selected, rounds=result.rounds, k=k)

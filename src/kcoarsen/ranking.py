@@ -27,12 +27,10 @@ __all__ = [
     "load_scores",
     "rank_by_degree_rule",
     "rank_by_weight_rule",
-    "rank_static",
     "resolve_ranking",
     "walk_counts",
 ]
 
-STATIC_KINDS = ("node_id", "random", "constant", "external")
 RANKING_SPECS = ("kdeg", "kweight", "id", "random", "const")
 
 
@@ -83,6 +81,8 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> WalkVector:
     """Compute (A + I)^k x by k rounds of inclusive neighborhood sums.
 
     The power graph is never materialized; k = 0 returns x unchanged.
+    Raises ValueError when the counts overflow float64: every ratio
+    score would become 0 and the order would silently fall back to ids.
     """
     if k < 0:
         raise ValueError("walk_counts requires k >= 0")
@@ -91,6 +91,8 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> WalkVector:
     with worker_pool(workers) as pool:
         for _ in range(k):
             vec = neighbor_reduce(g, vec, "sum", 0.0, workers, pool)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"walk counts overflow float64 at k={k}")
     return WalkVector(values=vec, k=k)
 
 
@@ -108,30 +110,6 @@ def rank_by_weight_rule(g: Graph, weights, k: int, workers: int = 1) -> Ranking:
     return Ranking.from_scores(-(x.values / walk.values))
 
 
-def rank_static(n: int, kind: str = "node_id", seed=0, scores=None) -> Ranking:
-    """Graph-independent rankings.
-
-    node_id ranks by ascending id; random draws a seeded permutation;
-    constant degenerates to the id tie-break; external ranks by
-    decreasing caller-provided score (ids break ties).
-    """
-    if kind not in STATIC_KINDS:
-        raise ValueError(f"unknown static ranking kind {kind!r}")
-    if kind == "node_id":
-        return Ranking(np.arange(n, dtype=np.int64))
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        return Ranking(rng.permutation(n).astype(np.int64))
-    if kind == "constant":
-        return Ranking.from_scores(np.zeros(n))
-    if scores is None:
-        raise ValueError("external ranking requires scores")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (n,):
-        raise ValueError(f"expected {n} scores, got {scores.shape}")
-    return Ranking.from_scores(-scores)
-
-
 def load_scores(path) -> np.ndarray:
     """Read one real score per line; '#'/'%' comments and blanks skipped."""
     values = []
@@ -142,9 +120,12 @@ def load_scores(path) -> np.ndarray:
             if not line or line[0] in "#%":
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: not a real number: {line!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}, line {lineno}: score is not finite: {line!r}")
+            values.append(value)
     return np.array(values, dtype=np.float64)
 
 
@@ -152,13 +133,21 @@ def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
                     seed=0, workers: int = 1) -> Ranking:
     """Turn a ranking spec into a Ranking.
 
-    `spec` may already be a Ranking (validated and returned), or one of
-    'kdeg', 'kweight', 'id', 'random', 'const'.  The two rule specs need
-    k >= 1; `weights` defaults to all-ones.
+    `spec` may already be a Ranking (validated and returned), one of
+    'kdeg', 'kweight', 'id', 'random', 'const', or 'file:PATH' naming a
+    score file for :func:`load_scores` (higher score first, ids break
+    ties).  The two rule specs need k >= 1; `weights` defaults to
+    all-ones.  'const' degenerates to the id tie-break.
     """
     if isinstance(spec, Ranking):
         spec.validate(g.n)
         return spec
+    if isinstance(spec, str) and spec.startswith("file:"):
+        scores = load_scores(spec[len("file:"):])
+        if scores.size != g.n:
+            raise ValueError(
+                f"score file has {scores.size} entries, graph has {g.n} nodes")
+        return Ranking.from_scores(-scores)
     if spec not in RANKING_SPECS:
         raise ValueError(f"unknown ranking spec {spec!r}")
     if spec in ("kdeg", "kweight"):
@@ -168,8 +157,6 @@ def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
         if spec == "kdeg":
             return rank_by_degree_rule(g, x, k, workers)
         return rank_by_weight_rule(g, x, k, workers)
-    if spec == "id":
-        return rank_static(g.n, "node_id")
     if spec == "random":
-        return rank_static(g.n, "random", seed=seed)
-    return rank_static(g.n, "constant")
+        return Ranking(np.random.default_rng(seed).permutation(g.n))
+    return Ranking(np.arange(g.n, dtype=np.int64))

@@ -99,8 +99,8 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
     """Check k+1 <= d_G(a, b) <= 2k+1 for every coarse edge (a, b).
 
     Runs one depth-capped search per coarse endpoint; distances beyond
-    2k+2 hops show up as the unreachable sentinel and are reported as
-    violations.
+    2k+2 hops show up as the unreachable sentinel ``g.n`` and are
+    reported as violations.
     """
     report = DistortionReport()
     lower, upper = k + 1, 2 * k + 1
@@ -111,13 +111,13 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
         if targets.size == 0:
             continue
         a = int(h.centroids[ci])
-        view = bfs(g, a, max_depth=upper + 1)
+        dist = bfs(g, a, max_depth=upper + 1)
         for cj in targets.tolist():
             b = int(h.centroids[cj])
-            d = int(view.dist[b])
+            d = int(dist[b])
             report.per_coarse_edge.append((a, b, d))
-            if d == view.unreachable or not lower <= d <= upper:
-                observed = float("inf") if d == view.unreachable else float(d)
+            if d == g.n or not lower <= d <= upper:
+                observed = float("inf") if d == g.n else float(d)
                 report.violations.append(Violation(
                     kind="edge_bound", nodes=(a, b),
                     observed=observed, bound=float(upper)))
@@ -195,16 +195,16 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
         targets = np.asarray(targets, dtype=np.int64)
         if targets.size == 0:
             continue
-        gview = bfs(g, u)
+        gdist = bfs(g, u)
         cu = int(coarse_of[u])
         if cu not in hdist_cache:
-            hdist_cache[cu] = bfs(hg, cu).dist
+            hdist_cache[cu] = bfs(hg, cu)
         hdist = hdist_cache[cu]
         for v in targets.tolist():
             if v == u:
                 continue
-            dg = int(gview.dist[v])
-            if dg == gview.unreachable:
+            dg = int(gdist[v])
+            if dg == n:
                 continue
             dh = int(hdist[coarse_of[v]])
             if recorded < max_recorded:
@@ -255,14 +255,14 @@ def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
     in_set = result.as_mask(g.n)
     covered = np.zeros(g.n, dtype=bool)
     for s in result.selected.tolist():
-        view = bfs(g, s, max_depth=k)
-        ball = np.flatnonzero(view.dist <= k)
+        dist = bfs(g, s, max_depth=k)
+        ball = np.flatnonzero(dist <= k)
         covered[ball] = True
         for t in ball.tolist():
             if t != s and in_set[t] and t > s:
                 report.violations.append(Violation(
                     kind="independence", nodes=(s, t),
-                    observed=float(view.dist[t]), bound=float(k)))
+                    observed=float(dist[t]), bound=float(k)))
     for v in np.flatnonzero(~covered).tolist():
         report.violations.append(Violation(
             kind="maximality", nodes=(v,),

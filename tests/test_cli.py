@@ -1,9 +1,12 @@
 """End-to-end command-line runs: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+from concurrent.futures import Future
 
 import pytest
 
+import kcoarsen._propagate
 from kcoarsen.cli import main
 
 from . import helpers
@@ -123,6 +126,95 @@ def test_verify_corrupted_assignment_exits_1(tmp_path, capsys):
     assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 1
     err = capsys.readouterr().err
     assert "violation" in err.lower()
+
+
+def _rewrite_rows(path, edit):
+    """Apply `edit` to the data rows of an artifact file, keep comments."""
+    lines = path.read_text().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    rows = [line for line in lines if line and not line.startswith("#")]
+    path.write_text("\n".join(head + edit(rows)) + "\n")
+
+
+@pytest.mark.parametrize("edit", [
+    # rows "0 0", "1 2", "2 4" become "2 0", "1 2", "0 4"
+    lambda rows: [f"{len(rows) - 1 - i} {row.split()[1]}"
+                  for i, row in enumerate(rows)],
+    lambda rows: rows + rows[1:2],
+    lambda rows: rows[:1] + ["1"] + rows[2:],
+], ids=["reversed_index", "duplicated_row", "short_row"])
+def test_verify_malformed_centroids_exits_2(tmp_path, capsys, edit):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "run"
+    run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "-o", out])
+    _rewrite_rows(out / "centroids.txt", edit)
+    assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_non_finite_coarse_weight_exits_2(tmp_path, capsys):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "run"
+    run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "-o", out])
+    _rewrite_rows(out / "coarse.edgelist",
+                  lambda rows: ["0 1 inf"] + rows[1:])
+    assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_edge_weight_exits_2(tmp_path, capsys):
+    inp = tmp_path / "inf.edgelist"
+    inp.write_text("0 1 inf\n1 2 1.0\n")
+    assert run(["coarsen", "-i", inp, "-k", "1", "-o", tmp_path / "x"]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_non_finite_score_exits_2(tmp_path, capsys):
+    inp = write_path5(tmp_path)
+    scores = tmp_path / "scores.txt"
+    scores.write_text("1\n2\nnan\n4\n5\n")
+    assert run(["coarsen", "-i", inp, "-k", "1", "--rank", f"file:{scores}",
+                "-o", tmp_path / "x"]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_threads_capped_at_cpu_count(tmp_path, monkeypatch):
+    recorded = []
+
+    class InlinePool:
+        """Records the requested size and runs every task at once."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(kcoarsen._propagate, "ThreadPoolExecutor", InlinePool)
+    inp = write_path5(tmp_path)
+    out = tmp_path / "run"
+    assert run(["coarsen", "-i", inp, "-k", "1", "--rank", "kdeg",
+                "--threads", "1000000", "-o", out]) == 0
+    cpus = os.cpu_count() or 1
+    assert all(workers <= cpus for workers in recorded)
+    config = json.loads((out / "run_config.json").read_text())
+    assert config["threads"] == cpus
+
+
+def test_threads_below_one_is_usage_error(tmp_path):
+    inp = write_path5(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["coarsen", "-i", inp, "-k", "1", "--threads", "0",
+             "-o", tmp_path / "x"])
+    assert exc.value.code == 2
 
 
 def test_verify_disconnected_input_passes(tmp_path):

@@ -13,8 +13,8 @@ from kcoarsen import (
     coarsen_pipeline,
     connected_components,
     k_mis,
-    rank_static,
     reduce,
+    resolve_ranking,
 )
 
 from . import helpers
@@ -22,7 +22,7 @@ from . import helpers
 
 def path5_parts():
     g = build(helpers.path_edges(5))
-    rank = rank_static(5, "node_id")
+    rank = resolve_ranking(g, "id")
     res = k_mis(g, 1, rank)
     return g, rank, res
 
@@ -39,7 +39,7 @@ def test_cluster_prefers_min_rank_over_nearest():
     # centroids 0 and 3; node 2 sits 1 hop from 3 but 2 hops from the
     # lower-ranked centroid 0, and the lower rank must win
     g = build(helpers.path_edges(7))
-    rank = rank_static(7, "node_id")
+    rank = resolve_ranking(g, "id")
     res = k_mis(g, 2, rank)
     assert res.selected.tolist() == [0, 3, 6]
     part = cluster(g, 2, rank, res)
@@ -48,7 +48,7 @@ def test_cluster_prefers_min_rank_over_nearest():
 
 def test_cluster_identity_when_everything_selected():
     g = build([], n=4)
-    rank = rank_static(4, "node_id")
+    rank = resolve_ranking(g, "id")
     res = k_mis(g, 1, rank)
     part = cluster(g, 1, rank, res)
     assert part.assignment.tolist() == [0, 1, 2, 3]
@@ -114,13 +114,6 @@ def test_reduce_node_aggregations(agg, expect):
     g, part = square_partition()
     h = reduce(g, part, node_weights=[1.0, 2.0, 3.0, 4.0], node_agg=agg)
     assert h.node_values.tolist() == expect
-
-
-def test_reduce_intra_weights():
-    g, part = square_partition()
-    h = reduce(g, part, keep_intra_weights=True)
-    assert h.intra_weights.tolist() == [10.0, 20.0]
-    assert reduce(g, part).intra_weights is None
 
 
 def test_reduce_unweighted_counts_multiplicity():

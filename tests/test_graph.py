@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcoarsen import (
@@ -56,7 +56,8 @@ def test_build_isolated_nodes_via_n():
 
 @pytest.mark.parametrize(
     "edges, n",
-    [([(0, 5)], 3), ([(-1, 0)], None), ([(0, 1, 0.0)], None), ([(0, 1, -2.0)], None)],
+    [([(0, 5)], 3), ([(-1, 0)], None), ([(0, 1, 0.0)], None), ([(0, 1, -2.0)], None),
+     ([(0, 1, np.inf)], None)],
 )
 def test_build_rejects_bad_input(edges, n):
     with pytest.raises((ValueError, GraphFormatError)):
@@ -194,6 +195,7 @@ def test_load_matrix_market_keeps_isolated_rows(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n2 3 0\n", "square"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n", "entries"),
         ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 3\n", "bounds"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 inf\n", "finite"),
     ],
 )
 def test_load_matrix_market_rejects(tmp_path, text, message):
@@ -210,13 +212,37 @@ def test_load_unknown_format(tmp_path):
         load(p, format="graphml")
 
 
-def test_store_load_round_trip_exact(tmp_path):
-    g = build([(0, 1, 0.1), (1, 2, 1 / 3), (2, 3, 1e-12)])
-    p = tmp_path / "g.edgelist"
+def _stored_graphs():
+    """(n, edges) with every edge weighted or none; weights stay finite
+    when build sums duplicates."""
+    def edges_for(n, weighted):
+        pair = (st.integers(0, n - 1), st.integers(0, n - 1))
+        if weighted:
+            pair += (st.floats(min_value=0.0, max_value=1e300, exclude_min=True),)
+        return st.lists(st.tuples(*pair), max_size=25)
+
+    return st.tuples(st.integers(1, 12), st.booleans()).flatmap(
+        lambda nw: st.tuples(st.just(nw[0]), edges_for(*nw)))
+
+
+@given(_stored_graphs())
+@example((4, [(0, 1, 0.1), (1, 2, 1 / 3), (2, 3, 1e-12)]))
+@settings(max_examples=60, deadline=None)
+def test_store_load_round_trip_exact(tmp_path_factory, case):
+    n, edges = case
+    g = build(edges, n=n)
+    p = tmp_path_factory.mktemp("round_trip") / "g.edgelist"
     store(g, p)
-    back, _ = load(p)
-    assert back == g
-    assert back.weights.tolist() == g.weights.tolist()
+    back, ids = load(p)
+
+    def keyed(u, v, w):
+        weights = w.tolist() if w is not None else [None] * u.size
+        return dict(zip(zip(u.tolist(), v.tolist()), weights))
+
+    # store drops isolated nodes, so compare edges through load's id map
+    u, v, w = back.edge_list()
+    assert keyed(ids[u], ids[v], w) == keyed(*g.edge_list())
+    assert back.m == g.m
 
 
 def test_store_header_lines(tmp_path):
@@ -228,21 +254,22 @@ def test_store_header_lines(tmp_path):
 
 def test_bfs_path():
     g = build(helpers.path_edges(5))
-    assert bfs(g, 0).dist.tolist() == [0, 1, 2, 3, 4]
-    assert bfs(g, 2).dist.tolist() == [2, 1, 0, 1, 2]
+    assert bfs(g, 0).tolist() == [0, 1, 2, 3, 4]
+    assert bfs(g, 2).tolist() == [2, 1, 0, 1, 2]
 
 
 def test_bfs_unreachable_sentinel():
     g = build([(0, 1), (2, 3)])
     d = bfs(g, 0)
-    assert d[2] == d[3] == d.unreachable == g.n
-    assert d.dist.tolist() == [0, 1, 4, 4]
+    assert d.dtype == np.int64
+    assert d[2] == d[3] == g.n
+    assert d.tolist() == [0, 1, 4, 4]
 
 
 def test_bfs_max_depth():
     g = build(helpers.path_edges(6))
     d = bfs(g, 0, max_depth=2)
-    assert d.dist.tolist() == [0, 1, 2, 6, 6, 6]
+    assert d.tolist() == [0, 1, 2, 6, 6, 6]
 
 
 def test_bfs_matches_reference_on_corpus(small_corpus):
@@ -318,6 +345,8 @@ def test_connected_components_counts():
 def test_node_weights_validation():
     with pytest.raises(ValueError):
         NodeWeights(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        NodeWeights(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         NodeWeights.coerce([1.0, 2.0], 3)
     assert NodeWeights.ones(3).values.tolist() == [1.0, 1.0, 1.0]

@@ -1,4 +1,4 @@
-"""Parallel greedy k-MIS selection against three independent references."""
+"""Parallel greedy k-MIS selection against independent pure-Python references."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from kcoarsen import (
     Ranking,
     build,
     k_mis,
-    k_mis_reference,
+    power,
     rank_by_weight_rule,
-    rank_static,
+    resolve_ranking,
 )
 
 from . import helpers
@@ -19,7 +19,7 @@ from . import helpers
 
 def path5_setup(k, rank=None):
     g = build(helpers.path_edges(5))
-    r = rank_static(5, "node_id") if rank is None else Ranking(np.array(rank))
+    r = resolve_ranking(g, "id") if rank is None else Ranking(np.array(rank))
     return g, k_mis(g, k, r)
 
 
@@ -65,11 +65,12 @@ def test_complete_graph_selects_min_rank():
 
 def test_edgeless_graph_selects_everything():
     g = build([], n=4)
-    assert k_mis(g, 3, rank_static(4, "node_id")).selected.tolist() == [0, 1, 2, 3]
+    assert k_mis(g, 3, resolve_ranking(g, "id")).selected.tolist() == [0, 1, 2, 3]
 
 
 def test_empty_graph():
-    res = k_mis(build([], n=0), 1, rank_static(0, "node_id"))
+    g = build([], n=0)
+    res = k_mis(g, 1, resolve_ranking(g, "id"))
     assert res.selected.size == 0
     assert res.rounds == 0
 
@@ -82,11 +83,11 @@ def test_as_mask():
 def test_rejects_bad_arguments():
     g = build(helpers.path_edges(3))
     with pytest.raises(ValueError):
-        k_mis(g, 0, rank_static(3, "node_id"))
+        k_mis(g, 0, resolve_ranking(g, "id"))
     with pytest.raises(ValueError):
         k_mis(g, 1, Ranking(np.array([0, 0, 1])))
     with pytest.raises(ValueError):
-        k_mis(g, 1, rank_static(4, "node_id"))
+        k_mis(g, 1, Ranking(np.arange(4)))
 
 
 def test_min_rank_node_always_selected(small_corpus):
@@ -108,8 +109,10 @@ def test_matches_both_references(small_corpus):
         rng.shuffle(perm)
         rank = Ranking(np.array(perm))
         for k in (1, 2, 3):
+            u, v, _ = power(g, k).edge_list()
+            adj_k = helpers.adjacency(n, zip(u.tolist(), v.tolist()))
             ours = k_mis(g, k, rank).selected.tolist()
-            assert ours == k_mis_reference(g, k, rank).selected.tolist()
+            assert ours == helpers.sequential_kmis(adj_k, n, 1, perm)
             assert ours == helpers.sequential_kmis(adj, n, k, perm)
 
 
@@ -117,14 +120,14 @@ def test_selection_is_valid(small_corpus):
     for g, edges, n in small_corpus[:10]:
         adj = helpers.adjacency(n, edges)
         for k in (1, 2):
-            sel = k_mis(g, k, rank_static(n, "random", seed=n)).selected.tolist()
+            sel = k_mis(g, k, resolve_ranking(g, "random", seed=n)).selected.tolist()
             assert helpers.is_k_independent(adj, sel, k)
             assert helpers.covers_within_k(adj, n, sel, k)
 
 
 def test_worker_count_does_not_change_result(small_corpus):
     for g, edges, n in small_corpus[:8]:
-        rank = rank_static(n, "random", seed=42)
+        rank = resolve_ranking(g, "random", seed=42)
         base = k_mis(g, 2, rank, workers=1).selected
         for workers in (2, 8):
             assert np.array_equal(k_mis(g, 2, rank, workers=workers).selected, base)
@@ -165,18 +168,9 @@ def test_agrees_with_sequential_reference(data):
 
 def test_repeat_runs_identical(small_corpus):
     g, _, n = small_corpus[3]
-    rank = rank_static(n, "random", seed=5)
+    rank = resolve_ranking(g, "random", seed=5)
     a = k_mis(g, 2, rank)
     b = k_mis(g, 2, rank)
     assert np.array_equal(a.selected, b.selected)
     assert a.rounds == b.rounds
 
-
-def test_reference_accepts_precomputed_power():
-    from kcoarsen import power
-
-    g = build(helpers.cycle_edges(9))
-    rank = rank_static(9, "random", seed=2)
-    direct = k_mis_reference(g, 2, rank)
-    seeded = k_mis_reference(g, 2, rank, power_graph=power(g, 2))
-    assert np.array_equal(direct.selected, seeded.selected)

@@ -11,7 +11,6 @@ from kcoarsen import (
     load_scores,
     rank_by_degree_rule,
     rank_by_weight_rule,
-    rank_static,
     resolve_ranking,
     walk_counts,
 )
@@ -141,25 +140,33 @@ def test_ranking_validate():
 
 
 def test_rank_static_kinds():
-    assert rank_static(4, "node_id").rank.tolist() == [0, 1, 2, 3]
-    assert rank_static(4, "constant").rank.tolist() == [0, 1, 2, 3]
-    a = rank_static(6, "random", seed=3).rank
-    b = rank_static(6, "random", seed=3).rank
+    g4 = build(helpers.path_edges(4))
+    assert resolve_ranking(g4, "id").rank.tolist() == [0, 1, 2, 3]
+    assert resolve_ranking(g4, "const").rank.tolist() == [0, 1, 2, 3]
+    g6 = build(helpers.cycle_edges(6))
+    a = resolve_ranking(g6, "random", seed=3).rank
+    b = resolve_ranking(g6, "random", seed=3).rank
     assert a.tolist() == b.tolist()
+    assert a.tolist() == np.random.default_rng(3).permutation(6).tolist()
     assert sorted(a.tolist()) == list(range(6))
-    assert rank_static(6, "random", seed=4).rank.tolist() != a.tolist()
+    assert resolve_ranking(g6, "random", seed=4).rank.tolist() != a.tolist()
 
 
-def test_rank_static_external_prefers_high_scores():
-    r = rank_static(4, "external", scores=[1.0, 5.0, 5.0, 0.0])
+def test_rank_static_external_prefers_high_scores(tmp_path):
+    p = tmp_path / "scores.txt"
+    p.write_text("1.0\n5.0\n5.0\n0.0\n")
+    r = resolve_ranking(build(helpers.path_edges(4)), f"file:{p}")
     assert r.rank.tolist() == [2, 0, 1, 3]
 
 
-def test_rank_static_rejects():
-    with pytest.raises(ValueError):
-        rank_static(3, "zigzag")
-    with pytest.raises(ValueError):
-        rank_static(3, "external")
+def test_rank_static_rejects(tmp_path):
+    g = build(helpers.path_edges(3))
+    with pytest.raises(ValueError, match="unknown"):
+        resolve_ranking(g, "zigzag")
+    p = tmp_path / "scores.txt"
+    p.write_text("1.0\n2.0\n")
+    with pytest.raises(ValueError, match="2 entries"):
+        resolve_ranking(g, f"file:{p}")
 
 
 def test_load_scores(tmp_path):
@@ -173,6 +180,24 @@ def test_load_scores_bad_line(tmp_path):
     p.write_text("1.0\nnope\n")
     with pytest.raises(ValueError, match="line 2"):
         load_scores(p)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_scores_rejects_non_finite(tmp_path, text):
+    p = tmp_path / "scores.txt"
+    p.write_text(f"1.0\n{text}\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_scores(p)
+
+
+def test_walk_counts_overflow_raises():
+    # (A + I)^250 1 on a 1,000-leaf star exceeds float64; all-inf counts
+    # would turn every kdeg score into 0 and the order into id order
+    g = build(helpers.star_edges(1001))
+    with pytest.raises(ValueError, match="overflow"):
+        walk_counts(g, np.ones(g.n), 250)
+    with pytest.raises(ValueError, match="overflow"):
+        resolve_ranking(g, "kdeg", k=250)
 
 
 def test_resolve_ranking_specs():

@@ -15,7 +15,7 @@ from kcoarsen import (
     check_kmis_validity,
     coarsen_pipeline,
     k_mis,
-    rank_static,
+    resolve_ranking,
     verify_reduction,
 )
 
@@ -145,7 +145,7 @@ def test_components_detect_cross_component_merge():
 
 def test_validity_accepts_real_result():
     g = build(helpers.path_edges(5))
-    res = k_mis(g, 1, rank_static(5, "node_id"))
+    res = k_mis(g, 1, resolve_ranking(g, "id"))
     assert check_kmis_validity(g, 1, res).passed
 
 
