@@ -5,21 +5,29 @@ One round computes, for every node v,
     out[v] = op(values[v], op over values[u] for u in neighbors(v))
 
 reading a frozen input buffer and writing a fresh output buffer.  Nodes
-are split into contiguous chunks (one per worker); because chunk
-boundaries never cut a neighbor list and every chunk reads only the
-previous buffer, results are bit-identical for any worker count.
+are split into contiguous chunks (one per worker, ROWS_PER_CHUNK rows at
+least); because chunk boundaries never cut a neighbor list and every
+chunk reads only the previous buffer, results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph
+if TYPE_CHECKING:  # graph.py imports this module
+    from .graph import Graph
 
 _UFUNCS = {"min": np.minimum, "max": np.maximum, "sum": np.add}
+
+# On a 2-core x86 box a sweep ran 0.2-0.75x as fast on 2 workers as on 1 at
+# 3k-8k rows, and 1.0-1.5x at 10k-60k rows.
+ROWS_PER_CHUNK = 8192
 
 
 @contextlib.contextmanager
@@ -53,17 +61,16 @@ def neighbor_reduce(g: Graph, values: np.ndarray, kind: str, fill,
     """One reduction round; `fill` must be the identity of the op."""
     ufunc = _UFUNCS[kind]
     out = np.empty_like(values)
-    if g.n == 0:
-        return out
-    chunks = min(max(workers, 1), g.n)
+    chunks = max(min(workers, g.n // ROWS_PER_CHUNK), 1)
     bounds = np.linspace(0, g.n, chunks + 1).astype(np.int64)
     if pool is None or chunks == 1:
         for i in range(chunks):
             _reduce_rows(g, values, out, ufunc, fill, bounds[i], bounds[i + 1])
     else:
+        # run in a copy of the caller's context, so its np.errstate holds
         futures = [
-            pool.submit(_reduce_rows, g, values, out, ufunc, fill,
-                        bounds[i], bounds[i + 1])
+            pool.submit(contextvars.copy_context().run, _reduce_rows, g,
+                        values, out, ufunc, fill, bounds[i], bounds[i + 1])
             for i in range(chunks)
         ]
         for future in futures:

@@ -22,8 +22,8 @@ import numpy as np
 from . import oracle
 from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
                       coarsen_pipeline)
-from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, load, store,
-                    _build_arrays)
+from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
+                    load, store, _build_arrays)
 from .kmis import KMisResult
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
@@ -203,10 +203,7 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
     assignment_path = artifacts / "assignment.txt"
     assignment = np.full(g.n, -1, dtype=np.int64)
     with open(assignment_path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line[0] in "#%":
-                continue
+        for _, line in data_lines(fh):
             a, b = (int(tok) for tok in line.split())
             assignment[dense_of(a, assignment_path)] = dense_of(b, assignment_path)
     if (assignment < 0).any():
@@ -215,10 +212,7 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
     centroids_path = artifacts / "centroids.txt"
     centroid_rows: list[tuple[int, int]] = []
     with open(centroids_path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line[0] in "#%":
-                continue
+        for _, line in data_lines(fh):
             index, centroid = line.split()[:2]  # ValueError on a short row
             centroid_rows.append((int(index),
                                   dense_of(int(centroid), centroids_path)))

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._propagate import neighbor_reduce
+
 # Largest graph the explicit k-th power construction will accept.
 DEFAULT_ORACLE_CAP = 100_000
 
@@ -174,13 +176,7 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     elo, ehi = lo[first], hi[first]
     m = elo.size
-    if w is not None and m:
-        bounds = np.flatnonzero(first)
-        ew = np.add.reduceat(w[order], bounds)
-    elif w is not None:
-        ew = np.empty(0)
-    else:
-        ew = None
+    ew = None if w is None else np.add.reduceat(w[order], np.flatnonzero(first))
 
     deg = np.bincount(elo, minlength=n) + np.bincount(ehi, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -229,14 +225,19 @@ def build(edges, n: int | None = None) -> Graph:
     return _build_arrays(u, v, w, n)
 
 
+def data_lines(fh):
+    """Yield (lineno, stripped line), skipping blanks and '#'/'%' comments."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line and line[0] not in "#%":
+            yield lineno, line
+
+
 def _parse_edgelist(path: Path):
     us, vs, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line[0] in "#%":
-                continue
+        for lineno, line in data_lines(fh):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise GraphFormatError(path, lineno,
@@ -428,13 +429,9 @@ def bfs(g: Graph, source: int, max_depth: int | None = None) -> np.ndarray:
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     depth = 0
-    while frontier.size:
-        if max_depth is not None and depth >= max_depth:
-            break
+    while frontier.size and (max_depth is None or depth < max_depth):
         neigh = _gather_neighbors(g, frontier)
         neigh = neigh[dist[neigh] == sentinel]
-        if neigh.size == 0:
-            break
         frontier = np.unique(neigh)
         depth += 1
         dist[frontier] = depth
@@ -482,21 +479,18 @@ def connected_components(g: Graph) -> tuple[int, np.ndarray]:
     """Component count and a per-node label array.
 
     Labels are assigned in order of the smallest node id per component,
-    so the result is deterministic.
+    so the result is deterministic.  Hook-and-jump (Shiloach & Vishkin,
+    1982): jump pointers until every tree is a star, then hook each root
+    to the smallest root next to its tree, until no root can hook.
     """
-    labels = np.full(g.n, -1, dtype=np.int64)
-    count = 0
-    for seed in range(g.n):
-        if labels[seed] != -1:
-            continue
-        labels[seed] = count
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            neigh = _gather_neighbors(g, frontier)
-            neigh = neigh[labels[neigh] == -1]
-            if neigh.size == 0:
+    parent = np.arange(g.n, dtype=np.int64)
+    while True:
+        nxt = parent[parent]
+        if np.array_equal(nxt, parent):
+            low = neighbor_reduce(g, parent, "min", np.int64(g.n))
+            if np.array_equal(low, parent):
                 break
-            frontier = np.unique(neigh)
-            labels[frontier] = count
-        count += 1
-    return count, labels
+            np.minimum.at(nxt, parent, low)
+        parent = nxt
+    roots, labels = np.unique(parent, return_inverse=True)
+    return int(roots.size), labels

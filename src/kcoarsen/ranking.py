@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._propagate import neighbor_reduce, worker_pool
-from .graph import Graph, NodeWeights
+from .graph import Graph, NodeWeights, data_lines
 
 __all__ = [
     "Ranking",
@@ -88,7 +88,8 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> WalkVector:
         raise ValueError("walk_counts requires k >= 0")
     x = NodeWeights.coerce(weights, g.n)
     vec = x.values.copy()
-    with worker_pool(workers) as pool:
+    # overflow is reported below as a ValueError, not as a numpy warning
+    with worker_pool(workers) as pool, np.errstate(over="ignore"):
         for _ in range(k):
             vec = neighbor_reduce(g, vec, "sum", 0.0, workers, pool)
     if not np.isfinite(vec).all():
@@ -115,10 +116,7 @@ def load_scores(path) -> np.ndarray:
     values = []
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line[0] in "#%":
-                continue
+        for lineno, line in data_lines(fh):
             try:
                 value = float(line)
             except ValueError:

@@ -1,5 +1,6 @@
 import pytest
 
+import kcoarsen._propagate
 from kcoarsen import build
 
 from . import helpers
@@ -48,3 +49,14 @@ def fixture_graphs():
         g = build(edges, n=n)
         graphs[name] = (g, edges, g.n)
     return graphs
+
+
+@pytest.fixture
+def split_every_row(monkeypatch):
+    """Let sweeps split down to one row per chunk, as on a large graph.
+
+    The test graphs are far below the rows-per-chunk floor, so without
+    this every worker count would run inline and a worker-count test
+    would compare the inline path with itself.
+    """
+    monkeypatch.setattr(kcoarsen._propagate, "ROWS_PER_CHUNK", 1)

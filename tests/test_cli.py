@@ -223,6 +223,15 @@ def test_verify_disconnected_input_passes(tmp_path):
     assert run(["verify", "-i", inp, "-k", "1", "--rank", "id"]) == 0
 
 
+def test_verify_two_components_with_k_above_n_passes(tmp_path, capsys):
+    # every node is within k = 4 hops of everything it can reach, and of
+    # nothing it cannot
+    inp = tmp_path / "two.edgelist"
+    inp.write_text("0 1\n2 3\n")
+    assert run(["verify", "-i", inp, "-k", "4", "--rank", "id"]) == 0
+    assert "status,pass" in capsys.readouterr().out
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.edgelist"
     assert run(["coarsen", "-i", missing, "-k", "1", "-o", tmp_path / "x"]) == 2

@@ -332,7 +332,20 @@ def test_power_respects_oracle_cap():
         power(g, 3, oracle_cap=10)
 
 
-def test_connected_components_counts():
+def bfs_labelling(n, edges):
+    """Component labels numbered by smallest member, from helpers BFS."""
+    adj = helpers.adjacency(n, edges)
+    labels = [-1] * n
+    count = 0
+    for v in range(n):
+        if labels[v] == -1:
+            for u in helpers.bfs_dists(adj, v):
+                labels[u] = count
+            count += 1
+    return count, labels
+
+
+def test_connected_components_counts(corpus):
     assert connected_components(build(helpers.path_edges(5)))[0] == 1
     g = build([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     count, labels = connected_components(g)
@@ -340,6 +353,18 @@ def test_connected_components_counts():
     assert labels.tolist() == [0, 0, 0, 1, 1, 1]
     assert connected_components(build([], n=4))[0] == 4
     assert connected_components(build([], n=0))[0] == 0
+
+    cases = [(n, edges) for _, edges, n in corpus[:60]]
+    # a path with shuffled ids needs many hooks to reach its smallest id
+    rng = helpers.make_rng("components-path")
+    ids = list(range(3000))
+    rng.shuffle(ids)
+    cases.append((3000, [(ids[i], ids[i + 1]) for i in range(2999)]))
+    cases.append((3000, [(ids[i], ids[i + 1]) for i in range(2999) if i % 7]))
+    for n, edges in cases:
+        count, labels = connected_components(build(edges, n=n))
+        assert (count, labels.tolist()) == bfs_labelling(n, edges)
+        assert labels.dtype == np.int64
 
 
 def test_node_weights_validation():

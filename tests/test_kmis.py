@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcoarsen._propagate
 from kcoarsen import (
     Ranking,
     build,
@@ -13,6 +14,7 @@ from kcoarsen import (
     rank_by_weight_rule,
     resolve_ranking,
 )
+from kcoarsen._propagate import neighbor_reduce
 
 from . import helpers
 
@@ -125,12 +127,24 @@ def test_selection_is_valid(small_corpus):
             assert helpers.covers_within_k(adj, n, sel, k)
 
 
-def test_worker_count_does_not_change_result(small_corpus):
+def test_worker_count_does_not_change_result(small_corpus, split_every_row):
     for g, edges, n in small_corpus[:8]:
         rank = resolve_ranking(g, "random", seed=42)
         base = k_mis(g, 2, rank, workers=1).selected
         for workers in (2, 8):
             assert np.array_equal(k_mis(g, 2, rank, workers=workers).selected, base)
+
+
+def test_sweeps_below_the_row_floor_stay_off_the_pool():
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("sweep split on a graph below the floor")
+
+    n = kcoarsen._propagate.ROWS_PER_CHUNK * 2 - 1
+    g = build(helpers.path_edges(n))
+    values = np.arange(n, dtype=np.int64)
+    out = neighbor_reduce(g, values, "min", np.int64(n), 8, NoPool())
+    assert out.tolist() == [0] + list(range(n - 1))
 
 
 def test_relabeling_equivariance():

@@ -52,7 +52,8 @@ def test_walk_counts_matches_dense_reference(small_corpus):
             assert got.tolist() == helpers.walk_vector(n, edges, x, k)
 
 
-def test_walk_counts_worker_count_is_bitwise_invariant(small_corpus):
+def test_walk_counts_worker_count_is_bitwise_invariant(small_corpus,
+                                                      split_every_row):
     for g, edges, n in small_corpus[:6]:
         rng = helpers.make_rng("workers", n)
         x = helpers.dyadic_weights(rng, n)
@@ -198,6 +199,15 @@ def test_walk_counts_overflow_raises():
         walk_counts(g, np.ones(g.n), 250)
     with pytest.raises(ValueError, match="overflow"):
         resolve_ranking(g, "kdeg", k=250)
+
+
+def test_walk_counts_overflow_on_worker_threads_raises_only_value_error(
+        split_every_row):
+    # pytest turns warnings into errors here, so a RuntimeWarning from a
+    # worker thread would surface instead of the ValueError
+    g = build(helpers.star_edges(1001))
+    with pytest.raises(ValueError, match="overflow"):
+        walk_counts(g, np.ones(g.n), 250, workers=2)
 
 
 def test_resolve_ranking_specs():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcoarsen import (
     CoarsenedGraph,
@@ -163,6 +165,38 @@ def test_validity_flags_uncovered_node():
     report = check_kmis_validity(g, 1, fake)
     kinds = [v.kind for v in report.violations]
     assert "maximality" in kinds
+
+
+def expected_validity(n, edges, selected, k):
+    """Independence pairs, then uncovered nodes, from helpers BFS."""
+    adj = helpers.adjacency(n, edges)
+    out = []
+    for i, s in enumerate(selected):
+        dist = helpers.bfs_dists(adj, s)
+        for t in selected[i + 1:]:
+            if dist.get(t, k + 1) <= k:
+                out.append(("independence", (s, t), float(dist[t]), float(k)))
+    covered = set()
+    for s in selected:
+        covered |= helpers.ball(adj, s, k)
+    out += [("maximality", (v,), float("inf"), float(k))
+            for v in range(n) if v not in covered]
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_validity_matches_bfs_oracle(data):
+    n = data.draw(st.integers(1, 12))
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+    selected = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    k = data.draw(st.integers(1, 5))  # k >= n on the smallest graphs
+    g = build(edges, n=n)
+    fake = KMisResult(selected=np.array(selected, dtype=np.int64), rounds=0, k=k)
+    report = check_kmis_validity(g, k, fake)
+    got = [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
+    assert got == expected_validity(n, edges, selected, k)
 
 
 def test_verify_reduction_green_path(small_corpus):
