@@ -180,7 +180,8 @@ def cmd_coarsen(args) -> int:
           f"selected={result.selected.size} ratio={ratio:.4f} "
           f"rounds={result.rounds} "
           f"t_rank={timings.get('ranking', 0.0):.4f}s "
-          f"t_kmis={timings.get('kmis', 0.0):.4f}s "
+          f"t_select={timings.get('select', 0.0):.4f}s "
+          f"t_cluster={timings.get('cluster', 0.0):.4f}s "
           f"t_reduce={timings.get('reduce', 0.0):.4f}s")
     return 0
 
@@ -313,7 +314,8 @@ def cmd_bench(args) -> int:
                 "k": k, "trial": trial, "n": g.n, "m": g.m,
                 "coarse_n": h.graph.n, "coarse_m": h.graph.m,
                 "ratio": h.graph.n / g.n if g.n else 0.0,
-                "t_rank": timings["ranking"], "t_kmis": timings["kmis"],
+                "t_rank": timings["ranking"], "t_select": timings["select"],
+                "t_cluster": timings["cluster"],
                 "t_reduce": timings["reduce"], "t_total": total,
             })
     with open(outdir / "bench.csv", "w", encoding="utf-8", newline="") as fh:

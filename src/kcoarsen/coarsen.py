@@ -224,7 +224,7 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
     :func:`kcoarsen.ranking.resolve_ranking`.  k = 0 is the identity
     coarsening: the input graph comes back unchanged under an identity
     assignment.  When `timings` is a dict it receives per-phase wall
-    times in seconds under 'ranking', 'kmis' and 'reduce'.
+    times in seconds under 'ranking', 'select', 'cluster' and 'reduce'.
     """
     if k < 0:
         raise ValueError("coarsen_pipeline requires k >= 0")
@@ -238,7 +238,8 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
         coarse = CoarsenedGraph(graph=g, centroids=identity,
                                 provenance=partition, node_values=node_values)
         if timings is not None:
-            timings.update({"ranking": 0.0, "kmis": 0.0, "reduce": 0.0})
+            timings.update({"ranking": 0.0, "select": 0.0, "cluster": 0.0,
+                            "reduce": 0.0})
         return coarse, partition, result
 
     t0 = perf_counter()
@@ -246,11 +247,13 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
                               workers=workers)
     t1 = perf_counter()
     result = k_mis(g, k, ranking, workers=workers)
-    partition = cluster(g, k, ranking, result, workers=workers)
     t2 = perf_counter()
+    partition = cluster(g, k, ranking, result, workers=workers)
+    t3 = perf_counter()
     coarse = reduce(g, partition, edge_agg=edge_agg, node_weights=weights,
                     node_agg=node_agg)
-    t3 = perf_counter()
+    t4 = perf_counter()
     if timings is not None:
-        timings.update({"ranking": t1 - t0, "kmis": t2 - t1, "reduce": t3 - t2})
+        timings.update({"ranking": t1 - t0, "select": t2 - t1,
+                        "cluster": t3 - t2, "reduce": t4 - t3})
     return coarse, partition, result

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._propagate import neighbor_reduce
+from ._propagate import concat_ranges, neighbor_reduce
 from .coarsen import CoarsenedGraph
 from .graph import Graph, bfs, connected_components
 from .kmis import KMisResult
@@ -95,29 +95,22 @@ class ValidityReport(_Checked):
 def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
     """Check k+1 <= d_G(a, b) <= 2k+1 for every coarse edge (a, b).
 
-    Runs one depth-capped search per coarse endpoint; distances beyond
-    2k+2 hops show up as the unreachable sentinel ``g.n`` and are
-    reported as violations.
+    One depth-capped pair search covers every coarse edge, smaller
+    coarse index first in CSR order; distances beyond 2k+2 hops read as
+    the unreachable sentinel ``g.n`` and are reported as violations.
     """
     report = DistortionReport()
     lower, upper = k + 1, 2 * k + 1
     hg = h.graph
-    for ci in range(hg.n):
-        targets = hg.neighbors(ci)
-        targets = targets[targets > ci]
-        if targets.size == 0:
-            continue
-        a = int(h.centroids[ci])
-        dist = bfs(g, a, max_depth=upper + 1)
-        for cj in targets.tolist():
-            b = int(h.centroids[cj])
-            d = int(dist[b])
-            report.per_coarse_edge.append((a, b, d))
-            if d == g.n or not lower <= d <= upper:
-                observed = float("inf") if d == g.n else float(d)
-                report.violations.append(Violation(
-                    kind="edge_bound", nodes=(a, b),
-                    observed=observed, bound=float(upper)))
+    ci, cj, _ = hg.edge_list()
+    a, b = h.centroids[ci], h.centroids[cj]
+    d = bfs(g, a, b, max_depth=upper + 1)
+    report.per_coarse_edge = list(zip(a.tolist(), b.tolist(), d.tolist()))
+    for i in np.flatnonzero((d == g.n) | (d < lower) | (d > upper)).tolist():
+        observed = float("inf") if d[i] == g.n else float(d[i])
+        report.violations.append(Violation(
+            kind="edge_bound", nodes=(int(a[i]), int(b[i])),
+            observed=observed, bound=float(upper)))
     return report
 
 
@@ -151,76 +144,54 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
 
     With `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
     are checked over all pairs; larger graphs use `sample_pairs` seeded
-    uniform pairs, grouped by source so each source costs one search
-    per graph.  Pairs in different components of g are skipped (both
+    uniform pairs, drawn as groups of targets per source; explicit pairs
+    are taken grouped by source.  One pair search on each graph answers
+    them all.  Pairs in different components of g are skipped (both
     sides are infinite).  `per_pair_sample` records at most
     `max_recorded` checked pairs; violations are always recorded in
-    full.
+    full.  Raises ValueError for a pair with a node outside 0..n-1.
     """
     report = DistortionReport()
     n = g.n
-    if n == 0:
-        return report
-    coarse_of = _coarse_of(h, h.provenance.assignment, report)
-    if coarse_of is None:
-        return report
-    hg = h.graph
-
-    # one work item per search source: (source node, target nodes)
     if pairs is not None:
         pair_arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-        order = np.argsort(pair_arr[:, 0], kind="stable")
-        pair_arr = pair_arr[order]
-        sources, starts = np.unique(pair_arr[:, 0], return_index=True)
-        bounds = np.append(starts, pair_arr.shape[0])
-        work = [(int(sources[i]), pair_arr[bounds[i]:bounds[i + 1], 1])
-                for i in range(sources.size)]
+        for u, v in pair_arr[((pair_arr < 0) | (pair_arr >= n)).any(axis=1)]:
+            raise ValueError(f"pair ({u}, {v}) has a node outside 0..{n - 1}")
+        src, dst = pair_arr[np.argsort(pair_arr[:, 0], kind="stable")].T
     elif n <= EXHAUSTIVE_PAIR_LIMIT:
-        work = [(u, np.arange(u + 1, n)) for u in range(n)]
+        src, dst = np.triu_indices(n, 1)
     else:
         rng = np.random.default_rng(seed)
         group = max(1, int(np.sqrt(sample_pairs)))
         n_sources = max(1, sample_pairs // group)
-        drawn_sources = rng.integers(0, n, size=n_sources)
-        drawn_targets = rng.integers(0, n, size=(n_sources, group))
-        work = [(int(drawn_sources[i]), drawn_targets[i])
-                for i in range(n_sources)]
+        src = np.repeat(rng.integers(0, n, size=n_sources), group)
+        dst = rng.integers(0, n, size=(n_sources, group)).ravel()
+    coarse_of = _coarse_of(h, h.provenance.assignment, report)
+    if coarse_of is None:
+        return report
+    hg = h.graph
+    src, dst = src[src != dst], dst[src != dst]
+    dg = bfs(g, src, dst)
+    src, dst, dg = src[dg < n], dst[dg < n], dg[dg < n]
+    dh = bfs(hg, coarse_of[src], coarse_of[dst])
 
-    hdist_cache: dict[int, np.ndarray] = {}
-    recorded = 0
-    for u, targets in work:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size == 0:
-            continue
-        gdist = bfs(g, u)
-        cu = int(coarse_of[u])
-        if cu not in hdist_cache:
-            hdist_cache[cu] = bfs(hg, cu)
-        hdist = hdist_cache[cu]
-        for v in targets.tolist():
-            if v == u:
-                continue
-            dg = int(gdist[v])
-            if dg == n:
-                continue
-            dh = int(hdist[coarse_of[v]])
-            if recorded < max_recorded:
-                report.per_pair_sample.append((u, v, dg, dh))
-                recorded += 1
-            if dh == hg.n:
-                report.violations.append(Violation(
-                    kind="distortion_lower", nodes=(u, v),
-                    observed=float("inf"), bound=float(dg)))
-                continue
-            if dh > dg:
-                report.violations.append(Violation(
-                    kind="distortion_lower", nodes=(u, v),
-                    observed=float(dh), bound=float(dg)))
-            limit = (2 * k + 1) * dh + 2 * k
-            if dg > limit:
-                report.violations.append(Violation(
-                    kind="distortion_upper", nodes=(u, v),
-                    observed=float(dg), bound=float(limit)))
+    report.per_pair_sample = list(zip(*(x[:max_recorded].tolist()
+                                        for x in (src, dst, dg, dh))))
+    # an unreachable centroid pair breaks the lower bound at any distance
+    reachable = dh < hg.n
+    observed_h = np.where(reachable, dh, np.inf)
+    limit = (2 * k + 1) * dh + 2 * k
+    low, high = observed_h > dg, reachable & (dg > limit)
+    for i in np.flatnonzero(low | high).tolist():
+        u, v = int(src[i]), int(dst[i])
+        if low[i]:
+            report.violations.append(Violation(
+                kind="distortion_lower", nodes=(u, v),
+                observed=float(observed_h[i]), bound=float(dg[i])))
+        if high[i]:
+            report.violations.append(Violation(
+                kind="distortion_upper", nodes=(u, v),
+                observed=float(dg[i]), bound=float(limit[i])))
     return report
 
 
@@ -250,12 +221,12 @@ def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
     """Check pairwise distance > k within the set and k-hop coverage of V.
 
     A k-step max-flood labels each node with the largest selected id
-    within k hops (-1: uncovered).  Only selected nodes labelled above
-    their own id get a depth-capped search, which names the pairs.
+    within k hops (-1: uncovered).  Only selected nodes s labelled above
+    their own id are suspects; one depth-capped pair search from them to
+    the selected ids in s+1..label[s] names the pairs.
     """
     report = ValidityReport(selected_count=int(result.selected.size))
-    in_set = result.as_mask(g.n)
-    selected = np.flatnonzero(in_set)
+    selected = np.flatnonzero(result.as_mask(g.n))
     label = np.full(g.n, -1, dtype=np.int64)
     label[selected] = selected
     for _ in range(k):
@@ -263,13 +234,18 @@ def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
         if np.array_equal(nxt, label):
             break
         label = nxt
-    for s in selected[label[selected] > selected].tolist():
-        dist = bfs(g, s, max_depth=k)
-        for t in np.flatnonzero(in_set & (dist < g.n)).tolist():
-            if t > s:
-                report.violations.append(Violation(
-                    kind="independence", nodes=(s, t),
-                    observed=float(dist[t]), bound=float(k)))
+    suspects = np.flatnonzero(label[selected] > selected)  # into selected
+    if suspects.size:
+        # every selected t > s within k hops of s has t <= label[s]
+        s = selected[suspects]
+        count = np.searchsorted(selected, label[s], side="right") - suspects - 1
+        src = np.repeat(s, count)
+        dst = selected[concat_ranges(suspects + 1, count)]
+        dist = bfs(g, src, dst, max_depth=k)
+        for i in np.flatnonzero(dist < g.n).tolist():
+            report.violations.append(Violation(
+                kind="independence", nodes=(int(src[i]), int(dst[i])),
+                observed=float(dist[i]), bound=float(k)))
     for v in np.flatnonzero(label < 0).tolist():
         report.violations.append(Violation(
             kind="maximality", nodes=(v,),

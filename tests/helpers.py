@@ -84,6 +84,67 @@ def is_k_independent(adj, members, k):
     return True
 
 
+def edge_bounds_reference(adj, centroids, coarse_adj, k):
+    """check_edge_bounds as one search per centroid: (records, violations).
+
+    Coarse edges are taken from the smaller coarse index, larger index
+    ascending; a distance beyond 2k+2 hops reads as the sentinel n.
+    """
+    n = len(adj)
+    lower, upper = k + 1, 2 * k + 1
+    records, violations = [], []
+    for ci, a in enumerate(centroids):
+        dist = bfs_dists(adj, a)
+        for cj in sorted(c for c in coarse_adj[ci] if c > ci):
+            b = centroids[cj]
+            d = dist.get(b, n)
+            d = d if d <= upper + 1 else n
+            records.append((a, b, d))
+            if d == n or not lower <= d <= upper:
+                observed = float("inf") if d == n else float(d)
+                violations.append(("edge_bound", (a, b), observed, float(upper)))
+    return records, violations
+
+
+def distortion_reference(adj, coarse_adj, coarse_of, k, work, max_recorded=1000):
+    """check_distortion's pair loop over (source, targets) work items.
+
+    Returns (recorded pairs, violations); one search per source on each
+    graph, pairs in different components of the input skipped.
+    """
+    nh = len(coarse_adj)
+    records, violations = [], []
+    for u, targets in work:
+        gdist = bfs_dists(adj, u)
+        hdist = bfs_dists(coarse_adj, coarse_of[u])
+        for v in targets:
+            if v == u or v not in gdist:
+                continue
+            dg, dh = gdist[v], hdist.get(coarse_of[v], nh)
+            if len(records) < max_recorded:
+                records.append((u, v, dg, dh))
+            if dh == nh:
+                violations.append(("distortion_lower", (u, v), float("inf"), float(dg)))
+                continue
+            if dh > dg:
+                violations.append(("distortion_lower", (u, v), float(dh), float(dg)))
+            limit = (2 * k + 1) * dh + 2 * k
+            if dg > limit:
+                violations.append(("distortion_upper", (u, v), float(dg), float(limit)))
+    return records, violations
+
+
+def pair_work(n, pairs=None):
+    """Work items of check_distortion: explicit pairs grouped by source in
+    ascending order (targets in input order), else all pairs u < v."""
+    if pairs is None:
+        return [(u, list(range(u + 1, n))) for u in range(n)]
+    groups = {}
+    for u, v in pairs:
+        groups.setdefault(u, []).append(v)
+    return sorted(groups.items())
+
+
 def covers_within_k(adj, n, members, k):
     covered = set()
     for v in members:
@@ -123,6 +184,14 @@ def cycle_edges(n):
 
 def star_edges(n):
     return [(0, i) for i in range(1, n)]
+
+
+def grid_edges(rows, cols):
+    """4-connected grid in row-major node order."""
+    edges = [(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+    return edges + [(r * cols + c, (r + 1) * cols + c)
+                    for r in range(rows - 1) for c in range(cols)]
 
 
 def king_grid_edges(rows, cols):

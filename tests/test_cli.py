@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from concurrent.futures import Future
 
 import pytest
@@ -31,6 +32,7 @@ def test_coarsen_writes_artifacts(tmp_path, capsys):
         assert (out / name).exists()
     stats = capsys.readouterr().out
     assert "n=5 m=4 coarse_n=3 coarse_m=2 selected=3" in stats
+    assert re.search(r"t_rank=\S+ t_select=\S+ t_cluster=\S+ t_reduce=", stats)
 
     pairs = [tuple(map(int, line.split()[:2]))
              for line in (out / "assignment.txt").read_text().splitlines()
@@ -269,6 +271,7 @@ def test_bench_writes_csv(tmp_path, capsys):
     rows = (out / "bench.csv").read_text().splitlines()
     data = [r for r in rows if r and not r.startswith("#")]
     assert data[0].startswith("k,trial,")  # header
+    assert ",t_rank,t_select,t_cluster,t_reduce,t_total" in data[0]
     assert len(data) == 1 + 2 * 2  # two k values, two trials
     assert not (out / "compare.csv").exists()
     assert "k=1" in capsys.readouterr().out

@@ -186,7 +186,7 @@ def test_pipeline_timings_dict():
     g = build(helpers.path_edges(5))
     timings = {}
     coarsen_pipeline(g, 1, ranking="id", timings=timings)
-    assert sorted(timings) == ["kmis", "ranking", "reduce"]
+    assert sorted(timings) == ["cluster", "ranking", "reduce", "select"]
     assert all(t >= 0.0 for t in timings.values())
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kcoarsen.graph
 from kcoarsen import (
     Graph,
     GraphFormatError,
@@ -252,15 +253,20 @@ def test_store_header_lines(tmp_path):
     assert p.read_text().startswith("# run: demo\n")
 
 
+def bfs_row(g, s, max_depth=None):
+    """Distances from s to every node, through the pair search."""
+    return bfs(g, np.full(g.n, s), np.arange(g.n), max_depth=max_depth)
+
+
 def test_bfs_path():
     g = build(helpers.path_edges(5))
-    assert bfs(g, 0).tolist() == [0, 1, 2, 3, 4]
-    assert bfs(g, 2).tolist() == [2, 1, 0, 1, 2]
+    assert bfs_row(g, 0).tolist() == [0, 1, 2, 3, 4]
+    assert bfs_row(g, 2).tolist() == [2, 1, 0, 1, 2]
 
 
 def test_bfs_unreachable_sentinel():
     g = build([(0, 1), (2, 3)])
-    d = bfs(g, 0)
+    d = bfs_row(g, 0)
     assert d.dtype == np.int64
     assert d[2] == d[3] == g.n
     assert d.tolist() == [0, 1, 4, 4]
@@ -268,18 +274,18 @@ def test_bfs_unreachable_sentinel():
 
 def test_bfs_max_depth():
     g = build(helpers.path_edges(6))
-    d = bfs(g, 0, max_depth=2)
+    d = bfs_row(g, 0, max_depth=2)
     assert d.tolist() == [0, 1, 2, 6, 6, 6]
 
 
 def test_bfs_matches_reference_on_corpus(small_corpus):
     for g, edges, n in small_corpus[:12]:
         adj = helpers.adjacency(n, edges)
-        for s in range(0, n, 3):
-            expect = helpers.bfs_dists(adj, s)
-            got = bfs(g, s)
-            for v in range(n):
-                assert got[v] == expect.get(v, g.n)
+        sources = np.arange(0, n, 3)
+        got = bfs(g, np.repeat(sources, n), np.tile(np.arange(n), sources.size))
+        expect = [helpers.bfs_dists(adj, s).get(v, g.n)
+                  for s in sources.tolist() for v in range(n)]
+        assert got.tolist() == expect
 
 
 @given(st.data())
@@ -292,7 +298,64 @@ def test_bfs_distance_symmetry(data):
     g = build(edges, n=n)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
-    assert bfs(g, u)[v] == bfs(g, v)[u]
+    forward, backward = bfs(g, [u, v], [v, u])
+    assert forward == backward
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_bfs_pairs_match_reference(data):
+    n = data.draw(st.integers(1, 140), label="n")
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=150), label="edges")
+    drawn = data.draw(st.lists(st.tuples(node, node), max_size=40), label="pairs")
+    max_depth = data.draw(st.sampled_from([None, 0, 1, 2, 3, 4]), label="depth")
+    # duplicates, source == target, and every node once as a source, so
+    # graphs above BFS_BATCH nodes run more than one batch
+    pairs = drawn + drawn + [(0, 0)] + [(s, (7 * s + 3) % n) for s in range(n)]
+    g = build(edges, n=n)
+    adj = helpers.adjacency(n, edges)
+    got = bfs(g, [s for s, _ in pairs], [t for _, t in pairs], max_depth=max_depth)
+    expect = []
+    for s, t in pairs:
+        d = helpers.bfs_dists(adj, s).get(t, n)
+        expect.append(n if max_depth is not None and d > max_depth else d)
+    assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("max_depth", [None, 10])
+def test_bfs_grid_runs_sparse_and_dense_levels(monkeypatch, max_depth):
+    side = 60
+    g = build(helpers.grid_edges(side, side))
+    rng = np.random.default_rng(3)
+    sources = rng.integers(0, g.n, size=600)
+    targets = rng.integers(0, g.n, size=600)
+    dense_levels = []
+    real = kcoarsen.graph.neighbor_reduce
+
+    def spy(*args, **kwargs):
+        dense_levels.append(kwargs.get("rows") is None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kcoarsen.graph, "neighbor_reduce", spy)
+    got = bfs(g, sources, targets, max_depth=max_depth)
+    expect = (np.abs(sources // side - targets // side)
+              + np.abs(sources % side - targets % side))
+    if max_depth is not None:
+        expect[expect > max_depth] = g.n
+    assert got.tolist() == expect.tolist()
+    assert np.unique(sources).size > 64  # several batches
+    assert set(dense_levels) == {True, False}
+
+
+def test_bfs_rejects_bad_pairs():
+    g = build(helpers.path_edges(5))
+    with pytest.raises(ValueError, match="source -1"):
+        bfs(g, [0, -1], [1, 2])
+    with pytest.raises(ValueError, match="target 5"):
+        bfs(g, [0, 1], [5, 2])
+    with pytest.raises(ValueError, match="same length"):
+        bfs(g, [0, 1], [2])
 
 
 def test_power_cycle():

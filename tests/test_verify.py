@@ -1,10 +1,13 @@
 """Distance-distortion, component, and validity checks plus report I/O."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcoarsen.verify
 from kcoarsen import (
     CoarsenedGraph,
     KMisResult,
@@ -85,6 +88,99 @@ def test_distortion_explicit_pairs():
     got = {(u, v): (dg, dh) for u, v, dg, dh in report.per_pair_sample}
     assert got[(0, 4)] == (4, 2)
     assert got[(1, 3)] == (2, 1)
+
+
+@pytest.mark.parametrize("pair", [(0, -1), (0, 7), (-2, 3), (5, 0)])
+def test_distortion_rejects_pairs_outside_the_graph(pair):
+    g, h, _ = coarsened_path()
+    with pytest.raises(ValueError, match=re.escape(str(pair))):
+        check_distortion(g, h, 1, pairs=[(1, 3), pair])
+
+
+def violations(report):
+    return [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
+
+
+def assert_checks_match_reference(g, h, k, work, **kwargs):
+    """Both distance checks equal helpers' per-source loops exactly."""
+    adj = helpers.adjacency(g.n, zip(*(a.tolist() for a in g.edge_list()[:2])))
+    hg = h.graph
+    coarse_adj = helpers.adjacency(
+        hg.n, zip(*(a.tolist() for a in hg.edge_list()[:2])))
+    index = {c: i for i, c in enumerate(h.centroids.tolist())}
+    coarse_of = [index[a] for a in h.provenance.assignment.tolist()]
+    edges = check_edge_bounds(g, h, k)
+    assert (edges.per_coarse_edge, violations(edges)) == \
+        helpers.edge_bounds_reference(adj, h.centroids.tolist(), coarse_adj, k)
+    pairs = check_distortion(g, h, k, **kwargs)
+    assert (pairs.per_pair_sample, violations(pairs)) == \
+        helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
+
+
+def fabricated(g, seed):
+    """Random centroids, a random assignment onto them, random coarse edges."""
+    rng = helpers.make_rng("fabricated", seed)
+    centroids = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
+    assignment = np.array([rng.choice(centroids) for _ in range(g.n)])
+    nc = len(centroids)
+    part = Partition(assignment=assignment, cluster_count=nc)
+    return CoarsenedGraph(graph=build(helpers.random_edges(rng, nc, 0.3), n=nc),
+                          centroids=np.array(centroids), provenance=part)
+
+
+def test_checks_match_reference_on_pipeline_coarsenings(corpus):
+    for g, edges, n in corpus[::10]:
+        for k in (1, 2):
+            h, _, _ = coarsen_pipeline(g, k, ranking="random", seed=n)
+            assert_checks_match_reference(g, h, k, helpers.pair_work(n))
+
+
+def test_checks_match_reference_on_fabricated_coarsenings(corpus):
+    for i, (g, edges, n) in enumerate(corpus[:40]):
+        h, k = fabricated(g, i), 1 + i % 3
+        rng = helpers.make_rng("pairs", i)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
+        pairs += pairs[:5] + [(pairs[0][0], pairs[0][0])]
+        assert_checks_match_reference(g, h, k, helpers.pair_work(n))
+        assert_checks_match_reference(g, h, k, helpers.pair_work(n, pairs),
+                                      pairs=pairs)
+
+
+def sampled_work(n, sample_pairs, seed):
+    """check_distortion's seeded draws for graphs above the exhaustive limit."""
+    rng = np.random.default_rng(seed)
+    group = max(1, int(np.sqrt(sample_pairs)))
+    n_sources = max(1, sample_pairs // group)
+    sources = rng.integers(0, n, size=n_sources).tolist()
+    return list(zip(sources, rng.integers(0, n, size=(n_sources, group)).tolist()))
+
+
+def test_checks_match_reference_around_the_exhaustive_limit():
+    for n in (500, 501):
+        rng = helpers.make_rng("limit", n)
+        g = build(helpers.random_edges(rng, n, 3 / n), n=n)
+        work = (helpers.pair_work(n) if n <= 500 else sampled_work(n, 300, 4))
+        h, _, _ = coarsen_pipeline(g, 1, ranking="kdeg")
+        assert_checks_match_reference(g, h, 1, work, sample_pairs=300, seed=4)
+        assert_checks_match_reference(g, fabricated(g, n), 2, work,
+                                      sample_pairs=300, seed=4)
+
+
+def test_verify_makes_one_search_per_distance_question(monkeypatch):
+    g = build(helpers.grid_edges(30, 30))
+    h, _, res = coarsen_pipeline(g, 2, ranking="kdeg")
+    depths = []
+    real = kcoarsen.verify.bfs
+
+    def counted(*args, **kwargs):
+        depths.append(kwargs.get("max_depth"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
+    assert verify_reduction(g, h, 2, result=res).passed
+    # edge bounds, then distortion on g and on the coarse graph; a valid
+    # selection needs no search to name independence pairs
+    assert depths == [6, None, None]
 
 
 def test_distortion_flags_merged_far_pair():
