@@ -22,8 +22,8 @@ import numpy as np
 from . import oracle
 from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
                       coarsen_pipeline)
-from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
-                    load, store, _build_arrays)
+from .graph import (DEFAULT_ORACLE_CAP, Graph, data_lines, load, store,
+                    write_table, _build_arrays)
 from .kmis import KMisResult
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
@@ -136,26 +136,16 @@ def _write_coarsen_artifacts(outdir: Path, config: RunConfig, g: Graph,
                              original_ids: np.ndarray, h: CoarsenedGraph,
                              partition: Partition, result: KMisResult) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    header = [f"config: {config.to_json()}"]
-    store(h.graph, outdir / "coarse.edgelist", header_lines=header)
-    with open(outdir / "assignment.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# {header[0]}\n# original_id centroid_id\n")
-        centroids_orig = original_ids[partition.assignment]
-        for a, b in zip(original_ids.tolist(), centroids_orig.tolist()):
-            fh.write(f"{a} {b}\n")
-    with open(outdir / "centroids.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# {header[0]}\n# coarse_index centroid_id")
-        has_values = h.node_values is not None
-        fh.write(" node_value\n" if has_values else "\n")
-        for i, c in enumerate(original_ids[h.centroids].tolist()):
-            if has_values:
-                fh.write(f"{i} {c} {float(h.node_values[i])!r}\n")
-            else:
-                fh.write(f"{i} {c}\n")
-    with open(outdir / "node_ids.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# {header[0]}\n# dense_id original_id\n")
-        for i, orig in enumerate(original_ids.tolist()):
-            fh.write(f"{i} {orig}\n")
+    config_line = f"config: {config.to_json()}"
+    store(h.graph, outdir / "coarse.edgelist", header_lines=[config_line])
+    write_table(outdir / "assignment.txt", [config_line, "original_id centroid_id"],
+                original_ids, original_ids[partition.assignment])
+    values = [] if h.node_values is None else [h.node_values]
+    columns = "coarse_index centroid_id" + (" node_value" if values else "")
+    write_table(outdir / "centroids.txt", [config_line, columns],
+                np.arange(h.centroids.size), original_ids[h.centroids], *values)
+    write_table(outdir / "node_ids.txt", [config_line, "dense_id original_id"],
+                np.arange(original_ids.size), original_ids)
     with open(outdir / "run_config.json", "w", encoding="utf-8") as fh:
         fh.write(config.to_json() + "\n")
 
@@ -194,32 +184,35 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
     0..nc-1, each once, with centroid ids increasing by index (the
     writer's order), so the stored index is the one verified.
     """
-    to_dense = {orig: i for i, orig in enumerate(original_ids.tolist())}
-
-    def dense_of(original: int, path: Path) -> int:
-        if original not in to_dense:
-            raise ValueError(f"{path}: unknown node id {original}")
-        return to_dense[original]
+    def dense_of(originals: list[int], path: Path) -> np.ndarray:
+        """Dense indices of original ids, by binary search of the sorted ids."""
+        unknown = ~np.isin(originals, original_ids)
+        if unknown.any():
+            raise ValueError(f"{path}: unknown node id {originals[np.argmax(unknown)]}")
+        return np.searchsorted(original_ids, originals)
 
     assignment_path = artifacts / "assignment.txt"
-    assignment = np.full(g.n, -1, dtype=np.int64)
+    pairs: list[int] = []
     with open(assignment_path, "r", encoding="utf-8") as fh:
         for _, line in data_lines(fh):
             a, b = (int(tok) for tok in line.split())
-            assignment[dense_of(a, assignment_path)] = dense_of(b, assignment_path)
+            pairs += (a, b)
+    dense = dense_of(pairs, assignment_path)
+    assignment = np.full(g.n, -1, dtype=np.int64)
+    assignment[dense[0::2]] = dense[1::2]
     if (assignment < 0).any():
         raise ValueError("assignment file does not cover every node")
 
     centroids_path = artifacts / "centroids.txt"
-    centroid_rows: list[tuple[int, int]] = []
+    rows: list[tuple[int, int]] = []
     with open(centroids_path, "r", encoding="utf-8") as fh:
         for _, line in data_lines(fh):
             index, centroid = line.split()[:2]  # ValueError on a short row
-            centroid_rows.append((int(index),
-                                  dense_of(int(centroid), centroids_path)))
-    centroid_rows.sort()
-    index = np.array([i for i, _ in centroid_rows], dtype=np.int64)
-    centroids = np.array([c for _, c in centroid_rows], dtype=np.int64)
+            rows.append((int(index), int(centroid)))
+    index = np.array([i for i, _ in rows], dtype=np.int64)
+    centroids = dense_of([c for _, c in rows], centroids_path)
+    order = np.lexsort((centroids, index))
+    index, centroids = index[order], centroids[order]
     if (not np.array_equal(index, np.arange(index.size))
             or np.any(np.diff(centroids) <= 0)):
         raise ValueError(f"{centroids_path}: coarse indices must run 0..nc-1 "
@@ -372,13 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ returns new objects instead of mutating inputs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,9 @@ DEFAULT_ORACLE_CAP = 100_000
 
 # Sources per bit-parallel search batch: one bit of a uint64 mask each.
 BFS_BATCH = 64
+
+# Rows per joined write of the text writers: bounds the text in memory.
+WRITE_CHUNK = 1 << 16
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -166,30 +170,25 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
             raise ValueError("edge endpoint outside 0..n-1")
         if w is not None and w.size and not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("edge weights must be finite and strictly positive")
+    if n > 3_037_000_499:
+        raise ValueError(f"n={n} is too large: edge keys n*u + v overflow int64")
     keep = u != v
     u, v = u[keep], v[keep]
+    # One sort on the canonical key, stable when weights ride along, so
+    # each pair's parallel weights sum in input order.
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind=None if w is None else "stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
     if w is not None:
-        w = np.asarray(w, dtype=np.float64)[keep]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    first = np.ones(lo.size, dtype=bool)
-    if lo.size:
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    elo, ehi = lo[first], hi[first]
-    m = elo.size
-    ew = None if w is None else np.add.reduceat(w[order], np.flatnonzero(first))
-
-    deg = np.bincount(elo, minlength=n) + np.bincount(ehi, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    src = np.concatenate([elo, ehi])
-    dst = np.concatenate([ehi, elo])
-    order2 = np.lexsort((dst, src))
-    indices = dst[order2]
-    weights = np.concatenate([ew, ew])[order2] if ew is not None else None
-    return Graph(n=n, m=m, indptr=indptr, indices=indices, weights=weights)
+        w = np.add.reduceat(np.asarray(w, dtype=np.float64)[keep][order], first)
+    key = key[first]
+    # the arcs' keys src*n + dst are distinct, so any sort gives CSR order
+    arcs = np.concatenate([key, key % n * n + key // n])
+    order = None if w is None else np.argsort(arcs)
+    arcs = np.sort(arcs) if w is None else arcs[order]
+    return Graph(n=n, m=key.size, indptr=np.searchsorted(arcs, np.arange(n + 1) * n),
+                 indices=arcs % n, weights=None if w is None else np.concatenate([w, w])[order])
 
 
 def build(edges, n: int | None = None) -> Graph:
@@ -204,28 +203,18 @@ def build(edges, n: int | None = None) -> Graph:
     Raises ValueError for endpoints outside 0..n-1 or explicit weights
     that are not finite and positive.
     """
-    us, vs, ws = [], [], []
-    any_weight = False
+    edges = list(edges)
     for edge in edges:
-        if len(edge) == 2:
-            u, v = edge
-            w = None
-        elif len(edge) == 3:
-            u, v, w = edge
-            any_weight = True
-        else:
+        if len(edge) not in (2, 3):
             raise ValueError(f"edge must have 2 or 3 entries, got {edge!r}")
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
+    ends = np.array([edge[:2] for edge in edges], dtype=np.int64).reshape(-1, 2)
     w = None
-    if any_weight:
-        w = np.array([1.0 if x is None else x for x in ws], dtype=np.float64)
+    if any(len(edge) == 3 for edge in edges):
+        w = np.array([1.0 if len(edge) == 2 or edge[2] is None else edge[2]
+                      for edge in edges], dtype=np.float64)
     if n is None:
-        n = int(max(u.max(), v.max())) + 1 if u.size else 0
-    return _build_arrays(u, v, w, n)
+        n = int(ends.max()) + 1 if ends.size else 0
+    return _build_arrays(ends[:, 0], ends[:, 1], w, n)
 
 
 def data_lines(fh):
@@ -236,7 +225,67 @@ def data_lines(fh):
             yield lineno, line
 
 
+# Byte classes of the edgelist fast path: 1 space or tab, 2 newline, 3 digit
+# or sign, 4 '.' or exponent, 0 any other byte (the line loop reads those).
+_NEWLINE, _FRACTION = 2, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.int8)
+for _cls, _chars in enumerate((b" \t", b"\n", b"0123456789+-", b".eE"), 1):
+    _BYTE_CLASS[np.frombuffer(_chars, np.uint8)] = _cls
+
+
+def _fast_edgelist(data: bytes):
+    """An edgelist's (ends, weights) from one C-level parse, or None.
+
+    Takes leading ASCII '#'/'%' lines, then lines that all hold two
+    integer ids, or all three columns with a decimal weight, split by
+    spaces or tabs and ended by '\n', as kcoarsen writes them.  Anything
+    else (blank lines, '\r', '1_000', 'inf', mixed column counts, ...)
+    gives None: the line loop reads it, with its exact errors.
+    """
+    start = 0
+    while data.startswith((b"#", b"%"), start):
+        start = data.find(b"\n", start) + 1 or len(data)
+    if b"\r" in data[:start] or not data[:start].isascii():
+        return None
+    cls = _BYTE_CLASS[np.frombuffer(data, np.uint8, offset=start)]
+    if not cls.size or cls[-1] != _NEWLINE or not cls.all():
+        return None
+    # tokens are the runs between separators, and the last byte is one
+    starts, stops = np.flatnonzero(np.diff(cls <= _NEWLINE, prepend=True)).reshape(-1, 2).T
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE)), prepend=0)
+    cols = int(per_line[0])
+    # ids hold no '.' or exponent, and fit int64 (18 characters) or, in
+    # a float parse, the float64 mantissa (15)
+    fraction = np.searchsorted(starts, np.flatnonzero(cls == _FRACTION), "right") - 1
+    if (cols not in (2, 3) or (per_line != cols).any() or (fraction % cols != 2).any()
+            or ((stops - starts).reshape(-1, cols)[:, :2] > 18 - 3 * (cols - 2)).any()):
+        return None
+    # A token that is not exactly one number leaves unmatched data: a
+    # space separator must match whitespace, so no token splits in two.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 only warns on it
+            values = np.fromstring(data[start:], sep=" ",
+                                   dtype=np.float64 if cols == 3 else np.int64)
+    except (ValueError, DeprecationWarning):
+        return None
+    values = values.reshape(-1, cols)
+    w = values[:, 2].copy() if cols == 3 else None
+    if w is None or np.all((w > 0) & (w < np.inf)):
+        return values[:, :2].astype(np.int64), w
+    return None
+
+
 def _parse_edgelist(path: Path):
+    parsed = _fast_edgelist(path.read_bytes())
+    ends, w = parsed if parsed is not None else _line_edgelist(path)
+    ids, dense = np.unique(ends, return_inverse=True)
+    u, v = dense.reshape(-1, 2).T
+    return _build_arrays(u, v, w, ids.size), ids
+
+
+def _line_edgelist(path: Path):
+    """The line loop: (ends, weights) of any edgelist, or GraphFormatError."""
     us, vs, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -265,15 +314,8 @@ def _parse_edgelist(path: Path):
             us.append(u)
             vs.append(v)
             ws.append(w)
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
-    ids = np.unique(np.concatenate([u, v])) if u.size else np.empty(0, np.int64)
-    dense_u = np.searchsorted(ids, u)
-    dense_v = np.searchsorted(ids, v)
-    w = None
-    if any_weight:
-        w = np.array([1.0 if x is None else x for x in ws], dtype=np.float64)
-    return _build_arrays(dense_u, dense_v, w, ids.size), ids
+    w = np.array([1.0 if x is None else x for x in ws]) if any_weight else None
+    return np.array([us, vs], dtype=np.int64).T, w
 
 
 def _parse_matrix_market(path: Path):
@@ -357,11 +399,8 @@ def _parse_matrix_market(path: Path):
         raise GraphFormatError(path, lineno,
                                f"expected {size[1]} entries, found {seen}")
     n = size[0]
-    u = np.array([k[0] - 1 for k in entries], dtype=np.int64)
-    v = np.array([k[1] - 1 for k in entries], dtype=np.int64)
-    w = None
-    if not pattern:
-        w = np.array([x for x in entries.values()], dtype=np.float64)
+    u, v = (np.array(list(entries), dtype=np.int64).reshape(-1, 2) - 1).T
+    w = None if pattern else np.array(list(entries.values()), dtype=np.float64)
     return _build_arrays(u, v, w, n), np.arange(1, n + 1, dtype=np.int64)
 
 
@@ -392,17 +431,25 @@ def load(path, format: str = "edgelist") -> tuple[Graph, np.ndarray]:
 
 def store(g: Graph, path, header_lines=()) -> None:
     """Write a graph as an edgelist; weights use round-trip float repr."""
-    path = Path(path)
+    write_table(path, header_lines, *(col for col in g.edge_list() if col is not None))
+
+
+def write_table(path, header_lines, *columns) -> None:
+    """Write '# ' header lines, then aligned columns as space-separated rows.
+
+    Integers print as ``str`` and floats as round-trip ``repr``, once per
+    distinct value; rows go out joined, WRITE_CHUNK at a time.
+    """
+    cells = []
+    for col, end in zip(columns, [" "] * (len(columns) - 1) + ["\n"]):
+        values, at = np.unique(col, return_inverse=True)
+        text = repr if values.dtype.kind == "f" else str
+        cells.append(np.array([text(x) + end for x in values.tolist()], dtype=object)[at])
+    rows = np.stack(cells, axis=1)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        u, v, w = g.edge_list()
-        if w is None:
-            for a, b in zip(u.tolist(), v.tolist()):
-                fh.write(f"{a} {b}\n")
-        else:
-            for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
-                fh.write(f"{a} {b} {x!r}\n")
+        fh.write("".join(f"# {line}\n" for line in header_lines))
+        for first in range(0, len(rows), WRITE_CHUNK):
+            fh.write("".join(rows[first:first + WRITE_CHUNK].ravel().tolist()))
 
 
 def bfs(g: Graph, sources, targets, max_depth: int | None = None) -> np.ndarray:

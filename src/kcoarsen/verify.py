@@ -149,12 +149,16 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     them all.  Pairs in different components of g are skipped (both
     sides are infinite).  `per_pair_sample` records at most
     `max_recorded` checked pairs; violations are always recorded in
-    full.  Raises ValueError for a pair with a node outside 0..n-1.
+    full.  Raises ValueError for a row that is not a (u, v) pair or a
+    pair with a node outside 0..n-1.
     """
     report = DistortionReport()
     n = g.n
     if pairs is not None:
-        pair_arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        pair_arr = np.asarray(list(pairs), dtype=np.int64)
+        if pair_arr.shape[1:] != (2,) and pair_arr.shape != (0,):
+            raise ValueError(f"pairs must be (u, v) rows, got shape {pair_arr.shape}")
+        pair_arr = pair_arr.reshape(-1, 2)
         for u, v in pair_arr[((pair_arr < 0) | (pair_arr >= n)).any(axis=1)]:
             raise ValueError(f"pair ({u}, {v}) has a node outside 0..{n - 1}")
         src, dst = pair_arr[np.argsort(pair_arr[:, 0], kind="stable")].T

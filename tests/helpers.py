@@ -1,13 +1,15 @@
 """Independent pure-Python oracles used to cross-check the package.
 
-Everything here is deliberately written with dicts, sets, and deques
-instead of numpy so that a bug in the array code cannot hide in the
-expected values.
+Everything here but `csr_reference` is deliberately written with dicts,
+sets, and deques instead of numpy so that a bug in the array code cannot
+hide in the expected values.
 """
 
 from collections import deque
 from itertools import combinations
 import random
+
+import numpy as np
 
 
 def adjacency(n, edges):
@@ -214,3 +216,37 @@ def dyadic_weights(rng, n, denom_bits=4):
 
 def make_rng(*seed):
     return random.Random("/".join(str(s) for s in seed))
+
+
+def csr_reference(u, v, w, n):
+    """(indptr, indices, weights) by the original two-lexsort assembly.
+
+    Unlike the oracles above this one is numpy, on purpose: it pins
+    `graph._build_arrays` bitwise, including the order in which parallel
+    weights are summed (one lexsort of the canonical pairs, `reduceat`
+    over each run, then a second lexsort of the directed arcs).
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    if w is not None:
+        w = np.asarray(w, dtype=np.float64)[keep]
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(lo.size, dtype=bool)
+    if lo.size:
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    elo, ehi = lo[first], hi[first]
+    ew = None if w is None else np.add.reduceat(w[order], np.flatnonzero(first))
+
+    deg = np.bincount(elo, minlength=n) + np.bincount(ehi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    src = np.concatenate([elo, ehi])
+    dst = np.concatenate([ehi, elo])
+    order2 = np.lexsort((dst, src))
+    weights = np.concatenate([ew, ew])[order2] if ew is not None else None
+    return indptr, dst[order2], weights

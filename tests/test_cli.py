@@ -5,10 +5,12 @@ import os
 import re
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 import kcoarsen._propagate
-from kcoarsen.cli import main
+from kcoarsen import build, coarsen_pipeline
+from kcoarsen.cli import RunConfig, _write_coarsen_artifacts, main
 
 from . import helpers
 
@@ -21,6 +23,20 @@ def write_path5(tmp_path, name="path5.edgelist"):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_centroids_file_carries_node_values(tmp_path):
+    # the CLI passes no node weights; the library path still writes them
+    g = build(helpers.path_edges(5))
+    h, partition, result = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
+                                            weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
+    config = RunConfig(command="coarsen", input="in", format="edgelist")
+    _write_coarsen_artifacts(tmp_path, config, g, np.arange(5) * 10, h,
+                             partition, result)
+    lines = (tmp_path / "centroids.txt").read_text().splitlines()
+    assert lines[1] == "# coarse_index centroid_id node_value"
+    assert lines[2:] == [f"{i} {10 * c} {x!r}" for i, (c, x) in
+                         enumerate(zip(h.centroids.tolist(), h.node_values.tolist()))]
 
 
 def test_coarsen_writes_artifacts(tmp_path, capsys):

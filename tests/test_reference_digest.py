@@ -1,0 +1,45 @@
+"""Coarsen artifacts stay byte-identical to the benchmark's reference.
+
+perfbench/reference.json records, per benchmark input and seed, the
+input's n, m and SHA-256 and the SHA-256 of the artifacts that
+``kcoarsen coarsen`` writes for it.  This test regenerates three inputs
+at seed 0 with the benchmark's generator, coarsens them with the
+benchmark's flags and compares digests, so a change to the artifact
+bytes fails here and not only in a benchmark run.  It writes nothing
+under perfbench/.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from kcoarsen.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["mesh", "social", "uniform_small"])
+def test_coarsen_artifacts_match_reference_digest(tmp_path, monkeypatch, name):
+    generate = load_perfbench("generate", monkeypatch)
+    run = load_perfbench("run", monkeypatch)
+    reference = json.loads(run.REFERENCE.read_text())[name]["0"]
+    graph = tmp_path / f"{name}.edgelist"
+    info = generate.generate(name, 0, graph)
+    assert info == {key: reference[key] for key in ("n", "m", "input_sha256")}
+    out = tmp_path / "out"
+    assert main(run.coarsen_argv(graph, out)) == 0
+    assert run.artifact_digest(out) == reference["artifacts_sha256"]

@@ -97,6 +97,24 @@ def test_distortion_rejects_pairs_outside_the_graph(pair):
         check_distortion(g, h, 1, pairs=[(1, 3), pair])
 
 
+@pytest.mark.parametrize("pairs", [
+    [(0, 1, 2), (3, 4, 5)],  # used to be read as (0, 1), (2, 3), (4, 5)
+    [0, 1, 2, 3],
+    [()],
+    [[(0, 1)], [(2, 3)]],
+])
+def test_distortion_rejects_rows_that_are_not_pairs(pairs):
+    g, h, _ = coarsened_path(7)
+    with pytest.raises(ValueError, match="pairs must be"):
+        check_distortion(g, h, 1, pairs=pairs)
+
+
+def test_distortion_accepts_no_pairs():
+    g, h, _ = coarsened_path()
+    report = check_distortion(g, h, 1, pairs=[])
+    assert report.passed and report.per_pair_sample == []
+
+
 def violations(report):
     return [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
 
