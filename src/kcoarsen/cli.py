@@ -22,8 +22,9 @@ import numpy as np
 from . import oracle
 from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
                       coarsen_pipeline)
-from .graph import (DEFAULT_ORACLE_CAP, Graph, data_lines, load, store,
-                    write_table, _build_arrays)
+from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
+                    load, store, write_table, _build_arrays, _fast_edgelist,
+                    _id_pair)
 from .kmis import KMisResult
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
@@ -176,6 +177,21 @@ def cmd_coarsen(args) -> int:
     return 0
 
 
+def _id_columns(path: Path, more: bool) -> np.ndarray:
+    """An artifact table's two leading integer columns, as (rows, 2): the
+    edgelist fast path, else a line loop.  Only `more` allows more columns."""
+    parsed = _fast_edgelist(path.read_bytes())
+    if parsed is not None and (more or parsed[1] is None):
+        return parsed[0]
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in data_lines(fh):
+            if not more and len(line.split()) != 2:
+                raise GraphFormatError(path, lineno, f"expected 'u v', got {line!r}")
+            pairs.append(_id_pair(path, lineno, line))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
                     k: int) -> tuple[CoarsenedGraph, KMisResult]:
     """Rebuild a coarsening from files written by cmd_coarsen.
@@ -184,7 +200,7 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
     0..nc-1, each once, with centroid ids increasing by index (the
     writer's order), so the stored index is the one verified.
     """
-    def dense_of(originals: list[int], path: Path) -> np.ndarray:
+    def dense_of(originals: np.ndarray, path: Path) -> np.ndarray:
         """Dense indices of original ids, by binary search of the sorted ids."""
         unknown = ~np.isin(originals, original_ids)
         if unknown.any():
@@ -192,25 +208,16 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
         return np.searchsorted(original_ids, originals)
 
     assignment_path = artifacts / "assignment.txt"
-    pairs: list[int] = []
-    with open(assignment_path, "r", encoding="utf-8") as fh:
-        for _, line in data_lines(fh):
-            a, b = (int(tok) for tok in line.split())
-            pairs += (a, b)
-    dense = dense_of(pairs, assignment_path)
+    dense = dense_of(_id_columns(assignment_path, more=False).ravel(),
+                     assignment_path)
     assignment = np.full(g.n, -1, dtype=np.int64)
     assignment[dense[0::2]] = dense[1::2]
     if (assignment < 0).any():
         raise ValueError("assignment file does not cover every node")
 
     centroids_path = artifacts / "centroids.txt"
-    rows: list[tuple[int, int]] = []
-    with open(centroids_path, "r", encoding="utf-8") as fh:
-        for _, line in data_lines(fh):
-            index, centroid = line.split()[:2]  # ValueError on a short row
-            rows.append((int(index), int(centroid)))
-    index = np.array([i for i, _ in rows], dtype=np.int64)
-    centroids = dense_of([c for _, c in rows], centroids_path)
+    index, centroids = _id_columns(centroids_path, more=True).T
+    centroids = dense_of(centroids, centroids_path)
     order = np.lexsort((centroids, index))
     index, centroids = index[order], centroids[order]
     if (not np.array_equal(index, np.arange(index.size))

@@ -13,7 +13,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ._propagate import neighbor_reduce, worker_pool
+from ._propagate import flood, neighbor_reduce, worker_pool
 from .graph import Graph, NodeWeights, _build_arrays
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
@@ -68,18 +68,6 @@ class Partition:
     def centroids(self) -> np.ndarray:
         return np.unique(self.assignment)
 
-    def fibers(self) -> dict[int, np.ndarray]:
-        """Map each centroid to the sorted array of its member nodes."""
-        if self.assignment.size == 0:
-            return {}
-        order = np.argsort(self.assignment, kind="stable")
-        sorted_assign = self.assignment[order]
-        boundaries = np.flatnonzero(np.diff(sorted_assign)) + 1
-        starts = np.concatenate([[0], boundaries])
-        groups = np.split(order, boundaries)
-        return {int(sorted_assign[start]): np.sort(group)
-                for start, group in zip(starts, groups)}
-
 
 @dataclass(frozen=True)
 class CoarsenedGraph:
@@ -100,15 +88,6 @@ class CoarsenedGraph:
             if arr is not None:
                 arr.setflags(write=False)
 
-    def coarse_index(self, centroid_ids) -> np.ndarray:
-        """Dense coarse indices for original centroid ids."""
-        idx = np.searchsorted(self.centroids, centroid_ids)
-        idx = np.clip(idx, 0, max(self.centroids.size - 1, 0))
-        ok = self.centroids.size and np.all(self.centroids[idx] == centroid_ids)
-        if not ok and np.size(centroid_ids):
-            raise ValueError("id is not a centroid of this coarsening")
-        return idx
-
 
 def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
             workers: int = 1) -> Partition:
@@ -127,14 +106,12 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
         return Partition(assignment=np.empty(0, dtype=np.int64), cluster_count=0)
     rank = ranking.rank
     sentinel = np.int64(n)
-    label = np.full(n, sentinel, dtype=np.int64)
-    label[selected] = rank[selected]
+    seeds = np.full(n, sentinel, dtype=np.int64)
+    seeds[selected] = rank[selected]
     with worker_pool(workers) as pool:
-        for _ in range(k):
-            nxt = neighbor_reduce(g, label, "min", sentinel, workers, pool)
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
+        for label in flood(g, seeds, "min", sentinel, k, neighbor_reduce,
+                           workers, pool):
+            pass
     if (label == sentinel).any():
         raise ValueError("selected set does not cover the graph within k hops")
     owner = np.full(n, -1, dtype=np.int64)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._propagate import DENSE_EDGE_SHARE, concat_ranges, neighbor_reduce
+from ._propagate import flood, neighbor_reduce
 
 # Largest graph the explicit k-th power construction will accept.
 DEFAULT_ORACLE_CAP = 100_000
@@ -95,11 +95,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < row.size and row[i] == v
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Unique undirected edges as (u, v, w) arrays with u < v."""
@@ -284,6 +279,18 @@ def _parse_edgelist(path: Path):
     return _build_arrays(u, v, w, ids.size), ids
 
 
+def _id_pair(path, lineno: int, line: str) -> tuple[int, int]:
+    """A line's first two tokens as int64 node ids, or GraphFormatError."""
+    try:
+        u, v = (int(tok) for tok in line.split()[:2])
+    except ValueError:
+        raise GraphFormatError(path, lineno,
+                               f"node ids must be integers: {line!r}") from None
+    if not -2**63 <= min(u, v) <= max(u, v) < 2**63:
+        raise GraphFormatError(path, lineno, f"node ids must fit int64: {line!r}")
+    return u, v
+
+
 def _line_edgelist(path: Path):
     """The line loop: (ends, weights) of any edgelist, or GraphFormatError."""
     us, vs, ws = [], [], []
@@ -294,12 +301,7 @@ def _line_edgelist(path: Path):
             if len(parts) not in (2, 3):
                 raise GraphFormatError(path, lineno,
                                        f"expected 'u v [w]', got {line!r}")
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(path, lineno,
-                                       f"node ids must be integers: {line!r}") from None
+            u, v = _id_pair(path, lineno, line)
             w = None
             if len(parts) == 3:
                 try:
@@ -457,13 +459,11 @@ def bfs(g: Graph, sources, targets, max_depth: int | None = None) -> np.ndarray:
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2015): BFS_BATCH
     distinct sources at a time each own one bit of a uint64 mask per
-    node, and each level ORs the masks over closed neighborhoods with
-    `neighbor_reduce`; a pair resolves at the level its source's bit
-    reaches its target.  A level sweeps all rows when the last level's
-    frontier (the nodes whose mask grew) held more than DENSE_EDGE_SHARE
-    of the edge slots, else only the rows next to it.  Unreachable pairs,
-    and those beyond `max_depth` when given, hold the sentinel ``g.n``.
-    Raises ValueError for a node outside 0..n-1.
+    node, and each level is one "or" `flood` round over closed
+    neighborhoods; a pair resolves at the level its source's bit reaches
+    its target.  Unreachable pairs, and those beyond `max_depth` when
+    given, hold the sentinel ``g.n``.  Raises ValueError for a node
+    outside 0..n-1 or a negative `max_depth`.
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -473,32 +473,22 @@ def bfs(g: Graph, sources, targets, max_depth: int | None = None) -> np.ndarray:
             raise ValueError(f"{what} {bad[0]} outside 0..{g.n - 1}")
     if sources.shape != targets.shape:
         raise ValueError("sources and targets must have the same length")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     dist = np.full(sources.size, g.n, dtype=np.int64)
     distinct, slot = np.unique(sources, return_inverse=True)
     bit = np.uint64(1) << (slot % BFS_BATCH).astype(np.uint64)
-    degrees = g.degrees
     for first in range(0, distinct.size, BFS_BATCH):
-        frontier = distinct[first:first + BFS_BATCH]
         pending = np.flatnonzero(slot // BFS_BATCH == first // BFS_BATCH)
-        seen = np.zeros(g.n, dtype=np.uint64)
-        seen[sources[pending]] = bit[pending]
-        for depth in range(g.n):  # every hop count is below n
+        start = np.zeros(g.n, dtype=np.uint64)
+        start[sources[pending]] = bit[pending]
+        levels = flood(g, start, "or", np.uint64(0), max_depth, neighbor_reduce)
+        for depth, seen in enumerate(levels):
             hit = (seen[targets[pending]] & bit[pending]) != 0
             dist[pending[hit]] = depth
             pending = pending[~hit]
-            if not pending.size or not frontier.size or depth == max_depth:
+            if not pending.size:
                 break
-            if degrees[frontier].sum() > DENSE_EDGE_SHARE * g.indptr[-1]:
-                grown = neighbor_reduce(g, seen, "or", np.uint64(0))
-                frontier = np.flatnonzero(grown != seen)
-                seen = grown
-            else:
-                slots = concat_ranges(g.indptr[frontier], degrees[frontier])
-                rows = np.unique(g.indices[slots])
-                grown = neighbor_reduce(g, seen, "or", np.uint64(0), rows=rows)
-                grew = grown != seen[rows]
-                frontier = rows[grew]
-                seen[frontier] = grown[grew]
     return dist
 
 

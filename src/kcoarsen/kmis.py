@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._propagate import neighbor_reduce, worker_pool
+from ._propagate import flood, neighbor_reduce, worker_pool
 from .graph import Graph
 from .ranking import Ranking
 
@@ -38,25 +38,21 @@ class KMisResult:
     def __post_init__(self):
         self.selected.setflags(write=False)
 
-    def as_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[self.selected] = True
-        return mask
-
 
 def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1) -> KMisResult:
     """Deterministic maximal k-independent set for a given ranking.
 
-    Runs in O(k * (n + m)) work per round; a propagation step that
-    changes no label ends the inner loop early, which is sound because
+    Each round is two floods of at most k steps: the active ranks, then
+    the cover from the new picks.  A flood costs O(n) to start and each
+    step O(n + m) as a full sweep, or about the edges next to the last
+    step's changes once those are a small share of them; a step that
+    changes nothing ends its flood early, which is sound because
     min-label flooding is monotone.
     """
     if k < 1:
         raise ValueError("k_mis requires k >= 1")
     ranking.validate(g.n)
     n = g.n
-    if n == 0:
-        return KMisResult(selected=np.empty(0, dtype=np.int64), rounds=0, k=k)
     rank = ranking.rank
     sentinel = np.int64(n)
     active = np.ones(n, dtype=bool)
@@ -65,19 +61,13 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1) -> KMisResult:
     with worker_pool(workers) as pool:
         while active.any():
             rounds += 1
-            label = np.where(active, rank, sentinel)
-            for _ in range(k):
-                nxt = neighbor_reduce(g, label, "min", sentinel, workers, pool)
-                if np.array_equal(nxt, label):
-                    break
-                label = nxt
+            for label in flood(g, np.where(active, rank, sentinel), "min",
+                               sentinel, k, neighbor_reduce, workers, pool):
+                pass
             chosen = active & (label == rank)
             in_set |= chosen
-            covered = chosen.astype(np.int8)
-            for _ in range(k):
-                nxt = neighbor_reduce(g, covered, "max", np.int8(0), workers, pool)
-                if np.array_equal(nxt, covered):
-                    break
-                covered = nxt
+            for covered in flood(g, chosen.astype(np.int8), "max", np.int8(0),
+                                 k, neighbor_reduce, workers, pool):
+                pass
             active &= covered == 0
     return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds, k=k)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._propagate import concat_ranges, neighbor_reduce
+from ._propagate import concat_ranges, flood, neighbor_reduce
 from .coarsen import CoarsenedGraph
 from .graph import Graph, bfs, connected_components
 from .kmis import KMisResult
@@ -67,12 +67,6 @@ class DistortionReport(_Checked):
     per_coarse_edge: list[tuple[int, int, int]] = field(default_factory=list)
     per_pair_sample: list[tuple[int, int, int, int]] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
-
-    def edge_distance_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for _, _, d in self.per_coarse_edge:
-            hist[d] = hist.get(d, 0) + 1
-        return dict(sorted(hist.items()))
 
 
 @dataclass
@@ -230,14 +224,12 @@ def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
     the selected ids in s+1..label[s] names the pairs.
     """
     report = ValidityReport(selected_count=int(result.selected.size))
-    selected = np.flatnonzero(result.as_mask(g.n))
-    label = np.full(g.n, -1, dtype=np.int64)
-    label[selected] = selected
-    for _ in range(k):
-        nxt = neighbor_reduce(g, label, "max", np.int64(-1))
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
+    mask = np.zeros(g.n, dtype=bool)
+    mask[result.selected] = True
+    selected = np.flatnonzero(mask)
+    seeds = np.where(mask, np.arange(g.n), -1)
+    for label in flood(g, seeds, "max", np.int64(-1), k, neighbor_reduce):
+        pass
     suspects = np.flatnonzero(label[selected] > selected)  # into selected
     if suspects.size:
         # every selected t > s within k hops of s has t <= label[s]

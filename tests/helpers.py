@@ -1,8 +1,9 @@
 """Independent pure-Python oracles used to cross-check the package.
 
 Everything here but `csr_reference` is deliberately written with dicts,
-sets, and deques instead of numpy so that a bug in the array code cannot
-hide in the expected values.
+sets, and deques instead of numpy (`fibers` only wraps its lists as
+arrays) so that a bug in the array code cannot hide in the expected
+values.
 """
 
 from collections import deque
@@ -145,6 +146,15 @@ def pair_work(n, pairs=None):
     for u, v in pairs:
         groups.setdefault(u, []).append(v)
     return sorted(groups.items())
+
+
+def fibers(assignment):
+    """Map each centroid to the sorted array of its member nodes."""
+    groups = {}
+    for v, centroid in enumerate(assignment.tolist()):
+        groups.setdefault(centroid, []).append(v)
+    return {c: np.array(members, dtype=np.int64)
+            for c, members in sorted(groups.items())}
 
 
 def covers_within_k(adj, n, members, k):

@@ -320,7 +320,7 @@ def test_criterion_8_grid_pooling():
     ranking = resolve_ranking(g, "id")
     h, part, res = coarsen_pipeline(g, 1, ranking=ranking)
 
-    fibers = part.fibers()
+    fibers = helpers.fibers(part.assignment)
     bad = 0
     interior = 0
     for centroid, members in fibers.items():

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import kcoarsen._propagate
+import kcoarsen.cli
 from kcoarsen import build, coarsen_pipeline
-from kcoarsen.cli import RunConfig, _write_coarsen_artifacts, main
+from kcoarsen.cli import RunConfig, _id_columns, _write_coarsen_artifacts, main
 
 from . import helpers
 
@@ -167,7 +168,56 @@ def test_verify_malformed_centroids_exits_2(tmp_path, capsys, edit):
     run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "-o", out])
     _rewrite_rows(out / "centroids.txt", edit)
     assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("assignment.txt", lambda rows: rows[:1] + ["1 0 x"] + rows[2:],
+     "line 4: expected 'u v'"),
+    ("assignment.txt", lambda rows: rows[:1] + ["1 0 2.5"] + rows[2:],
+     "line 4: expected 'u v'"),
+    ("centroids.txt", lambda rows: rows[:1] + ["1 2 x"] + rows[2:], None),
+    ("assignment.txt", lambda rows: rows + ["7 0"], "unknown node id 7"),
+    ("assignment.txt", lambda rows: rows + ["99999999999999999999 0"],
+     "must fit int64"),
+    ("centroids.txt", lambda rows: rows[:1] + ["1 x"] + rows[2:],
+     "must be integers"),
+    ("centroids.txt", lambda rows: rows + ["3 9"], "unknown node id 9"),
+    ("centroids.txt", lambda rows: rows[:1] + rows[2:],
+     "coarse indices must run 0..nc-1"),
+], ids=["three_columns", "float_column", "centroid_note", "unknown_id",
+        "beyond_int64", "non_integer",
+        "unknown_centroid", "missing_centroid"])
+def test_verify_malformed_artifact_rows(tmp_path, capsys, name, edit, message):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "run"
+    run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "-o", out])
+    _rewrite_rows(out / name, edit)
+    code = run(["verify", "-i", inp, "-k", "1", "--artifacts", out])
+    err = capsys.readouterr().err
+    if message is None:  # centroid columns after the second are ignored
+        assert code == 0
+    else:
+        assert code == 2 and err.count("error:") == 1 and message in err
+
+
+def test_artifact_columns_read_alike_on_both_paths(tmp_path, monkeypatch):
+    g = build(helpers.path_edges(5))
+    h, partition, result = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
+                                            weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
+    config = RunConfig(command="coarsen", input="in", format="edgelist")
+    ids = np.array([-(2**62), -5, 0, 7, 2**62])
+    _write_coarsen_artifacts(tmp_path, config, g, ids, h, partition, result)
+    more = {"assignment.txt": False, "centroids.txt": True}
+    fast = {name: _id_columns(tmp_path / name, more[name]) for name in more}
+    monkeypatch.setattr(kcoarsen.cli, "_fast_edgelist", lambda data: None)
+    assert fast["assignment.txt"].tolist() == [
+        [v, c] for v, c in zip(ids.tolist(), ids[partition.assignment].tolist())]
+    assert fast["centroids.txt"].tolist() == [
+        [i, c] for i, c in enumerate(ids[h.centroids].tolist())]
+    for name, pairs in fast.items():
+        slow = _id_columns(tmp_path / name, more[name])
+        assert slow.dtype == pairs.dtype and np.array_equal(slow, pairs)
 
 
 def test_verify_non_finite_coarse_weight_exits_2(tmp_path, capsys):
@@ -261,6 +311,16 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     bad.write_text("0 1\nbroken line here\n")
     assert run(["coarsen", "-i", bad, "-k", "1", "-o", tmp_path / "x"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("big", ["99999999999999999999",
+                                 "-9223372036854775809"])
+def test_id_beyond_int64_exits_2(tmp_path, capsys, big):
+    inp = tmp_path / "big.edgelist"
+    inp.write_text(f"0 1\n{big} 3\n")
+    assert run(["coarsen", "-i", inp, "-k", "1", "-o", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "line 2" in err and "int64" in err
 
 
 def test_unknown_rank_spec_exits_2(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_cluster_follows_alternate_ranking():
 def test_fibers_partition_the_nodes():
     g, rank, res = path5_parts()
     part = cluster(g, 1, rank, res)
-    fib = part.fibers()
+    fib = helpers.fibers(part.assignment)
     assert sorted(fib) == [0, 2, 4]
     assert fib[0].tolist() == [0, 1]
     assert fib[2].tolist() == [2, 3]
@@ -130,14 +130,6 @@ def test_reduce_rejects_unknown_aggregation():
         reduce(g, part, edge_agg="median")
     with pytest.raises(ValueError):
         reduce(g, part, node_weights=[1.0] * 4, node_agg="median")
-
-
-def test_coarse_index_lookup():
-    g, part = square_partition()
-    h = reduce(g, part)
-    assert h.coarse_index([2, 0]).tolist() == [1, 0]
-    with pytest.raises(ValueError):
-        h.coarse_index([1])
 
 
 def test_pipeline_path5():

@@ -72,13 +72,6 @@ def test_graph_equality_ignores_isolated_tail():
     assert a == build([(1, 0)])
 
 
-def test_has_edge():
-    g = build([(0, 1), (1, 2)])
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
-    assert not g.has_edge(0, 0)
-
-
 @given(
     st.integers(1, 10).flatmap(
         lambda n: st.tuples(
@@ -356,6 +349,8 @@ def test_bfs_rejects_bad_pairs():
         bfs(g, [0, 1], [5, 2])
     with pytest.raises(ValueError, match="same length"):
         bfs(g, [0, 1], [2])
+    with pytest.raises(ValueError, match="max_depth"):
+        bfs(g, [0], [1], max_depth=-1)
 
 
 def test_power_cycle():

@@ -77,11 +77,6 @@ def test_empty_graph():
     assert res.rounds == 0
 
 
-def test_as_mask():
-    g, res = path5_setup(1)
-    assert res.as_mask(g.n).tolist() == [True, False, True, False, True]
-
-
 def test_rejects_bad_arguments():
     g = build(helpers.path_edges(3))
     with pytest.raises(ValueError):

@@ -37,7 +37,6 @@ def test_edge_bounds_path5():
     g, h, _ = coarsened_path()
     report = check_edge_bounds(g, h, 1)
     assert report.passed
-    assert report.edge_distance_histogram() == {2: 2}
     assert sorted(report.per_coarse_edge) == [(0, 2, 2), (2, 4, 2)]
 
 
