@@ -9,11 +9,12 @@ crossing edges between two clusters into one weighted coarse edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
-from ._propagate import flood, neighbor_reduce, worker_pool
+from ._propagate import flood, neighbor_reduce, sorted_unique
 from .graph import Graph, NodeWeights, _build_arrays
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
@@ -52,7 +53,7 @@ class Partition:
         Construction stays permissive so that verification can inspect a
         broken map and report witnesses instead of crashing.
         """
-        targets = np.unique(self.assignment)
+        targets = self.centroids
         if targets.size != self.cluster_count:
             raise ValueError(
                 f"assignment has {targets.size} clusters, expected "
@@ -64,9 +65,12 @@ class Partition:
             if not np.array_equal(self.assignment[targets], targets):
                 raise ValueError("every centroid must be assigned to itself")
 
-    @property
+    @cached_property
     def centroids(self) -> np.ndarray:
-        return np.unique(self.assignment)
+        """The sorted distinct assignment targets, computed once."""
+        targets = sorted_unique(self.assignment)
+        targets.setflags(write=False)
+        return targets
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,8 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
     sentinel = np.int64(n)
     seeds = np.full(n, sentinel, dtype=np.int64)
     seeds[selected] = rank[selected]
-    with worker_pool(workers) as pool:
-        for label in flood(g, seeds, "min", sentinel, k, neighbor_reduce,
-                           workers, pool):
-            pass
+    for label in flood(g, seeds, "min", sentinel, k, neighbor_reduce, workers):
+        pass
     if (label == sentinel).any():
         raise ValueError("selected set does not cover the graph within k hops")
     owner = np.full(n, -1, dtype=np.int64)

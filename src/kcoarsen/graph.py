@@ -176,7 +176,10 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     if w is not None:
-        w = np.add.reduceat(np.asarray(w, dtype=np.float64)[keep][order], first)
+        with np.errstate(over="ignore"):  # reported below as a ValueError
+            w = np.add.reduceat(np.asarray(w, dtype=np.float64)[keep][order], first)
+        if not np.isfinite(w).all():
+            raise ValueError("parallel edge weights sum beyond float64's range")
     key = key[first]
     # the arcs' keys src*n + dst are distinct, so any sort gives CSR order
     arcs = np.concatenate([key, key % n * n + key // n])
@@ -358,6 +361,9 @@ def _parse_matrix_market(path: Path):
             if rows != cols:
                 raise GraphFormatError(path, lineno,
                                        f"adjacency matrix must be square, got {rows}x{cols}")
+            if min(rows, nnz) < 0:
+                raise GraphFormatError(path, lineno,
+                                       f"size line must be non-negative: {line!r}")
             size = (rows, nnz)
             continue
         expected = 2 if pattern else 3

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._propagate import flood, neighbor_reduce, worker_pool
+from ._propagate import flood, neighbor_reduce
 from .graph import Graph
 from .ranking import Ranking
 
@@ -58,16 +58,15 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1) -> KMisResult:
     active = np.ones(n, dtype=bool)
     in_set = np.zeros(n, dtype=bool)
     rounds = 0
-    with worker_pool(workers) as pool:
-        while active.any():
-            rounds += 1
-            for label in flood(g, np.where(active, rank, sentinel), "min",
-                               sentinel, k, neighbor_reduce, workers, pool):
-                pass
-            chosen = active & (label == rank)
-            in_set |= chosen
-            for covered in flood(g, chosen.astype(np.int8), "max", np.int8(0),
-                                 k, neighbor_reduce, workers, pool):
-                pass
-            active &= covered == 0
+    while active.any():
+        rounds += 1
+        for label in flood(g, np.where(active, rank, sentinel), "min",
+                           sentinel, k, neighbor_reduce, workers):
+            pass
+        chosen = active & (label == rank)
+        in_set |= chosen
+        for covered in flood(g, chosen.astype(np.int8), "max", np.int8(0),
+                             k, neighbor_reduce, workers):
+            pass
+        active &= covered == 0
     return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds, k=k)

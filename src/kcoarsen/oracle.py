@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import DEFAULT_ORACLE_CAP, Graph, NodeWeights, power
 from .kmis import k_mis
-from .ranking import rank_by_degree_rule, rank_by_weight_rule, walk_counts
+from .ranking import resolve_ranking, walk_counts
 
 __all__ = [
     "EXACT_MWIS_CAP",
@@ -206,7 +206,7 @@ def compare(g: Graph, k: int, rule: str, trials: int = 10,
     if trials < 1:
         raise ValueError("compare requires at least one trial")
     gk = power(g, k, oracle_cap)
-    walk_ones = walk_counts(g, NodeWeights.ones(g.n), k, workers).values
+    walk_ones = walk_counts(g, NodeWeights.ones(g.n), k, workers)
     delta_k = float(walk_ones.max()) if g.n else 0.0
     run_exact = exact if exact is not None else g.n <= EXACT_MWIS_CAP
     if run_exact and g.n > EXACT_MWIS_CAP:
@@ -219,12 +219,12 @@ def compare(g: Graph, k: int, rule: str, trials: int = 10,
                                 seed=[seed, trial])
         greedy = sequential_greedy_mwis(gk, x, rule)
         greedy_weight = float(x.values[greedy].sum())
+        spec = {"degree_rule": "kdeg", "weight_rule": "kweight"}[rule]
+        ranking = resolve_ranking(g, spec, k=k, weights=x, workers=workers)
         if rule == "degree_rule":
-            ranking = rank_by_degree_rule(g, x, k, workers)
             bound_rhs = float((x.values / walk_ones).sum())
         else:
-            ranking = rank_by_weight_rule(g, x, k, workers)
-            walk_x = walk_counts(g, x, k, workers).values
+            walk_x = walk_counts(g, x, k, workers)
             bound_rhs = float((x.values * x.values / walk_x).sum())
         ours = k_mis(g, k, ranking, workers=workers)
         ours_weight = float(x.values[ours.selected].sum())

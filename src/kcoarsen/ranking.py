@@ -18,18 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._propagate import neighbor_reduce, worker_pool
+from ._propagate import neighbor_reduce
 from .graph import Graph, NodeWeights, data_lines
 
-__all__ = [
-    "Ranking",
-    "WalkVector",
-    "load_scores",
-    "rank_by_degree_rule",
-    "rank_by_weight_rule",
-    "resolve_ranking",
-    "walk_counts",
-]
+__all__ = ["Ranking", "load_scores", "resolve_ranking", "walk_counts"]
 
 RANKING_SPECS = ("kdeg", "kweight", "id", "random", "const")
 
@@ -66,18 +58,7 @@ class Ranking:
         return cls(rank)
 
 
-@dataclass(frozen=True)
-class WalkVector:
-    """Entries of (A + I)^k applied to a positive node-weight vector."""
-
-    values: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> WalkVector:
+def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> np.ndarray:
     """Compute (A + I)^k x by k rounds of inclusive neighborhood sums.
 
     The power graph is never materialized; k = 0 returns x unchanged.
@@ -89,26 +70,12 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> WalkVector:
     x = NodeWeights.coerce(weights, g.n)
     vec = x.values.copy()
     # overflow is reported below as a ValueError, not as a numpy warning
-    with worker_pool(workers) as pool, np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         for _ in range(k):
-            vec = neighbor_reduce(g, vec, "sum", 0.0, workers, pool)
+            vec = neighbor_reduce(g, vec, "sum", 0.0, workers)
     if not np.isfinite(vec).all():
         raise ValueError(f"walk counts overflow float64 at k={k}")
-    return WalkVector(values=vec, k=k)
-
-
-def rank_by_degree_rule(g: Graph, weights, k: int, workers: int = 1) -> Ranking:
-    """Rank by decreasing x_v / [(A + I)^k 1]_v."""
-    x = NodeWeights.coerce(weights, g.n)
-    walk = walk_counts(g, NodeWeights.ones(g.n), k, workers)
-    return Ranking.from_scores(-(x.values / walk.values))
-
-
-def rank_by_weight_rule(g: Graph, weights, k: int, workers: int = 1) -> Ranking:
-    """Rank by decreasing x_v / [(A + I)^k x]_v."""
-    x = NodeWeights.coerce(weights, g.n)
-    walk = walk_counts(g, x, k, workers)
-    return Ranking.from_scores(-(x.values / walk.values))
+    return vec
 
 
 def load_scores(path) -> np.ndarray:
@@ -134,8 +101,9 @@ def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
     `spec` may already be a Ranking (validated and returned), one of
     'kdeg', 'kweight', 'id', 'random', 'const', or 'file:PATH' naming a
     score file for :func:`load_scores` (higher score first, ids break
-    ties).  The two rule specs need k >= 1; `weights` defaults to
-    all-ones.  'const' degenerates to the id tie-break.
+    ties).  'kdeg' and 'kweight' are the degree and weight rules above;
+    they need k >= 1, and `weights` (x) defaults to all-ones.  'const'
+    degenerates to the id tie-break.
     """
     if isinstance(spec, Ranking):
         spec.validate(g.n)
@@ -152,9 +120,9 @@ def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
         if k is None or k < 1:
             raise ValueError(f"ranking {spec!r} requires k >= 1")
         x = NodeWeights.ones(g.n) if weights is None else NodeWeights.coerce(weights, g.n)
-        if spec == "kdeg":
-            return rank_by_degree_rule(g, x, k, workers)
-        return rank_by_weight_rule(g, x, k, workers)
+        walk = walk_counts(g, NodeWeights.ones(g.n) if spec == "kdeg" else x,
+                           k, workers)
+        return Ranking.from_scores(-(x.values / walk))
     if spec == "random":
         return Ranking(np.random.default_rng(seed).permutation(g.n))
     return Ranking(np.arange(g.n, dtype=np.int64))

@@ -16,22 +16,18 @@ import numpy as np
 import pytest
 
 from kcoarsen import (
-    NodeWeights,
     Ranking,
     build,
-    check_kmis_validity,
     coarsen_pipeline,
-    compare,
-    exact_mwis,
     k_mis,
     load,
-    power,
-    rank_by_degree_rule,
-    rank_by_weight_rule,
     resolve_ranking,
     verify_reduction,
-    walk_counts,
 )
+from kcoarsen.graph import NodeWeights, power
+from kcoarsen.oracle import compare, exact_mwis
+from kcoarsen.ranking import walk_counts
+from kcoarsen.verify import check_kmis_validity
 
 from . import helpers
 
@@ -195,16 +191,16 @@ def test_criterion_4_weight_bounds():
         k = 1 + trial % 3
         x = NodeWeights.uniform(n, 1.0, 100.0, seed=trial).values
 
-        walk_ones = walk_counts(g, np.ones(n), k).values
+        walk_ones = walk_counts(g, np.ones(n), k)
         degree_scores = x / walk_ones
-        selected = k_mis(g, k, rank_by_degree_rule(g, x, k)).selected
+        selected = k_mis(g, k, resolve_ranking(g, "kdeg", k=k, weights=x)).selected
         lhs = x[selected].sum()
         if lhs < degree_scores.sum() * (1 - REL_SLACK):
             bound_failures += 1
 
-        walk_x = walk_counts(g, x, k).values
+        walk_x = walk_counts(g, x, k)
         weight_scores = x / walk_x
-        selected = k_mis(g, k, rank_by_weight_rule(g, x, k)).selected
+        selected = k_mis(g, k, resolve_ranking(g, "kweight", k=k, weights=x)).selected
         lhs = x[selected].sum()
         if lhs < (weight_scores * x).sum() * (1 - REL_SLACK):
             bound_failures += 1
@@ -219,8 +215,9 @@ def test_criterion_4_weight_bounds():
         x = NodeWeights.uniform(n, 1.0, 100.0, seed=1000 + trial).values
         gk = power(g, k)
         _, alpha = exact_mwis(gk, x)
-        delta_k = walk_counts(g, np.ones(n), k).values.max()
-        for rank in (rank_by_degree_rule(g, x, k), rank_by_weight_rule(g, x, k)):
+        delta_k = walk_counts(g, np.ones(n), k).max()
+        for spec in ("kdeg", "kweight"):
+            rank = resolve_ranking(g, spec, k=k, weights=x)
             selected = k_mis(g, k, rank).selected
             if x[selected].sum() < alpha / delta_k * (1 - REL_SLACK):
                 ratio_failures += 1

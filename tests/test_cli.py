@@ -246,7 +246,7 @@ def test_non_finite_score_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_threads_capped_at_cpu_count(tmp_path, monkeypatch):
+def test_threads_capped_at_cpu_count(tmp_path, monkeypatch, split_every_row):
     recorded = []
 
     class InlinePool:
@@ -255,26 +255,31 @@ def test_threads_capped_at_cpu_count(tmp_path, monkeypatch):
         def __init__(self, max_workers):
             recorded.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
             future = Future()
             future.set_result(fn(*args))
             return future
 
+    # three CPUs, so the 5-node input splits on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(kcoarsen._propagate, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(kcoarsen._propagate, "_POOLS", {})  # none cached yet
     inp = write_path5(tmp_path)
     out = tmp_path / "run"
     assert run(["coarsen", "-i", inp, "-k", "1", "--rank", "kdeg",
                 "--threads", "1000000", "-o", out]) == 0
-    cpus = os.cpu_count() or 1
-    assert all(workers <= cpus for workers in recorded)
+    cpus = os.cpu_count()
+    assert recorded and all(workers <= cpus for workers in recorded)
     config = json.loads((out / "run_config.json").read_text())
     assert config["threads"] == cpus
+
+
+def test_parallel_weights_summing_past_float64_exit_2(tmp_path, capsys):
+    inp = tmp_path / "big.edgelist"
+    inp.write_text("1 2 1e308\n2 1 1e308\n2 3 1\n")
+    assert run(["coarsen", "-i", inp, "-k", "1", "-o", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
 
 
 def test_threads_below_one_is_usage_error(tmp_path):

@@ -11,11 +11,11 @@ from kcoarsen import (
     build,
     cluster,
     coarsen_pipeline,
-    connected_components,
     k_mis,
     reduce,
     resolve_ranking,
 )
+from kcoarsen.graph import connected_components
 
 from . import helpers
 

@@ -6,17 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kcoarsen.graph
-from kcoarsen import (
-    Graph,
-    GraphFormatError,
-    NodeWeights,
-    bfs,
-    build,
-    connected_components,
-    load,
-    power,
-    store,
-)
+from kcoarsen import Graph, GraphFormatError, build, load, store
+from kcoarsen.graph import NodeWeights, bfs, connected_components, power
 
 from . import helpers
 
@@ -41,6 +32,11 @@ def test_build_sums_parallel_weights():
     g = build([(0, 1, 2.0), (1, 0, 3.0)])
     assert g.m == 1
     assert g.weights.tolist() == [5.0, 5.0]
+
+
+def test_build_rejects_parallel_weights_summing_past_float64():
+    with pytest.raises(ValueError, match="float64"):
+        build([(0, 1, 1e308), (1, 0, 1e308)])
 
 
 def test_build_missing_weight_defaults_to_one():
@@ -190,6 +186,8 @@ def test_load_matrix_market_keeps_isolated_rows(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n", "entries"),
         ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 3\n", "bounds"),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 inf\n", "finite"),
+        ("%%MatrixMarket matrix coordinate integer symmetric\n-1 -1 0\n", "non-negative"),
+        ("%%MatrixMarket matrix coordinate integer general\n2 2 -1\n", "non-negative"),
     ],
 )
 def test_load_matrix_market_rejects(tmp_path, text, message):

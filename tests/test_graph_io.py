@@ -1,4 +1,5 @@
-"""Edgelist fast path against the line loop, CSR assembly against its oracle."""
+"""Edgelist fast path against the line loop, CSR assembly against its
+oracle, and the Matrix Market reader against the edgelist reader."""
 
 from unittest import mock
 
@@ -207,3 +208,52 @@ def test_build_arrays_sums_many_parallel_weights_in_input_order():
 def test_build_arrays_guards_key_overflow():
     with pytest.raises(ValueError, match="overflow int64"):
         kcoarsen.graph._build_arrays(np.array([0]), np.array([1]), None, 2**32)
+
+
+@st.composite
+def one_graph_two_files(draw):
+    """(Matrix Market text, edgelist text, ids, field): one graph on nodes
+    1..n, whose edgelist names node i by ids[i - 1]."""
+    n = draw(st.integers(1, 12))
+    field = draw(st.sampled_from(["pattern", "real", "integer"]))
+    symmetry = draw(st.sampled_from(["symmetric", "general"]))
+    ids = draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda p: p[0] != p[1]), max_size=3 * n, unique_by=lambda p: (min(p), max(p))))
+    value = {"pattern": st.just(""),
+             "real": st.floats(min_value=0, exclude_min=True,
+                               allow_infinity=False).map(lambda w: f" {w!r}"),
+             "integer": st.integers(1, 10**9).map(lambda w: f" {w}")}[field]
+    # a self-loop per node puts every id in the edgelist; both readers drop it
+    edges = [(i, j, draw(value)) for i, j in pairs + [(v, v) for v in range(1, n + 1)]]
+    entries = []
+    for i, j, w in edges:
+        ends = [(max(i, j), min(i, j))] if symmetry == "symmetric" else draw(
+            st.sampled_from([[(i, j)], [(j, i)], [(i, j), (j, i)]]))
+        entries += [f"{a} {b}{w}" for a, b in ends]
+    entries = draw(st.permutations(entries))
+    mm = (f"%%MatrixMarket matrix coordinate {field} {symmetry}\n% comment\n"
+          f"{n} {n} {len(entries)}\n" + "".join(f"{e}\n" for e in entries))
+    lines = [f"{ids[a - 1]} {ids[b - 1]}{w}"
+             for i, j, w in edges for a, b in [draw(st.sampled_from([(i, j), (j, i)]))]]
+    edgelist = "".join(f"{line}\n" for line in draw(st.permutations(lines)))
+    return mm, edgelist, ids, field
+
+
+@given(one_graph_two_files())
+@settings(max_examples=200, deadline=None)
+def test_matrix_market_loads_as_its_edgelist(tmp_path_factory, case):
+    mm, edgelist, ids, field = case
+    folder = tmp_path_factory.mktemp("two-files")
+    (folder / "g.mtx").write_text(mm)
+    (folder / "g.edgelist").write_text(edgelist)
+    g_mm, ids_mm = load(folder / "g.mtx", format="mm")
+    g_el, ids_el = load(folder / "g.edgelist")
+    assert ids_mm.tolist() == list(range(1, len(ids) + 1))
+    assert ids_el.tolist() == sorted(ids)
+    # through the id maps: Matrix Market node i is edgelist id ids[i - 1]
+    at = np.searchsorted(ids_el, np.array(ids, dtype=np.int64))
+    u, v, w = g_mm.edge_list()
+    relabeled = kcoarsen.graph._build_arrays(at[u], at[v], w, g_mm.n)
+    assert relabeled == g_el and same_weights(relabeled.weights, g_el.weights)
+    assert g_el.weighted == (field != "pattern")

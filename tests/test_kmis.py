@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcoarsen._propagate
-from kcoarsen import (
-    Ranking,
-    build,
-    k_mis,
-    power,
-    rank_by_weight_rule,
-    resolve_ranking,
-)
+from kcoarsen import Ranking, build, k_mis, resolve_ranking
 from kcoarsen._propagate import neighbor_reduce
+from kcoarsen.graph import power
 
 from . import helpers
 
@@ -54,7 +48,7 @@ def test_star_leaves_selected_in_one_round():
 
 def test_heavy_center_dominates_clique():
     g = build([(u, v) for u in range(4) for v in range(u + 1, 4)])
-    rank = rank_by_weight_rule(g, [5.0, 1.0, 1.0, 1.0], 1)
+    rank = resolve_ranking(g, "kweight", k=1, weights=[5.0, 1.0, 1.0, 1.0])
     assert k_mis(g, 1, rank).selected.tolist() == [0]
 
 
@@ -130,15 +124,15 @@ def test_worker_count_does_not_change_result(small_corpus, split_every_row):
             assert np.array_equal(k_mis(g, 2, rank, workers=workers).selected, base)
 
 
-def test_sweeps_below_the_row_floor_stay_off_the_pool():
-    class NoPool:
-        def submit(self, *args):
-            raise AssertionError("sweep split on a graph below the floor")
+def test_sweeps_below_the_row_floor_stay_off_the_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("sweep split on a graph below the floor")
 
+    monkeypatch.setattr(kcoarsen._propagate, "_pool", no_pool)
     n = kcoarsen._propagate.ROWS_PER_CHUNK * 2 - 1
     g = build(helpers.path_edges(n))
     values = np.arange(n, dtype=np.int64)
-    out = neighbor_reduce(g, values, "min", np.int64(n), 8, NoPool())
+    out = neighbor_reduce(g, values, "min", np.int64(n), 8)
     assert out.tolist() == [0] + list(range(n - 1))
 
 

@@ -1,11 +1,15 @@
 """The propagation round (row subsets, the bitwise-or kind) and the flood."""
 
+import sys
+import threading
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kcoarsen._propagate
 from kcoarsen import build
-from kcoarsen._propagate import flood, neighbor_reduce, worker_pool
+from kcoarsen._propagate import flood, neighbor_reduce
 
 from . import helpers
 
@@ -53,9 +57,46 @@ def test_or_round_is_bitwise_invariant_across_worker_counts(small_corpus,
         values = random_values(rng, n, np.uint64)
         base = neighbor_reduce(g, values, "or", np.uint64(0))
         for workers in (2, 5, 16):
-            with worker_pool(workers) as pool:
-                out = neighbor_reduce(g, values, "or", np.uint64(0), workers, pool)
+            out = neighbor_reduce(g, values, "or", np.uint64(0), workers)
             assert np.array_equal(out, base)
+
+
+def test_concurrent_callers_share_one_pool_per_worker_count(
+        small_corpus, split_every_row, monkeypatch):
+    made = []
+    real = kcoarsen._propagate.ThreadPoolExecutor
+
+    def counting(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(kcoarsen._propagate, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(kcoarsen._propagate, "_POOLS", {})
+    g, _, n = small_corpus[0]
+    values = np.random.default_rng(4).integers(0, 1000, size=n)
+    expect = neighbor_reduce(g, values, "min", np.int64(1000))
+    same = []
+
+    def caller():
+        for _ in range(20):
+            got = neighbor_reduce(g, values, "min", np.int64(1000), 3)
+            same.append(np.array_equal(got, expect))
+
+    callers = [threading.Thread(target=caller) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in kcoarsen._propagate._POOLS.values():
+            pool.shutdown()
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(same) == 120 and all(same)
+    assert made == [3]
 
 
 FLOOD_FILLS = {"min": np.int64(1 << 40), "max": np.int64(-1), "or": np.uint64(0)}
@@ -151,7 +192,6 @@ def test_flood_is_invariant_across_worker_counts(small_corpus, split_every_row):
     for g, edges, n in small_corpus[:8]:
         values = rng.integers(0, 1000, size=n)
         base, _ = run_flood(g, values, "min", None)
-        with worker_pool(3) as pool:
-            got, _ = run_flood(g, values, "min", None, workers=3, pool=pool)
+        got, _ = run_flood(g, values, "min", None, workers=3)
         assert len(got) == len(base)
         assert all(np.array_equal(a, b) for a, b in zip(got, base))

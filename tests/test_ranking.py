@@ -5,36 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcoarsen import (
-    Ranking,
-    build,
-    load_scores,
-    rank_by_degree_rule,
-    rank_by_weight_rule,
-    resolve_ranking,
-    walk_counts,
-)
+from kcoarsen import Ranking, build, resolve_ranking
+from kcoarsen.ranking import load_scores, walk_counts
 
 from . import helpers
 
 
 def test_walk_counts_path3_frozen():
     g = build(helpers.path_edges(3))
-    assert walk_counts(g, [1.0, 1.0, 1.0], 1).values.tolist() == [2.0, 3.0, 2.0]
-    assert walk_counts(g, [1.0, 1.0, 1.0], 2).values.tolist() == [5.0, 7.0, 5.0]
+    assert walk_counts(g, [1.0, 1.0, 1.0], 1).tolist() == [2.0, 3.0, 2.0]
+    assert walk_counts(g, [1.0, 1.0, 1.0], 2).tolist() == [5.0, 7.0, 5.0]
 
 
 def test_walk_counts_k_zero_is_identity():
     g = build(helpers.path_edges(3))
     x = [0.5, 2.0, 3.25]
-    wv = walk_counts(g, x, 0)
-    assert wv.values.tolist() == x
-    assert wv.k == 0
+    assert walk_counts(g, x, 0).tolist() == x
 
 
 def test_walk_counts_isolated_node():
     g = build([(0, 1)], n=3)
-    assert walk_counts(g, [1.0, 1.0, 7.0], 3).values[2] == 7.0
+    assert walk_counts(g, [1.0, 1.0, 7.0], 3)[2] == 7.0
 
 
 def test_walk_counts_rejects_bad_length():
@@ -48,7 +39,7 @@ def test_walk_counts_matches_dense_reference(small_corpus):
         rng = helpers.make_rng("walk", n)
         x = helpers.dyadic_weights(rng, n)
         for k in (1, 2, 3):
-            got = walk_counts(g, x, k).values
+            got = walk_counts(g, x, k)
             assert got.tolist() == helpers.walk_vector(n, edges, x, k)
 
 
@@ -57,9 +48,9 @@ def test_walk_counts_worker_count_is_bitwise_invariant(small_corpus,
     for g, edges, n in small_corpus[:6]:
         rng = helpers.make_rng("workers", n)
         x = helpers.dyadic_weights(rng, n)
-        base = walk_counts(g, x, 3, workers=1).values
+        base = walk_counts(g, x, 3, workers=1)
         for workers in (2, 5, 16):
-            assert np.array_equal(walk_counts(g, x, 3, workers=workers).values, base)
+            assert np.array_equal(walk_counts(g, x, 3, workers=workers), base)
 
 
 def test_walk_overestimates_ball_weight(small_corpus):
@@ -68,7 +59,7 @@ def test_walk_overestimates_ball_weight(small_corpus):
         rng = helpers.make_rng("ball", n)
         x = helpers.dyadic_weights(rng, n)
         for k in (1, 2):
-            walk = walk_counts(g, x, k).values
+            walk = walk_counts(g, x, k)
             for v in range(n):
                 assert walk[v] >= sum(x[u] for u in helpers.ball(adj, v, k))
 
@@ -76,34 +67,35 @@ def test_walk_overestimates_ball_weight(small_corpus):
 def test_walk_monotone_in_k(small_corpus):
     g, _, n = small_corpus[0]
     x = [1.0] * n
-    prev = walk_counts(g, x, 0).values
+    prev = walk_counts(g, x, 0)
     for k in (1, 2, 3, 4):
-        cur = walk_counts(g, x, k).values
+        cur = walk_counts(g, x, k)
         assert (cur >= prev).all()
         prev = cur
 
 
 def test_degree_rule_star_picks_leaves_first():
     g = build(helpers.star_edges(4))
-    rank = rank_by_degree_rule(g, [1.0] * 4, 1).rank
+    rank = resolve_ranking(g, "kdeg", k=1, weights=[1.0] * 4).rank
     assert rank.tolist() == [3, 0, 1, 2]
 
 
 def test_degree_rule_path_frozen():
     g = build(helpers.path_edges(3))
-    rank = rank_by_degree_rule(g, [9.0, 1.0, 9.0], 1).rank
+    rank = resolve_ranking(g, "kdeg", k=1, weights=[9.0, 1.0, 9.0]).rank
     assert rank.tolist() == [0, 2, 1]
 
 
 def test_weight_rule_heavy_center_first():
     g = build(helpers.star_edges(4))
-    rank = rank_by_weight_rule(g, [10.0, 1.0, 1.0, 1.0], 1).rank
+    rank = resolve_ranking(g, "kweight", k=1,
+                           weights=[10.0, 1.0, 1.0, 1.0]).rank
     assert rank.tolist() == [0, 1, 2, 3]
 
 
 def test_degree_rule_on_regular_graph_is_id_order():
     g = build(helpers.cycle_edges(7))
-    rank = rank_by_degree_rule(g, [1.0] * 7, 2).rank
+    rank = resolve_ranking(g, "kdeg", k=2, weights=[1.0] * 7).rank
     assert rank.tolist() == list(range(7))
 
 

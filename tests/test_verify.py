@@ -14,14 +14,16 @@ from kcoarsen import (
     Partition,
     VerificationReport,
     build,
-    check_components,
-    check_distortion,
-    check_edge_bounds,
-    check_kmis_validity,
     coarsen_pipeline,
     k_mis,
     resolve_ranking,
     verify_reduction,
+)
+from kcoarsen.verify import (
+    check_components,
+    check_distortion,
+    check_edge_bounds,
+    check_kmis_validity,
 )
 
 from . import helpers
