@@ -181,16 +181,24 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
 
 def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,
                how: str) -> np.ndarray:
+    if how in ("max", "min"):
+        out = np.full(count, -np.inf if how == "max" else np.inf)
+        (np.maximum if how == "max" else np.minimum).at(out, groups, values)
+        return out
+    sums = np.bincount(groups, weights=values, minlength=count)
+    over = np.isinf(sums)
     if how == "sum":
-        return np.bincount(groups, weights=values, minlength=count)
-    if how == "mean":
-        sums = np.bincount(groups, weights=values, minlength=count)
-        sizes = np.bincount(groups, minlength=count)
-        return sums / np.maximum(sizes, 1)
-    out = np.full(count, -np.inf if how == "max" else np.inf)
-    ufunc = np.maximum if how == "max" else np.minimum
-    ufunc.at(out, groups, values)
-    return out
+        if over.any():
+            raise ValueError("edge_agg 'sum' gives a coarse edge weight "
+                             "beyond float64's range")
+        return sums
+    sizes = np.bincount(groups, minlength=count)
+    means = sums / np.maximum(sizes, 1)
+    if over.any():  # finite weights have a finite mean: sum them scaled by 2**-64
+        hit = over[groups]
+        scaled = np.bincount(groups[hit], weights=values[hit] * 2.0**-64, minlength=count)
+        means[over] = scaled[over] / sizes[over] * 2.0**64
+    return means
 
 
 def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,

@@ -223,60 +223,52 @@ def data_lines(fh):
             yield lineno, line
 
 
-# Byte classes of the edgelist fast path: 1 space or tab, 2 newline, 3 digit
-# or sign, 4 '.' or exponent, 0 any other byte (the line loop reads those).
-_NEWLINE, _FRACTION = 2, 4
-_BYTE_CLASS = np.zeros(256, dtype=np.int8)
-for _cls, _chars in enumerate((b" \t", b"\n", b"0123456789+-", b".eE"), 1):
-    _BYTE_CLASS[np.frombuffer(_chars, np.uint8)] = _cls
+def _fast_edgelist(path):
+    """An edgelist's (ends, weights) from numpy's C text loader, or None.
 
-
-def _fast_edgelist(data: bytes):
-    """An edgelist's (ends, weights) from one C-level parse, or None.
-
-    Takes leading ASCII '#'/'%' lines, then lines that all hold two
-    integer ids, or all three columns with a decimal weight, split by
-    spaces or tabs and ended by '\n', as kcoarsen writes them.  Anything
-    else (blank lines, '\r', '1_000', 'inf', mixed column counts, ...)
-    gives None: the line loop reads it, with its exact errors.
+    Skips the blank and '#'/'%' lines before the first data line, then
+    takes rows that all hold that line's column count: two integer ids,
+    or those and a weight.  Whatever the loader refuses (a bad token, an
+    id beyond int64, mixed column counts, a later comment, a warning),
+    and a weight that is not finite and positive, gives None: the line
+    loop reads that file, with its exact errors.
     """
-    start = 0
-    while data.startswith((b"#", b"%"), start):
-        start = data.find(b"\n", start) + 1 or len(data)
-    if b"\r" in data[:start] or not data[:start].isascii():
+    # Lines are counted split at b"\n" alone.  The loader, like the line
+    # loop, also ends lines at '\r', so it skips at most the counted lines
+    # and reads the rest of them as the line loop would, or refuses a '#'.
+    with open(path, "rb") as fh:
+        for skip, line in enumerate(fh):
+            if line.strip() and not line.startswith((b"#", b"%")):
+                break
+        else:
+            return None
+    cols = len(line.split())
+    if cols not in (2, 3):
         return None
-    cls = _BYTE_CLASS[np.frombuffer(data, np.uint8, offset=start)]
-    if not cls.size or cls[-1] != _NEWLINE or not cls.all():
-        return None
-    # tokens are the runs between separators, and the last byte is one
-    starts, stops = np.flatnonzero(np.diff(cls <= _NEWLINE, prepend=True)).reshape(-1, 2).T
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE)), prepend=0)
-    cols = int(per_line[0])
-    # ids hold no '.' or exponent, and fit int64 (18 characters) or, in
-    # a float parse, the float64 mantissa (15)
-    fraction = np.searchsorted(starts, np.flatnonzero(cls == _FRACTION), "right") - 1
-    if (cols not in (2, 3) or (per_line != cols).any() or (fraction % cols != 2).any()
-            or ((stops - starts).reshape(-1, cols)[:, :2] > 18 - 3 * (cols - 2)).any()):
-        return None
-    # A token that is not exactly one number leaves unmatched data: a
-    # space separator must match whitespace, so no token splits in two.
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy < 2 only warns on it
-            values = np.fromstring(data[start:], sep=" ",
-                                   dtype=np.float64 if cols == 3 else np.int64)
-    except (ValueError, DeprecationWarning):
+            # say, "input contained no data" when the data line is blank
+            # to str.split, or numpy 1.x's warning as it reads '1.0' as 1
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8",
+                              ndmin=1, dtype=[("u", np.int64), ("v", np.int64),
+                                              ("w", np.float64)][:cols])
+    except (ValueError, Warning):
         return None
-    values = values.reshape(-1, cols)
-    w = values[:, 2].copy() if cols == 3 else None
+    w = rows["w"].copy() if cols == 3 else None
     if w is None or np.all((w > 0) & (w < np.inf)):
-        return values[:, :2].astype(np.int64), w
+        return np.stack([rows["u"], rows["v"]], axis=1), w
     return None
 
 
+def _edge_table(path):
+    """(ends, weights) of an edgelist: the fast path, else the line loop."""
+    parsed = _fast_edgelist(path)
+    return parsed if parsed is not None else _line_edgelist(path)
+
+
 def _parse_edgelist(path: Path):
-    parsed = _fast_edgelist(path.read_bytes())
-    ends, w = parsed if parsed is not None else _line_edgelist(path)
+    ends, w = _edge_table(path)
     ids, dense = np.unique(ends, return_inverse=True)
     u, v = dense.reshape(-1, 2).T
     return _build_arrays(u, v, w, ids.size), ids

@@ -185,8 +185,7 @@ class OracleReport:
 
 def compare(g: Graph, k: int, rule: str, trials: int = 10,
             weight_low: float = 1.0, weight_high: float = 100.0, seed: int = 0,
-            oracle_cap: int = DEFAULT_ORACLE_CAP, workers: int = 1,
-            exact: bool | None = None) -> OracleReport:
+            oracle_cap: int = DEFAULT_ORACLE_CAP, workers: int = 1) -> OracleReport:
     """Compare ranked k-independent selection against sequential greedy.
 
     Every trial draws fresh uniform node weights in
@@ -195,8 +194,8 @@ def compare(g: Graph, k: int, rule: str, trials: int = 10,
     selection on g itself, and records both total weights.  The report
     also checks the per-trial guarantees: the selected weight is at
     least the sum of ranking scores, and at least alpha / delta_k when
-    the exact optimum alpha is available (`exact` defaults to automatic:
-    on when the instance fits the exact solver).
+    the exact optimum alpha is available, on instances that fit the
+    exact solver.
 
     Raises ValueError (propagated from power) when g exceeds
     `oracle_cap`.
@@ -208,9 +207,7 @@ def compare(g: Graph, k: int, rule: str, trials: int = 10,
     gk = power(g, k, oracle_cap)
     walk_ones = walk_counts(g, NodeWeights.ones(g.n), k, workers)
     delta_k = float(walk_ones.max()) if g.n else 0.0
-    run_exact = exact if exact is not None else g.n <= EXACT_MWIS_CAP
-    if run_exact and g.n > EXACT_MWIS_CAP:
-        raise ValueError(f"exact comparison limited to {EXACT_MWIS_CAP} nodes")
+    run_exact = g.n <= EXACT_MWIS_CAP
 
     rows: list[TrialResult] = []
     violations: list[str] = []

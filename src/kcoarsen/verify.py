@@ -40,6 +40,8 @@ __all__ = [
 
 EXHAUSTIVE_PAIR_LIMIT = 500
 DEFAULT_SAMPLE_PAIRS = 10_000
+# Checked pairs a distortion report keeps as its sample.
+MAX_RECORDED_PAIRS = 1000
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,7 @@ def _coarse_of(h: CoarsenedGraph, assignment: np.ndarray,
 
 def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                     seed: int = 0, max_recorded: int = 1000
-                     ) -> DistortionReport:
+                     seed: int = 0) -> DistortionReport:
     """Check the two-sided distance bounds over node pairs.
 
     With `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
@@ -142,7 +143,7 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     are taken grouped by source.  One pair search on each graph answers
     them all.  Pairs in different components of g are skipped (both
     sides are infinite).  `per_pair_sample` records at most
-    `max_recorded` checked pairs; violations are always recorded in
+    MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
     full.  Raises ValueError for a row that is not a (u, v) pair or a
     pair with a node outside 0..n-1.
     """
@@ -173,7 +174,7 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     src, dst, dg = src[dg < n], dst[dg < n], dg[dg < n]
     dh = bfs(hg, coarse_of[src], coarse_of[dst])
 
-    report.per_pair_sample = list(zip(*(x[:max_recorded].tolist()
+    report.per_pair_sample = list(zip(*(x[:MAX_RECORDED_PAIRS].tolist()
                                         for x in (src, dst, dg, dh))))
     # an unreachable centroid pair breaks the lower bound at any distance
     reachable = dh < hg.n

@@ -1,8 +1,10 @@
 """End-to-end command-line runs: artifacts, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 import re
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -280,6 +282,41 @@ def test_parallel_weights_summing_past_float64_exit_2(tmp_path, capsys):
     assert run(["coarsen", "-i", inp, "-k", "1", "-o", tmp_path / "x"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean"])
+def test_crossing_weights_summing_past_float64(tmp_path, capsys, agg):
+    # every weight is finite; three of them cross between the two clusters
+    inp = tmp_path / "huge.edgelist"
+    inp.write_text("".join(f"{u} {v} 1e308\n" for u, v in
+                           [(0, 1), (0, 2), (3, 4), (3, 5), (3, 6), (1, 4), (2, 5), (1, 5)]))
+    code = run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "--edge-agg", agg,
+                "-o", tmp_path / "x"])
+    err = capsys.readouterr().err.splitlines()
+    if agg == "sum":
+        assert code == 2 and len(err) == 1 and "edge_agg 'sum'" in err[0]
+    else:
+        assert code == 0 and not err
+        assert (tmp_path / "x" / "coarse.edgelist").read_text().splitlines()[1:] == \
+            ["0 1 1e+308"]
+
+
+def test_ranking_time_includes_the_cli_resolution(tmp_path, capsys, monkeypatch):
+    resolve = kcoarsen.cli._resolve_rank_spec
+
+    def delayed(*args, **kwargs):
+        time.sleep(0.2)
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(kcoarsen.cli, "_resolve_rank_spec", delayed)
+    inp = write_path5(tmp_path)
+    assert run(["coarsen", "-i", inp, "-k", "1", "-o", tmp_path / "x"]) == 0
+    assert float(re.search(r"t_rank=([0-9.]+)s", capsys.readouterr().out)[1]) >= 0.2
+    assert run(["bench", "-i", inp, "--k-list", "1", "--trials", "1",
+                "-o", tmp_path / "b"]) == 0
+    lines = (tmp_path / "b" / "bench.csv").read_text().splitlines()
+    row = next(csv.DictReader(lines[1:]))
+    assert float(row["t_total"]) >= float(row["t_rank"]) >= 0.2
 
 
 def test_threads_below_one_is_usage_error(tmp_path):

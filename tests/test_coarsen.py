@@ -124,6 +124,27 @@ def test_reduce_unweighted_counts_multiplicity():
     assert h.graph.weights.tolist() == [2.0, 2.0]
 
 
+def huge_crossing_graph(third=1e308):
+    """Stars around 0 and 3 (the id-ranked picks at k = 1) joined by three
+    crossing edges whose weights sum beyond float64's range."""
+    return build([(0, 1, 1.0), (0, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (3, 6, 1.0),
+                  (1, 4, 1e308), (2, 5, 1.5e308), (1, 5, third)])
+
+
+def test_reduce_sum_beyond_float64_names_the_aggregation():
+    with pytest.raises(ValueError, match="edge_agg 'sum'"):
+        coarsen_pipeline(huge_crossing_graph(), 1, ranking="id", edge_agg="sum")
+
+
+@pytest.mark.parametrize("third", [5e307, 1e308, 1.7976931348623157e308])
+def test_reduce_mean_of_crossing_weights_past_float64_is_finite(third):
+    h, _, result = coarsen_pipeline(huge_crossing_graph(third), 1, ranking="id",
+                                    edge_agg="mean")
+    assert result.selected.tolist() == [0, 3]
+    assert h.graph.weights.tolist() == pytest.approx(
+        [1e308 / 3 + 1.5e308 / 3 + third / 3] * 2, rel=1e-15)
+
+
 def test_reduce_rejects_unknown_aggregation():
     g, part = square_partition()
     with pytest.raises(ValueError):

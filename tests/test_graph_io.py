@@ -15,14 +15,19 @@ from . import helpers
 
 INT64_MAX = 2**63 - 1
 
-# ids of at most 15 characters, which every fast-path file may hold
+# ids of at most 15 characters, as clean files hold them
 _SHORT_IDS = st.one_of(st.integers(-60, 60), st.integers(-10**14, 10**14))
+# ids of 16 to 19 characters, up to int64's full width
+_LONG_IDS = st.one_of(st.integers(10**15, INT64_MAX), st.integers(-10**18 + 1, -10**14))
 _IDS = st.one_of(_SHORT_IDS, st.integers(INT64_MAX - 40, INT64_MAX),
                  st.integers(-INT64_MAX - 1, -INT64_MAX + 40))
 _POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 _WEIGHTS = st.one_of(_POSITIVE.map(repr), _POSITIVE.map("{:e}".format),
                      _POSITIVE.map("{:.3E}".format), st.integers(1, 10**6).map(str))
 _SEPS = st.sampled_from([" ", "  ", "\t", " \t "])
+# characters that str.split and numpy's tokenizer could split on differently
+_ODD_SPACES = st.sampled_from(["\0", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+                               "\x85", "\xa0", "\u2028"])
 # tokens the line loop may accept or reject, but the fast path must not read
 _ODD_IDS = st.sampled_from(["+5", "1_000", "007", "-0", "1.0", "1e3", "٣",
                             "x", "5-3", "-", "--1", "99999999999999999999"])
@@ -30,7 +35,8 @@ _ODD_WEIGHTS = st.sampled_from(["+1.5", "1_0.5", "inf", "nan", "-1", "0", "0.0",
                                 "1e999", "1e-400", ".5", "5.", "1.5.5", "1e",
                                 "e5", "1e+-5", "x", "1.5e3.5"])
 _ODD_LINES = st.sampled_from(["", "   ", "\t", "# note", "% note", "  # indented",
-                              "1", "1 2 3 4", "3 4 2.5 x"])
+                              "1", "1 2 3 4", "3 4 2.5 x", "\f", "\x1c", "\0",
+                              "\u2028", "\xa0# note", "\xa0 \x85"])
 
 
 @st.composite
@@ -39,10 +45,14 @@ def edgelist_texts(draw):
     with blank lines, CRLF, odd tokens, mixed columns and comments."""
     clean = draw(st.booleans())
     weighted = draw(st.booleans())
-    ids = _SHORT_IDS.map(str) if clean else st.one_of(_IDS.map(str), _ODD_IDS)
+    ids = (st.one_of(_SHORT_IDS, _LONG_IDS).map(str) if clean
+           else st.one_of(_IDS.map(str), _LONG_IDS.map(str), _ODD_IDS))
     weights = _WEIGHTS if clean else st.one_of(_WEIGHTS, _ODD_WEIGHTS)
-    rows = draw(st.lists(st.tuples(ids, _SEPS, ids, _SEPS, weights,
-                                   st.sampled_from(["", " ", "\t"])), max_size=10))
+    seps = _SEPS if clean else st.one_of(_SEPS, _ODD_SPACES)
+    leads = st.sampled_from(["", " ", "\t"])
+    rows = draw(st.lists(st.tuples(ids, seps, ids, seps, weights,
+                                   leads if clean else st.one_of(leads, _ODD_SPACES)),
+                         max_size=10))
     lines = [f"{lead}{a}{s}{b}" + (f"{t}{w}" if weighted else "")
              for a, s, b, t, w, lead in rows]
     if rows and draw(st.booleans()):  # a duplicate in the other orientation
@@ -52,8 +62,10 @@ def edgelist_texts(draw):
         for _ in range(draw(st.integers(0, 3))):
             at = draw(st.integers(0, len(lines)))
             lines.insert(at, draw(st.one_of(_ODD_LINES, st.tuples(ids, ids).map(" ".join))))
-    header = draw(st.lists(st.sampled_from(["# config: {\"k\": 2}", "% kcoarsen", "#"]),
-                           max_size=2))
+    heads = ["# config: {\"k\": 2}", "% kcoarsen", "#"]
+    if not clean:  # a '\r' inside a header line ends it for the line loop
+        heads += ["#\r", "# a\r1 2", "%\r# b", "# \x85\u2028"]
+    header = draw(st.lists(st.sampled_from(heads), max_size=2))
     end = "\n" if clean else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = "".join(f"{line}{end}" for line in header + lines)
     if not clean and draw(st.booleans()):
@@ -87,7 +99,7 @@ def same_weights(a, b):
 def test_fast_path_reads_what_the_line_loop_reads(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("edgelist") / "g.edgelist"
     path.write_bytes(text.encode("utf-8"))
-    fast = kcoarsen.graph._fast_edgelist(path.read_bytes())
+    fast = kcoarsen.graph._fast_edgelist(path)
     try:
         expected, expected_ids = load_with_line_loop(path)
     except GraphFormatError as exc:
@@ -105,6 +117,12 @@ def test_fast_path_reads_what_the_line_loop_reads(tmp_path_factory, text):
         assert np.array_equal(fast[0], ends) and same_weights(fast[1], w)
 
 
+# plain files with no final newline, CRLF, a blank line, ids of 19 characters,
+# a non-ASCII comment or a form feed
+_NEWLY_TAKEN = ["0 1", "0 1\r\n", "0 1\n\n2 3\n", "-999999999999999999 1\n",
+                "9999999999999999 1 1.0\n", "# café\n0 1\n", "0 1\f\n"]
+
+
 @pytest.mark.parametrize("text", [
     "0 1\n1 2\n",
     "# config: {\"input\": \"g\"}\n# dense_id original_id\n0 10\n1 -20\n",
@@ -112,21 +130,35 @@ def test_fast_path_reads_what_the_line_loop_reads(tmp_path_factory, text):
     "1 2 1.0\n2 3 0.1\n3 1 1e-05\n4 5 1.5e+16\n5 6 7\n6 7 +2.5\n",
     "-99999999999999999 99999999999999999\n",  # 18 characters fit int64
     "-99999999999999 99999999999999 0.5\n",  # 15 fit a float64 mantissa
+    *_NEWLY_TAKEN,
 ])
-def test_fast_path_takes_plain_files(text):
-    assert kcoarsen.graph._fast_edgelist(text.encode()) is not None
+def test_fast_path_takes_plain_files(tmp_path, text):
+    path = tmp_path / "g.edgelist"
+    path.write_bytes(text.encode())
+    assert kcoarsen.graph._fast_edgelist(path) is not None
+
+
+@pytest.mark.parametrize("text", _NEWLY_TAKEN)
+def test_fast_path_reads_newly_taken_files_as_the_line_loop(tmp_path, text):
+    path = tmp_path / "g.edgelist"
+    path.write_bytes(text.encode())
+    (ends, w), (expected, expected_w) = (kcoarsen.graph._fast_edgelist(path),
+                                         kcoarsen.graph._line_edgelist(path))
+    assert ends.dtype == expected.dtype and np.array_equal(ends, expected)
+    assert same_weights(w, expected_w)
 
 
 @pytest.mark.parametrize("text", [
-    "", "# only a header\n", "0 1", "0 1\r\n", "0 1\n\n2 3\n", "0 1\n# late\n",
+    "", "# only a header\n", "0 1\n# late\n",
     "0 1\n2 3 1.0\n", "0 1 2 3\n", "1_000 2\n", "0 1 inf\n", "0 1 nan\n",
     "0 1 0.0\n", "0 1 -1.0\n", "0 1 1e999\n", "1.0 2\n", "1 2e3 1.0\n",
     "1 5-3\n", "0 1 1.5.5\n", "0 1 1e\n", "0 1 .5.\n",
-    "999999999999999999999 1\n", "-999999999999999999 1\n",
-    "9999999999999999 1 1.0\n", "# café\n0 1\n", "#\r0 1\n", "0 1\f\n",
+    "999999999999999999999 1\n", "#\r0 1\n",
 ])
-def test_fast_path_leaves_other_files_to_the_line_loop(text):
-    assert kcoarsen.graph._fast_edgelist(text.encode()) is None
+def test_fast_path_leaves_other_files_to_the_line_loop(tmp_path, text):
+    path = tmp_path / "g.edgelist"
+    path.write_bytes(text.encode())
+    assert kcoarsen.graph._fast_edgelist(path) is None
 
 
 def test_writers_output_takes_the_fast_path(tmp_path):
@@ -134,7 +166,7 @@ def test_writers_output_takes_the_fast_path(tmp_path):
     for graph in (g, build([(0, 1), (1, 2)])):
         path = tmp_path / "g.edgelist"
         store(graph, path, header_lines=["config: {\"k\": 2}", "second"])
-        assert kcoarsen.graph._fast_edgelist(path.read_bytes()) is not None
+        assert kcoarsen.graph._fast_edgelist(path) is not None
         back, ids = load(path)
         assert back == graph and ids.tolist() == list(range(graph.n))
         assert same_weights(back.weights, graph.weights)
