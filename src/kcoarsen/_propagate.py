@@ -78,6 +78,13 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
+def next_to(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Sorted ids of the nodes adjacent to some node of `nodes`."""
+    starts = g.indptr[nodes]
+    return sorted_unique(g.indices[concat_ranges(starts,
+                                                 g.indptr[nodes + 1] - starts)])
+
+
 def _reduce_segments(own, gathered, nonempty, offsets, ufunc, fill, out):
     # reduceat misbehaves on empty rows (stray element for interior ones,
     # IndexError for trailing ones), so it reduces the nonempty rows only;
@@ -156,8 +163,7 @@ def flood(g: Graph, values: np.ndarray, kind: str, fill, steps: int | None,
             frontier = np.flatnonzero(nxt != values)
             values = nxt
         else:
-            rows = sorted_unique(g.indices[concat_ranges(g.indptr[frontier],
-                                                         degrees[frontier])])
+            rows = next_to(g, frontier)
             got = sweep(g, values, kind, fill, rows=rows)
             grew = got != values[rows]
             frontier = rows[grew]

@@ -159,7 +159,7 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
     cw = wt[cross]
     key = a * np.int64(max(nc, 1)) + b
     uniq, inverse = np.unique(key, return_inverse=True)
-    agg = _aggregate(cw, inverse, uniq.size, edge_agg)
+    agg = _aggregate(cw, inverse, uniq.size, edge_agg, "edge")
     coarse = _build_arrays(uniq // max(nc, 1), uniq % max(nc, 1), agg, nc)
 
     node_values = None
@@ -168,19 +168,18 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
         if node_agg == "keep_centroid":
             node_values = x[centroids].copy()
         else:
-            sums = np.bincount(node_cluster, weights=x, minlength=nc)
-            if node_agg == "sum":
-                node_values = sums
-            else:
-                sizes = np.bincount(node_cluster, minlength=nc)
-                node_values = sums / sizes
+            node_values = _aggregate(x, node_cluster, nc, node_agg, "node")
 
     return CoarsenedGraph(graph=coarse, centroids=centroids,
                           provenance=partition, node_values=node_values)
 
 
 def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,
-               how: str) -> np.ndarray:
+               how: str, what: str) -> np.ndarray:
+    """Fold `values` into `count` groups by `how`.
+
+    `what` ("edge" or "node") names the aggregation in the overflow error.
+    """
     if how in ("max", "min"):
         out = np.full(count, -np.inf if how == "max" else np.inf)
         (np.maximum if how == "max" else np.minimum).at(out, groups, values)
@@ -189,7 +188,7 @@ def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,
     over = np.isinf(sums)
     if how == "sum":
         if over.any():
-            raise ValueError("edge_agg 'sum' gives a coarse edge weight "
+            raise ValueError(f"{what}_agg 'sum' gives a coarse {what} weight "
                              "beyond float64's range")
         return sums
     sizes = np.bincount(groups, minlength=count)

@@ -437,19 +437,28 @@ def store(g: Graph, path, header_lines=()) -> None:
 def write_table(path, header_lines, *columns) -> None:
     """Write '# ' header lines, then aligned columns as space-separated rows.
 
-    Integers print as ``str`` and floats as round-trip ``repr``, once per
-    distinct value; rows go out joined, WRITE_CHUNK at a time.
+    Rows come from `table_cells` and go out joined, WRITE_CHUNK at a time.
     """
-    cells = []
-    for col, end in zip(columns, [" "] * (len(columns) - 1) + ["\n"]):
-        values, at = np.unique(col, return_inverse=True)
-        text = repr if values.dtype.kind == "f" else str
-        cells.append(np.array([text(x) + end for x in values.tolist()], dtype=object)[at])
-    rows = np.stack(cells, axis=1)
+    rows = table_cells(columns, " ")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"# {line}\n" for line in header_lines))
         for first in range(0, len(rows), WRITE_CHUNK):
             fh.write("".join(rows[first:first + WRITE_CHUNK].ravel().tolist()))
+
+
+def table_cells(columns, sep: str) -> np.ndarray:
+    """Aligned columns as a rows x columns array of cell strings.
+
+    Integers print as ``str`` and floats as round-trip ``repr``, once per
+    distinct value; each cell ends in `sep`, the last of a row in a
+    newline, so joining the cells in order gives the table's text.
+    """
+    cells = []
+    for col, end in zip(columns, [sep] * (len(columns) - 1) + ["\n"]):
+        values, at = np.unique(col, return_inverse=True)
+        text = repr if values.dtype.kind == "f" else str
+        cells.append(np.array([text(x) + end for x in values.tolist()], dtype=object)[at])
+    return np.stack(cells, axis=1)
 
 
 def bfs(g: Graph, sources, targets, max_depth: int | None = None) -> np.ndarray:

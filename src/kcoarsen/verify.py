@@ -17,12 +17,13 @@ can show all witnesses at once.  The guarantees checked here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ._propagate import concat_ranges, flood, neighbor_reduce
 from .coarsen import CoarsenedGraph
-from .graph import Graph, bfs, connected_components
+from .graph import Graph, bfs, connected_components, table_cells
 from .kmis import KMisResult
 
 __all__ = [
@@ -273,25 +274,21 @@ class VerificationReport:
         return out
 
     def to_text(self) -> str:
-        lines = ["[meta]", f"k,{self.k}",
-                 f"status,{'pass' if self.passed else 'fail'}"]
-        lines.append("[edge_bounds]")
-        for a, b, d in self.edge_bounds.per_coarse_edge:
-            lines.append(f"{a},{b},{d}")
-        lines.append("[pairs]")
-        for u, v, dg, dh in self.distortion.per_pair_sample:
-            lines.append(f"{u},{v},{dg},{dh}")
-        lines.append("[components]")
-        lines.append(f"{self.components.graph_components},"
-                     f"{self.components.coarse_components}")
-        lines.append("[validity]")
-        lines.append(f"selected,{self.validity.selected_count}")
-        lines.append("[violations]")
+        parts = ["[meta]\n", f"k,{self.k}\n",
+                 f"status,{'pass' if self.passed else 'fail'}\n",
+                 "[edge_bounds]\n", _csv(self.edge_bounds.per_coarse_edge, 3),
+                 "[pairs]\n", _csv(self.distortion.per_pair_sample, 4),
+                 "[components]\n",
+                 f"{self.components.graph_components},"
+                 f"{self.components.coarse_components}\n",
+                 "[validity]\n",
+                 f"selected,{self.validity.selected_count}\n",
+                 "[violations]\n"]
         for section, violation in self.all_violations():
             nodes = ";".join(str(v) for v in violation.nodes)
-            lines.append(f"{section},{violation.kind},{nodes},"
-                         f"{violation.observed!r},{violation.bound!r}")
-        return "\n".join(lines) + "\n"
+            parts.append(f"{section},{violation.kind},{nodes},"
+                         f"{violation.observed!r},{violation.bound!r}\n")
+        return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "VerificationReport":
@@ -336,6 +333,14 @@ class VerificationReport:
                 kind=kind, nodes=nodes, observed=float(observed),
                 bound=float(bound)))
         return report
+
+
+def _csv(rows: list[tuple[int, ...]], width: int) -> str:
+    """Integer rows as comma-separated lines, each distinct value formatted once."""
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                       count=len(rows) * width)
+    columns = flat.reshape(-1, width).T
+    return "".join(table_cells(columns, ",").ravel().tolist())
 
 
 def verify_reduction(g: Graph, h: CoarsenedGraph, k: int,

@@ -145,6 +145,21 @@ def test_reduce_mean_of_crossing_weights_past_float64_is_finite(third):
         [1e308 / 3 + 1.5e308 / 3 + third / 3] * 2, rel=1e-15)
 
 
+def test_node_sum_beyond_float64_names_the_aggregation():
+    with pytest.raises(ValueError, match="node_agg 'sum'"):
+        coarsen_pipeline(build(helpers.path_edges(5)), 1, ranking="id",
+                         weights=[1e308] * 5, node_agg="sum")
+
+
+def test_node_mean_of_weights_past_float64_is_finite():
+    h, part, _ = coarsen_pipeline(build(helpers.path_edges(5)), 1, ranking="id",
+                                  weights=[1e308, 1.5e308, 1.7e308, 0.5, 1e308],
+                                  node_agg="mean")
+    assert part.assignment.tolist() == [0, 0, 2, 2, 4]
+    assert h.node_values.tolist() == pytest.approx(
+        [1e308 / 2 + 1.5e308 / 2, 1.7e308 / 2 + 0.25, 1e308], rel=1e-15)
+
+
 def test_reduce_rejects_unknown_aggregation():
     g, part = square_partition()
     with pytest.raises(ValueError):

@@ -1,16 +1,33 @@
 """Parallel greedy k-MIS selection against independent pure-Python references."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcoarsen._propagate
+import kcoarsen.kmis
 from kcoarsen import Ranking, build, k_mis, resolve_ranking
 from kcoarsen._propagate import neighbor_reduce
 from kcoarsen.graph import power
 
 from . import helpers
+
+# Edge-slot budgets that force every round after the first to recompute
+# labels locally, or to flood every active rank; the small test graphs
+# rarely take a local round under the default budget.
+ROUND_RULES = {"all_local": np.inf, "all_full": -1.0}
+
+
+@contextlib.contextmanager
+def forced_rounds(rule):
+    """Run k_mis under ROUND_RULES[rule], or its own budget for None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rule is not None:
+            mp.setattr(kcoarsen.kmis, "_local_budget", lambda *_: ROUND_RULES[rule])
+        yield
 
 
 def path5_setup(k, rank=None):
@@ -92,19 +109,21 @@ def test_min_rank_node_always_selected(small_corpus):
             assert first in k_mis(g, k, rank).selected
 
 
-def test_matches_both_references(small_corpus):
-    for g, edges, n in small_corpus[:15]:
-        adj = helpers.adjacency(n, edges)
-        rng = helpers.make_rng("triple", n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rank = Ranking(np.array(perm))
-        for k in (1, 2, 3):
-            u, v, _ = power(g, k).edge_list()
-            adj_k = helpers.adjacency(n, zip(u.tolist(), v.tolist()))
-            ours = k_mis(g, k, rank).selected.tolist()
-            assert ours == helpers.sequential_kmis(adj_k, n, 1, perm)
-            assert ours == helpers.sequential_kmis(adj, n, k, perm)
+@pytest.mark.parametrize("rule", ROUND_RULES)
+def test_matches_both_references(small_corpus, rule):
+    with forced_rounds(rule):
+        for g, edges, n in small_corpus[:15]:
+            adj = helpers.adjacency(n, edges)
+            rng = helpers.make_rng("triple", n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rank = Ranking(np.array(perm))
+            for k in (1, 2, 3):
+                u, v, _ = power(g, k).edge_list()
+                adj_k = helpers.adjacency(n, zip(u.tolist(), v.tolist()))
+                ours = k_mis(g, k, rank).selected.tolist()
+                assert ours == helpers.sequential_kmis(adj_k, n, 1, perm)
+                assert ours == helpers.sequential_kmis(adj, n, k, perm)
 
 
 def test_selection_is_valid(small_corpus):
@@ -116,12 +135,14 @@ def test_selection_is_valid(small_corpus):
             assert helpers.covers_within_k(adj, n, sel, k)
 
 
-def test_worker_count_does_not_change_result(small_corpus, split_every_row):
-    for g, edges, n in small_corpus[:8]:
-        rank = resolve_ranking(g, "random", seed=42)
-        base = k_mis(g, 2, rank, workers=1).selected
-        for workers in (2, 8):
-            assert np.array_equal(k_mis(g, 2, rank, workers=workers).selected, base)
+@pytest.mark.parametrize("rule", ROUND_RULES)
+def test_worker_count_does_not_change_result(small_corpus, split_every_row, rule):
+    with forced_rounds(rule):
+        for g, edges, n in small_corpus[:8]:
+            rank = resolve_ranking(g, "random", seed=42)
+            base = k_mis(g, 2, rank, workers=1).selected
+            for workers in (2, 8):
+                assert np.array_equal(k_mis(g, 2, rank, workers=workers).selected, base)
 
 
 def test_sweeps_below_the_row_floor_stay_off_the_pool(monkeypatch):
@@ -154,9 +175,10 @@ def test_relabeling_equivariance():
             assert sorted(perm[v] for v in sel_old) == sel_new
 
 
+@pytest.mark.parametrize("rule", ROUND_RULES)
 @given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_agrees_with_sequential_reference(data):
+def test_agrees_with_sequential_reference(rule, data):
     n = data.draw(st.integers(2, 16))
     edges = data.draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
@@ -165,8 +187,72 @@ def test_agrees_with_sequential_reference(data):
     perm = data.draw(st.permutations(range(n)))
     g = build(edges, n=n)
     adj = helpers.adjacency(n, edges)
-    got = k_mis(g, k, Ranking(np.array(perm))).selected.tolist()
+    with forced_rounds(rule):
+        got = k_mis(g, k, Ranking(np.array(perm))).selected.tolist()
     assert got == helpers.sequential_kmis(adj, n, k, perm)
+
+
+STRUCTURED = {
+    "path100": (helpers.path_edges(100), 100),
+    "path400": (helpers.path_edges(400), 400),
+    "cycle150": (helpers.cycle_edges(150), 150),
+    "cycle399": (helpers.cycle_edges(399), 399),
+    "grid10x10": (helpers.grid_edges(10, 10), 100),
+    "grid20x20": (helpers.grid_edges(20, 20), 400),
+    "grid12x30": (helpers.grid_edges(12, 30), 360),
+}
+
+
+@pytest.mark.parametrize("rule", [None, *ROUND_RULES])
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_long_graphs_match_sequential_reference(name, rule):
+    edges, n = STRUCTURED[name]
+    g = build(edges, n=n)
+    adj = helpers.adjacency(n, edges)
+    perm = list(range(n))
+    helpers.make_rng("long", name).shuffle(perm)
+    rankings = [perm] if name.startswith(("path", "cycle")) else [perm, list(range(n))]
+    with forced_rounds(rule):
+        for rank in rankings:
+            for k in (1, 2, 3, 4):
+                got = k_mis(g, k, Ranking(np.array(rank))).selected.tolist()
+                assert got == helpers.sequential_kmis(adj, n, k, rank), (k, rank[:3])
+
+
+def test_local_rounds_sweep_row_subsets_and_pick_as_full_floods(monkeypatch):
+    g = build(helpers.grid_edges(40, 40))
+    rank = resolve_ranking(g, "id")
+    full_sweeps = []
+
+    def spy(*args, **kwargs):
+        full_sweeps.append(kwargs.get("rows") is None)
+        return neighbor_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(kcoarsen.kmis, "neighbor_reduce", spy)
+    ours = k_mis(g, 2, rank)
+    local_made = full_sweeps.count(False), full_sweeps.count(True)
+    full_sweeps.clear()
+    with forced_rounds("all_full"):
+        full = k_mis(g, 2, rank)
+    assert local_made[0] > 0
+    assert local_made[1] < full_sweeps.count(True)
+    assert np.array_equal(ours.selected, full.selected)
+    assert ours.rounds == full.rounds
+
+
+@pytest.mark.parametrize("rule", [None, *ROUND_RULES])
+def test_trace_records_every_round(small_corpus, rule):
+    graphs = [(g, n) for g, _, n in small_corpus[:10]]
+    graphs.append((build(helpers.grid_edges(20, 20)), 400))
+    with forced_rounds(rule):
+        for g, n in graphs:
+            for k in (1, 2, 3):
+                trace = []
+                res = k_mis(g, k, resolve_ranking(g, "id"), trace=trace)
+                assert len(trace) == res.rounds
+                assert sum(r["chosen"] for r in trace) == res.selected.size
+                assert sum(r["retired"] for r in trace) == n
+                assert all(0 < r["region"] <= n for r in trace)
 
 
 def test_repeat_runs_identical(small_corpus):
