@@ -194,8 +194,8 @@ def _id_columns(path: Path, more: bool) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
-                    k: int) -> tuple[CoarsenedGraph, KMisResult]:
+def _read_artifacts(artifacts: Path, g: Graph,
+                    original_ids: np.ndarray) -> CoarsenedGraph:
     """Rebuild a coarsening from files written by cmd_coarsen.
 
     Raises ValueError unless the centroid rows carry coarse indices
@@ -234,9 +234,8 @@ def _read_artifacts(artifacts: Path, g: Graph, original_ids: np.ndarray,
     coarse_graph = _build_arrays(ends[:, 0], ends[:, 1], w, centroids.size)
     partition = Partition(assignment=assignment,
                           cluster_count=int(centroids.size))
-    h = CoarsenedGraph(graph=coarse_graph, centroids=centroids,
-                       provenance=partition)
-    return h, KMisResult(selected=centroids.copy(), rounds=0, k=k)
+    return CoarsenedGraph(graph=coarse_graph, centroids=centroids,
+                          provenance=partition)
 
 
 def cmd_verify(args) -> int:
@@ -246,9 +245,9 @@ def cmd_verify(args) -> int:
                        seed=args.seed, threads=args.threads, pairs=args.pairs,
                        artifacts=args.artifacts)
     g, original_ids = load(args.input, format=args.format)
+    result = None
     if args.artifacts:
-        h, result = _read_artifacts(Path(args.artifacts), g, original_ids,
-                                    args.k)
+        h = _read_artifacts(Path(args.artifacts), g, original_ids)
     else:
         ranking = "const" if args.k == 0 else _resolve_rank_spec(
             g, args.rank, k=args.k, seed=args.seed, workers=args.threads)

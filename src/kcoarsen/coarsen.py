@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from ._propagate import flood, neighbor_reduce, sorted_unique
-from .graph import Graph, NodeWeights, _build_arrays
+from .graph import Graph, _build_arrays, as_node_weights
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
 
@@ -164,9 +164,9 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
 
     node_values = None
     if node_weights is not None:
-        x = NodeWeights.coerce(node_weights, g.n).values
+        x = as_node_weights(node_weights, g.n)
         if node_agg == "keep_centroid":
-            node_values = x[centroids].copy()
+            node_values = x[centroids]
         else:
             node_values = _aggregate(x, node_cluster, nc, node_agg, "node")
 
@@ -218,9 +218,7 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
         identity = np.arange(g.n, dtype=np.int64)
         partition = Partition(assignment=identity.copy(), cluster_count=g.n)
         result = KMisResult(selected=identity.copy(), rounds=0, k=0)
-        node_values = None
-        if weights is not None:
-            node_values = NodeWeights.coerce(weights, g.n).values.copy()
+        node_values = None if weights is None else as_node_weights(weights, g.n)
         coarse = CoarsenedGraph(graph=g, centroids=identity,
                                 provenance=partition, node_values=node_values)
         if timings is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
     "DEFAULT_ORACLE_CAP",
     "Graph",
     "GraphFormatError",
-    "NodeWeights",
+    "as_node_weights",
     "bfs",
     "build",
     "connected_components",
@@ -85,9 +86,12 @@ class Graph:
             if arr is not None:
                 arr.setflags(write=False)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        """Read-only per-node neighbor counts, computed once."""
+        degrees = np.diff(self.indptr)
+        degrees.setflags(write=False)
+        return degrees
 
     @property
     def weighted(self) -> bool:
@@ -118,41 +122,17 @@ class Graph:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class NodeWeights:
-    """Finite, strictly positive per-node weights."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("node weights must be one-dimensional")
-        if values.size and not np.all((values > 0) & np.isfinite(values)):
-            raise ValueError("node weights must be finite and strictly positive")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def ones(cls, n: int) -> "NodeWeights":
-        return cls(np.ones(n))
-
-    @classmethod
-    def uniform(cls, n: int, low: float = 1.0, high: float = 100.0,
-                seed=0) -> "NodeWeights":
-        rng = np.random.default_rng(seed)
-        return cls(rng.uniform(low, high, n))
-
-    @classmethod
-    def coerce(cls, obj, n: int) -> "NodeWeights":
-        """Wrap an array-like as NodeWeights and check its length."""
-        w = obj if isinstance(obj, cls) else cls(np.asarray(obj, dtype=np.float64))
-        if len(w) != n:
-            raise ValueError(f"expected {n} node weights, got {len(w)}")
-        return w
+def as_node_weights(values, n: int) -> np.ndarray:
+    """`values` as a read-only float64 copy of n finite, positive node weights."""
+    x = np.array(values, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("node weights must be one-dimensional")
+    if not np.all((x > 0) & np.isfinite(x)):
+        raise ValueError("node weights must be finite and strictly positive")
+    if x.size != n:
+        raise ValueError(f"expected {n} node weights, got {x.size}")
+    x.setflags(write=False)
+    return x
 
 
 def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,

@@ -66,7 +66,8 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
 
     When `trace` is a list, each round appends a dict of its `active`,
     `chosen` and `retired` node counts and its `region`: the rows whose
-    labels it recomputed, n on a full flood.
+    labels it recomputed, n on a full flood.  A round that picks no node,
+    which only wrong labels can cause, raises RuntimeError.
     """
     if k < 1:
         raise ValueError("k_mis requires k >= 1")
@@ -77,7 +78,6 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
     # the rank of an active node, else the sentinel, so only an active node
     # can see its own rank as its label
     values = rank.copy()
-    active = np.ones(n, dtype=bool)
     in_set = np.zeros(n, dtype=bool)
     hop = np.full(n, -1, dtype=np.int64)
     scratch = np.empty(n, dtype=np.int64)
@@ -105,23 +105,23 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
                 got = neighbor_reduce(g, src, "min", sentinel, rows=rows)
                 src = scratch
                 src[rows] = got
-            label[rows] = got
             picks = rows[got == rank[rows]]
+        if not picks.size:
+            raise RuntimeError(f"k_mis round {rounds} picked no node")
         in_set[picks] = True
         seeds = np.zeros(n, dtype=np.int8)
         seeds[picks] = 1
         for covered in flood(g, seeds, "max", np.int8(0), k, neighbor_reduce,
                              workers):
             pass
-        retired = np.flatnonzero(active & (covered != 0))
+        retired = np.flatnonzero((values < sentinel) & (covered != 0))
         if trace is not None:
             trace.append({"active": remaining, "chosen": int(picks.size),
                           "retired": int(retired.size),
                           "region": n if region is None else int(nodes.size)})
-        active[retired] = False
         values[retired] = sentinel
         remaining -= retired.size
-        retired_slots = int(_slots(g, retired).sum())
+        retired_slots = int(g.degrees[retired].sum())
         active_slots -= retired_slots
     return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds, k=k)
 
@@ -137,10 +137,6 @@ LOCAL_EDGE_SHARE = 0.25
 def _local_budget(total_slots: int, active_slots: int) -> float:
     """Edge slots past which a round floods all active ranks instead."""
     return min(LOCAL_EDGE_SHARE * total_slots, active_slots)
-
-
-def _slots(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    return g.indptr[nodes + 1] - g.indptr[nodes]
 
 
 def _region(g: Graph, retired: np.ndarray, slots: int, radius: int,
@@ -160,7 +156,7 @@ def _region(g: Graph, retired: np.ndarray, slots: int, radius: int,
         shell = near[hop[near] < 0]
         hop[shell] = len(shells)
         shells.append(shell)
-        slots += _slots(g, shell).sum()
+        slots += g.degrees[shell].sum()
         if slots > budget:
             for shell in shells:
                 hop[shell] = -1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DEFAULT_ORACLE_CAP, Graph, NodeWeights, power
+from .graph import DEFAULT_ORACLE_CAP, Graph, as_node_weights, power
 from .kmis import k_mis
 from .ranking import resolve_ranking, walk_counts
 
@@ -44,7 +44,7 @@ def sequential_greedy_mwis(g: Graph, weights, rule: str = "degree_rule"
     ----------
     g : Graph
         The instance; for k-independence baselines pass power(g, k).
-    weights : array-like or NodeWeights
+    weights : array-like
         Strictly positive node weights x.
     rule : str
         'degree_rule' picks argmax x_v / (deg(v) + 1); 'weight_rule'
@@ -59,12 +59,12 @@ def sequential_greedy_mwis(g: Graph, weights, rule: str = "degree_rule"
     """
     if rule not in RULES:
         raise ValueError(f"unknown greedy rule {rule!r}")
-    x = NodeWeights.coerce(weights, g.n).values
+    x = as_node_weights(weights, g.n)
     n = g.n
     adj = [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(n)]
     xs = x.tolist()
     alive = [True] * n
-    deg = np.diff(g.indptr).tolist()
+    deg = g.degrees.tolist()
     wsum = [xs[v] + sum(xs[u] for u in adj[v]) for v in range(n)]
     version = [0] * n
 
@@ -105,7 +105,7 @@ def exact_mwis(g: Graph, weights) -> tuple[np.ndarray, float]:
     n = g.n
     if n > EXACT_MWIS_CAP:
         raise ValueError(f"exact_mwis handles at most {EXACT_MWIS_CAP} nodes, got {n}")
-    x = NodeWeights.coerce(weights, g.n).values.tolist()
+    x = as_node_weights(weights, g.n).tolist()
     if n == 0:
         return np.empty(0, dtype=np.int64), 0.0
     closed = []
@@ -205,26 +205,25 @@ def compare(g: Graph, k: int, rule: str, trials: int = 10,
     if trials < 1:
         raise ValueError("compare requires at least one trial")
     gk = power(g, k, oracle_cap)
-    walk_ones = walk_counts(g, NodeWeights.ones(g.n), k, workers)
+    walk_ones = walk_counts(g, np.ones(g.n), k, workers)
     delta_k = float(walk_ones.max()) if g.n else 0.0
     run_exact = g.n <= EXACT_MWIS_CAP
 
     rows: list[TrialResult] = []
     violations: list[str] = []
     for trial in range(trials):
-        x = NodeWeights.uniform(g.n, weight_low, weight_high,
-                                seed=[seed, trial])
+        x = np.random.default_rng([seed, trial]).uniform(weight_low, weight_high, g.n)
         greedy = sequential_greedy_mwis(gk, x, rule)
-        greedy_weight = float(x.values[greedy].sum())
+        greedy_weight = float(x[greedy].sum())
         spec = {"degree_rule": "kdeg", "weight_rule": "kweight"}[rule]
         ranking = resolve_ranking(g, spec, k=k, weights=x, workers=workers)
         if rule == "degree_rule":
-            bound_rhs = float((x.values / walk_ones).sum())
+            bound_rhs = float((x / walk_ones).sum())
         else:
             walk_x = walk_counts(g, x, k, workers)
-            bound_rhs = float((x.values * x.values / walk_x).sum())
+            bound_rhs = float((x * x / walk_x).sum())
         ours = k_mis(g, k, ranking, workers=workers)
-        ours_weight = float(x.values[ours.selected].sum())
+        ours_weight = float(x[ours.selected].sum())
 
         slack = _REL_SLACK * max(1.0, abs(bound_rhs))
         if ours_weight + slack < bound_rhs:

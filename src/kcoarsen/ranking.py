@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._propagate import neighbor_reduce
-from .graph import Graph, NodeWeights, data_lines
+from .graph import Graph, as_node_weights, data_lines
 
 __all__ = ["Ranking", "load_scores", "resolve_ranking", "walk_counts"]
 
@@ -36,10 +36,6 @@ class Ranking:
         rank = np.asarray(self.rank, dtype=np.int64)
         rank.setflags(write=False)
         object.__setattr__(self, "rank", rank)
-
-    @property
-    def n(self) -> int:
-        return self.rank.size
 
     def validate(self, n: int) -> None:
         if self.rank.shape != (n,):
@@ -67,8 +63,7 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("walk_counts requires k >= 0")
-    x = NodeWeights.coerce(weights, g.n)
-    vec = x.values.copy()
+    vec = as_node_weights(weights, g.n)
     # overflow is reported below as a ValueError, not as a numpy warning
     with np.errstate(over="ignore"):
         for _ in range(k):
@@ -119,10 +114,9 @@ def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
     if spec in ("kdeg", "kweight"):
         if k is None or k < 1:
             raise ValueError(f"ranking {spec!r} requires k >= 1")
-        x = NodeWeights.ones(g.n) if weights is None else NodeWeights.coerce(weights, g.n)
-        walk = walk_counts(g, NodeWeights.ones(g.n) if spec == "kdeg" else x,
-                           k, workers)
-        return Ranking.from_scores(-(x.values / walk))
+        x = np.ones(g.n) if weights is None else as_node_weights(weights, g.n)
+        walk = walk_counts(g, np.ones(g.n) if spec == "kdeg" else x, k, workers)
+        return Ranking.from_scores(-(x / walk))
     if spec == "random":
         return Ranking(np.random.default_rng(seed).permutation(g.n))
     return Ranking(np.arange(g.n, dtype=np.int64))

@@ -17,7 +17,6 @@ can show all witnesses at once.  The guarantees checked here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -65,10 +64,16 @@ class _Checked:
 
 @dataclass
 class DistortionReport(_Checked):
-    """Distance evidence: realized coarse-edge spans and sampled pairs."""
+    """Distance evidence: realized coarse-edge spans and sampled pairs.
 
-    per_coarse_edge: list[tuple[int, int, int]] = field(default_factory=list)
-    per_pair_sample: list[tuple[int, int, int, int]] = field(default_factory=list)
+    `per_coarse_edge` holds int64 rows (a, b, d_G(a, b)) and
+    `per_pair_sample` int64 rows (u, v, d_G(u, v), d_H(c(u), c(v))).
+    """
+
+    per_coarse_edge: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 3), dtype=np.int64))
+    per_pair_sample: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 4), dtype=np.int64))
     violations: list[Violation] = field(default_factory=list)
 
 
@@ -102,7 +107,7 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
     ci, cj, _ = hg.edge_list()
     a, b = h.centroids[ci], h.centroids[cj]
     d = bfs(g, a, b, max_depth=upper + 1)
-    report.per_coarse_edge = list(zip(a.tolist(), b.tolist(), d.tolist()))
+    report.per_coarse_edge = np.stack([a, b, d], axis=1)
     for i in np.flatnonzero((d == g.n) | (d < lower) | (d > upper)).tolist():
         observed = float("inf") if d[i] == g.n else float(d[i])
         report.violations.append(Violation(
@@ -175,8 +180,8 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     src, dst, dg = src[dg < n], dst[dg < n], dg[dg < n]
     dh = bfs(hg, coarse_of[src], coarse_of[dst])
 
-    report.per_pair_sample = list(zip(*(x[:MAX_RECORDED_PAIRS].tolist()
-                                        for x in (src, dst, dg, dh))))
+    report.per_pair_sample = np.stack([x[:MAX_RECORDED_PAIRS]
+                                       for x in (src, dst, dg, dh)], axis=1)
     # an unreachable centroid pair breaks the lower bound at any distance
     reachable = dh < hg.n
     observed_h = np.where(reachable, dh, np.inf)
@@ -276,8 +281,8 @@ class VerificationReport:
     def to_text(self) -> str:
         parts = ["[meta]\n", f"k,{self.k}\n",
                  f"status,{'pass' if self.passed else 'fail'}\n",
-                 "[edge_bounds]\n", _csv(self.edge_bounds.per_coarse_edge, 3),
-                 "[pairs]\n", _csv(self.distortion.per_pair_sample, 4),
+                 "[edge_bounds]\n", _csv(self.edge_bounds.per_coarse_edge),
+                 "[pairs]\n", _csv(self.distortion.per_pair_sample),
                  "[components]\n",
                  f"{self.components.graph_components},"
                  f"{self.components.coarse_components}\n",
@@ -307,14 +312,10 @@ class VerificationReport:
             sections[current].append(line)
         meta = dict(line.split(",", 1) for line in sections.get("meta", []))
         k = int(meta["k"])
-        edge_bounds = DistortionReport()
-        for line in sections.get("edge_bounds", []):
-            a, b, d = (int(x) for x in line.split(","))
-            edge_bounds.per_coarse_edge.append((a, b, d))
-        distortion = DistortionReport()
-        for line in sections.get("pairs", []):
-            u, v, dg, dh = (int(x) for x in line.split(","))
-            distortion.per_pair_sample.append((u, v, dg, dh))
+        edge_bounds = DistortionReport(
+            per_coarse_edge=_int_rows(sections.get("edge_bounds", []), 3))
+        distortion = DistortionReport(
+            per_pair_sample=_int_rows(sections.get("pairs", []), 4))
         comp_lines = sections.get("components", ["0,0"])
         g_count, h_count = (int(x) for x in comp_lines[0].split(","))
         components = ComponentReport(graph_components=g_count,
@@ -335,12 +336,15 @@ class VerificationReport:
         return report
 
 
-def _csv(rows: list[tuple[int, ...]], width: int) -> str:
+def _csv(rows: np.ndarray) -> str:
     """Integer rows as comma-separated lines, each distinct value formatted once."""
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
-                       count=len(rows) * width)
-    columns = flat.reshape(-1, width).T
-    return "".join(table_cells(columns, ",").ravel().tolist())
+    return "".join(table_cells(rows.T, ",").ravel().tolist())
+
+
+def _int_rows(lines: list[str], width: int) -> np.ndarray:
+    """Comma-separated integer lines as an int64 array of `width` columns."""
+    return np.array([line.split(",") for line in lines],
+                    dtype=np.int64).reshape(len(lines), width)
 
 
 def verify_reduction(g: Graph, h: CoarsenedGraph, k: int,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kcoarsen.graph
 from kcoarsen import Graph, GraphFormatError, build, load, store
-from kcoarsen.graph import NodeWeights, bfs, connected_components, power
+from kcoarsen.graph import as_node_weights, bfs, connected_components, power
 
 from . import helpers
 
@@ -425,22 +425,22 @@ def test_connected_components_counts(corpus):
 
 def test_node_weights_validation():
     with pytest.raises(ValueError):
-        NodeWeights(np.array([1.0, 0.0]))
+        as_node_weights(np.array([1.0, 0.0]), 2)
     with pytest.raises(ValueError, match="finite"):
-        NodeWeights(np.array([1.0, np.inf]))
+        as_node_weights(np.array([1.0, np.inf]), 2)
     with pytest.raises(ValueError):
-        NodeWeights.coerce([1.0, 2.0], 3)
-    assert NodeWeights.ones(3).values.tolist() == [1.0, 1.0, 1.0]
-
-
-def test_node_weights_uniform_seeded():
-    a = NodeWeights.uniform(5, 1.0, 100.0, seed=7)
-    b = NodeWeights.uniform(5, 1.0, 100.0, seed=7)
-    assert a.values.tolist() == b.values.tolist()
-    assert ((a.values >= 1.0) & (a.values <= 100.0)).all()
+        as_node_weights([1.0, 2.0], 3)
+    assert as_node_weights([1, 1, 1], 3).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_graph_arrays_are_frozen():
     g = build([(0, 1)])
     with pytest.raises(ValueError):
         g.indices[0] = 5
+
+
+def test_degrees_are_computed_once_and_frozen():
+    g = build([(0, 1), (1, 2)])
+    assert g.degrees is g.degrees
+    with pytest.raises(ValueError):
+        g.degrees[0] = 5

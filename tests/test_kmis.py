@@ -263,3 +263,16 @@ def test_repeat_runs_identical(small_corpus):
     assert np.array_equal(a.selected, b.selected)
     assert a.rounds == b.rounds
 
+
+
+def test_round_that_picks_nothing_raises(monkeypatch):
+    # labels off by one on every row-subset round make the local rounds
+    # pick nothing; without a progress check such a round repeats forever
+    def off_by_one(g, values, kind, fill, workers=1, rows=None):
+        out = neighbor_reduce(g, values, kind, fill, workers, rows=rows)
+        return out if rows is None else out + 1
+
+    monkeypatch.setattr(kcoarsen.kmis, "neighbor_reduce", off_by_one)
+    g = build(helpers.grid_edges(20, 20))
+    with pytest.raises(RuntimeError, match="picked no node"):
+        k_mis(g, 2, resolve_ranking(g, "id"))

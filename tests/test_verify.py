@@ -39,7 +39,7 @@ def test_edge_bounds_path5():
     g, h, _ = coarsened_path()
     report = check_edge_bounds(g, h, 1)
     assert report.passed
-    assert sorted(report.per_coarse_edge) == [(0, 2, 2), (2, 4, 2)]
+    assert sorted(map(tuple, report.per_coarse_edge.tolist())) == [(0, 2, 2), (2, 4, 2)]
 
 
 def test_edge_bounds_detect_fabricated_edge():
@@ -86,7 +86,7 @@ def test_distortion_explicit_pairs():
     report = check_distortion(g, h, 1, pairs=[(0, 4), (1, 3)])
     assert report.passed
     assert len(report.per_pair_sample) == 2
-    got = {(u, v): (dg, dh) for u, v, dg, dh in report.per_pair_sample}
+    got = {(u, v): (dg, dh) for u, v, dg, dh in report.per_pair_sample.tolist()}
     assert got[(0, 4)] == (4, 2)
     assert got[(1, 3)] == (2, 1)
 
@@ -113,7 +113,7 @@ def test_distortion_rejects_rows_that_are_not_pairs(pairs):
 def test_distortion_accepts_no_pairs():
     g, h, _ = coarsened_path()
     report = check_distortion(g, h, 1, pairs=[])
-    assert report.passed and report.per_pair_sample == []
+    assert report.passed and report.per_pair_sample.size == 0
 
 
 def violations(report):
@@ -129,10 +129,10 @@ def assert_checks_match_reference(g, h, k, work, **kwargs):
     index = {c: i for i, c in enumerate(h.centroids.tolist())}
     coarse_of = [index[a] for a in h.provenance.assignment.tolist()]
     edges = check_edge_bounds(g, h, k)
-    assert (edges.per_coarse_edge, violations(edges)) == \
+    assert (list(map(tuple, edges.per_coarse_edge.tolist())), violations(edges)) == \
         helpers.edge_bounds_reference(adj, h.centroids.tolist(), coarse_adj, k)
     pairs = check_distortion(g, h, k, **kwargs)
-    assert (pairs.per_pair_sample, violations(pairs)) == \
+    assert (list(map(tuple, pairs.per_pair_sample.tolist())), violations(pairs)) == \
         helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
 
 
@@ -230,7 +230,7 @@ def test_distortion_skips_cross_component_pairs():
     h, part, res = coarsen_pipeline(g, 1, ranking="id")
     report = check_distortion(g, h, 1, pairs=[(0, 2)])
     assert report.passed
-    assert report.per_pair_sample == []
+    assert report.per_pair_sample.size == 0
 
 
 def test_distortion_sampling_is_seeded():
@@ -238,7 +238,7 @@ def test_distortion_sampling_is_seeded():
     h, part, res = coarsen_pipeline(g, 1, ranking="id")
     a = check_distortion(g, h, 1, sample_pairs=40, seed=5)
     b = check_distortion(g, h, 1, sample_pairs=40, seed=5)
-    assert a.per_pair_sample == b.per_pair_sample
+    assert np.array_equal(a.per_pair_sample, b.per_pair_sample)
 
 
 def test_components_preserved():
@@ -352,6 +352,21 @@ def test_report_round_trip_with_violations():
     assert [v.kind for _, v in back.all_violations()] == [
         v.kind for _, v in report.all_violations()
     ]
+
+
+def test_report_evidence_is_int64_rows():
+    g, h, res = coarsened_path(9, 2)
+    report = verify_reduction(g, h, 2, result=res)
+    back = VerificationReport.from_text(report.to_text())
+    for r in (report, back):
+        assert r.edge_bounds.per_coarse_edge.dtype == np.int64
+        assert r.edge_bounds.per_coarse_edge.shape == (2, 3)
+        assert r.distortion.per_pair_sample.dtype == np.int64
+        assert r.distortion.per_pair_sample.shape == (36, 4)
+    assert np.array_equal(back.edge_bounds.per_coarse_edge,
+                          report.edge_bounds.per_coarse_edge)
+    assert np.array_equal(back.distortion.per_pair_sample,
+                          report.distortion.per_pair_sample)
 
 
 def test_report_text_sections():
