@@ -4,13 +4,18 @@ One round computes, for every node v,
 
     out[v] = op(values[v], op over values[u] for u in neighbors(v))
 
-reading a frozen input buffer and writing a fresh output buffer.  Nodes
-are split into contiguous chunks (one per worker, ROWS_PER_CHUNK rows at
-least); because chunk boundaries never cut a neighbor list and every
-chunk reads only the previous buffer, results are bit-identical for any
-worker count.  A round that splits runs its chunks on a thread pool of
-`workers` threads, made on first use and kept for the process.  A round
-may also recompute only a given subset of rows.
+reading a frozen input buffer and writing a fresh output buffer.  A full
+min, max or or round reads the graph's jagged-diagonal layout (`Jagged`:
+Saad's JDS format, rows sorted by degree as in Kreutzer et al.'s
+SELL-C-sigma): it gathers each row's own value, folds in one neighbor
+column at a time, a gather and an in-place ufunc each, then the long
+rows' remaining neighbors by one reduceat, and scatters the rows back to
+node order.  A full sum round (walk counts) reduces each neighbor list
+by reduceat, which keeps its float addition order.  A round may also
+recompute only a given subset of rows.  Every round runs on the calling
+thread: on a 2-core x86 box a jagged sweep split over two threads ran
+0.84-1.46x as fast as one thread at 60k rows and 0.86-2.06x at 1M rows,
+by how busy the host kept the second core.
 
 `flood` repeats min, max or bitwise-or rounds up to a step cap or a fixed
 point.  Under these idempotent kinds a node can change only next to one
@@ -22,10 +27,7 @@ PPoPP 2013).
 
 from __future__ import annotations
 
-import contextvars
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -35,29 +37,21 @@ if TYPE_CHECKING:  # graph.py imports this module
 _UFUNCS = {"min": np.minimum, "max": np.maximum, "sum": np.add,
            "or": np.bitwise_or}
 
-# On a 2-core x86 box a sweep ran 0.2-0.75x as fast on 2 workers as on 1 at
-# 3k-8k rows, and 1.0-1.5x at 10k-60k rows.
-ROWS_PER_CHUNK = 8192
+# A jagged column must span this many rows; shorter ones go to the reduceat
+# tail.  Per sweep, social (3k rows, max degree 135) took 0.092 ms with a
+# floor of 16 rows, 0.053 ms at 256 and 0.070 ms with no column at all;
+# mesh, uniform (60k rows) and a 1M-node graph varied under 15% over 16-1024.
+COLUMN_MIN_ROWS = 256
 
 # A flood round sweeps every row when the last frontier held more than this
-# share of the edge slots, else only the rows next to it.  On a 400x300 grid
-# the distortion check took 5.5 s at 0.01, 4.4 s at 0.05, 9.0 s at 0.2 and
-# 10.6 s with sparse levels only (5.0 s with one search per source).
-DENSE_EDGE_SHARE = 0.05
-
-
-# One pool per worker count, kept for the process, so a select or a
-# cluster does not start and join threads on every call.
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` threads, made on first use."""
-    with _POOLS_LOCK:
-        if workers not in _POOLS:
-            _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
-        return _POOLS[workers]
+# share of the edge slots, else only the rows next to it.  With jagged
+# sweeps, cluster and check_kmis_validity on a 60k-node random graph took
+# 6.5 ms at 0.05 and 3.6-3.9 ms at 0.01-0.04, where their first round
+# sweeps in full, and cluster on a 1M-node one 170-200 ms at 0.05 and
+# 140-170 ms at 0.03; a 400x300 grid's distortion check took 1.9-2.3 s at
+# every share from 0.01 to 0.1.  (Over reduceat sweeps that check took
+# 10.6 s with sparse levels only, and 5.0 s with one search per source.)
+DENSE_EDGE_SHARE = 0.03
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -85,64 +79,90 @@ def next_to(g: Graph, nodes: np.ndarray) -> np.ndarray:
                                                  g.indptr[nodes + 1] - starts)])
 
 
-def _reduce_segments(own, gathered, nonempty, offsets, ufunc, fill, out):
+class Jagged(NamedTuple):
+    """A graph's rows in jagged-diagonal form, by descending degree.
+
+    `order` lists the rows by descending degree, ties by id.
+    ``columns[c]`` holds the c-th neighbor of each row of
+    ``order[:columns[c].size]``, the rows of more than c neighbors; a
+    column is kept while it spans COLUMN_MIN_ROWS rows.  The neighbors
+    past the last column, of the rows ``order[:tail_starts.size - 1]``,
+    follow one another in `tail`, those of ``order[i]`` from
+    ``tail_starts[i]``.
+    """
+
+    order: np.ndarray
+    columns: tuple[np.ndarray, ...]
+    tail: np.ndarray
+    tail_starts: np.ndarray
+
+
+def jagged_layout(g: Graph) -> Jagged:
+    """The jagged-diagonal layout of g's rows (see `Jagged`)."""
+    order = np.argsort(-g.degrees, kind="stable")
+    lengths = g.degrees[order]
+    starts = g.indptr[order]
+    # over[c]: the rows of more than c neighbors, a prefix of `order`
+    over = g.n - np.cumsum(np.bincount(g.degrees, minlength=1))
+    width = int(np.count_nonzero(over >= COLUMN_MIN_ROWS))
+    columns = tuple(g.indices[starts[:over[c]] + c] for c in range(width))
+    extra = lengths[:over[width]] - width
+    return Jagged(order=order, columns=columns,
+                  tail=g.indices[concat_ranges(starts[:extra.size] + width, extra)],
+                  tail_starts=np.concatenate([[0], np.cumsum(extra)]))
+
+
+def _jagged_sweep(layout: Jagged, values, ufunc) -> np.ndarray:
+    """A full round of `ufunc` over the rows of `layout`."""
+    acc = values[layout.order]
+    for column in layout.columns:
+        head = acc[:column.size]
+        ufunc(head, values[column], out=head)
+    starts = layout.tail_starts
+    if starts.size > 1:  # every tail row holds a neighbor, as reduceat needs
+        head = acc[:starts.size - 1]
+        ufunc(head, ufunc.reduceat(values[layout.tail], starts[:-1]), out=head)
+    out = np.empty_like(values)
+    out[layout.order] = acc
+    return out
+
+
+def _reduce_segments(own, gathered, lengths, ufunc, fill, out):
     # reduceat misbehaves on empty rows (stray element for interior ones,
     # IndexError for trailing ones), so it reduces the nonempty rows only;
     # their starts are consecutive positions in `gathered`, which makes
     # each reduceat segment exactly one neighbor list.
+    nonempty = np.flatnonzero(lengths)
     seg = np.full(own.size, fill, dtype=own.dtype)
     if nonempty.size:
-        seg[nonempty] = ufunc.reduceat(gathered, offsets)
+        seg[nonempty] = ufunc.reduceat(gathered,
+                                       (np.cumsum(lengths) - lengths)[nonempty])
     return ufunc(own, seg, out=out)
 
 
-def _reduce_rows(g: Graph, values, out, ufunc, fill, lo: int, hi: int):
-    start = g.indptr[lo]
-    gathered = values[g.indices[start:g.indptr[hi]]]
-    nonempty = np.flatnonzero(g.indptr[lo + 1:hi + 1] > g.indptr[lo:hi])
-    offsets = g.indptr[lo:hi][nonempty] - start
-    _reduce_segments(values[lo:hi], gathered, nonempty, offsets, ufunc, fill,
-                     out[lo:hi])
-
-
 def neighbor_reduce(g: Graph, values: np.ndarray, kind: str, fill,
-                    workers: int = 1,
                     rows: np.ndarray | None = None) -> np.ndarray:
     """One reduction round; `fill` must be the identity of the op.
 
     `kind` is "min", "max", "sum" or "or" (bitwise, on unsigned masks).
-    With `rows`, sorted int64 node ids, only those rows are recomputed,
-    inline: the result holds one entry per row, equal to the full
-    round's entries at `rows`.
+    With `rows`, sorted int64 node ids, only those rows are recomputed:
+    the result holds one entry per row, equal to the full round's
+    entries at `rows`.
     """
     ufunc = _UFUNCS[kind]
     if rows is not None:
         lengths = g.indptr[rows + 1] - g.indptr[rows]
         gathered = values[g.indices[concat_ranges(g.indptr[rows], lengths)]]
-        nonempty = np.flatnonzero(lengths)
-        offsets = (np.cumsum(lengths) - lengths)[nonempty]
-        return _reduce_segments(values[rows], gathered, nonempty, offsets,
-                                ufunc, fill, None)
-    out = np.empty_like(values)
-    chunks = max(min(workers, g.n // ROWS_PER_CHUNK), 1)
-    if chunks == 1:
-        _reduce_rows(g, values, out, ufunc, fill, 0, g.n)
-        return out
-    bounds = np.linspace(0, g.n, chunks + 1).astype(np.int64)
-    pool = _pool(workers)
-    # run in a copy of the caller's context, so its np.errstate holds
-    futures = [
-        pool.submit(contextvars.copy_context().run, _reduce_rows, g,
-                    values, out, ufunc, fill, bounds[i], bounds[i + 1])
-        for i in range(chunks)
-    ]
-    for future in futures:
-        future.result()
-    return out
+        return _reduce_segments(values[rows], gathered, lengths, ufunc, fill,
+                                None)
+    if kind != "sum":
+        return _jagged_sweep(g.jagged, values, ufunc)
+    return _reduce_segments(values, values[g.indices], g.degrees, ufunc, fill,
+                            None)
 
 
 def flood(g: Graph, values: np.ndarray, kind: str, fill, steps: int | None,
-          sweep, workers: int = 1):
+          sweep):
     """Yield `values`, then the state after each round that changes it.
 
     Runs rounds of an idempotent `kind` ("min", "max" or "or") until
@@ -159,7 +179,7 @@ def flood(g: Graph, values: np.ndarray, kind: str, fill, steps: int | None,
     frontier = np.flatnonzero(values != fill)
     for _ in range(g.n if steps is None else steps):
         if degrees[frontier].sum() > DENSE_EDGE_SHARE * g.indptr[-1]:
-            nxt = sweep(g, values, kind, fill, workers)
+            nxt = sweep(g, values, kind, fill)
             frontier = np.flatnonzero(nxt != values)
             values = nxt
         else:

@@ -80,8 +80,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seed for random rankings and sampling")
     parser.add_argument("--threads", type=_thread_count,
                         default=os.cpu_count() or 1,
-                        help="worker count, capped at the CPU count; results "
-                             "do not depend on it")
+                        help="worker count, capped at the CPU count and "
+                             "recorded; every sweep runs on one thread, so "
+                             "results do not depend on it")
 
 
 def _build_parser() -> argparse.ArgumentParser:

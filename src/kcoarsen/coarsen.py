@@ -99,7 +99,8 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
 
     `result.selected` must be a maximal k-independent set of g under
     `ranking`; mismatched inputs surface as uncovered nodes or centroids
-    assigned away from themselves, both rejected here.
+    assigned away from themselves, both rejected here.  `workers` is
+    accepted and unused: every sweep runs on the calling thread.
     """
     if k < 0:
         raise ValueError("cluster requires k >= 0")
@@ -112,7 +113,7 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
     sentinel = np.int64(n)
     seeds = np.full(n, sentinel, dtype=np.int64)
     seeds[selected] = rank[selected]
-    for label in flood(g, seeds, "min", sentinel, k, neighbor_reduce, workers):
+    for label in flood(g, seeds, "min", sentinel, k, neighbor_reduce):
         pass
     if (label == sentinel).any():
         raise ValueError("selected set does not cover the graph within k hops")
@@ -148,18 +149,24 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
     lookup[centroids] = np.arange(nc, dtype=np.int64)
     node_cluster = lookup[partition.assignment]
 
+    # Each temporary is dropped once used: this sets the peak memory of a
+    # coarsen run on large inputs.  Crossing edges keep edge_list order,
+    # so weights sum in the same order.
     u, v, w = g.edge_list()
-    cu = node_cluster[u]
-    cv = node_cluster[v]
-    wt = w if w is not None else np.ones(u.size, dtype=np.float64)
-    cross = cu != cv
-
-    a = np.minimum(cu[cross], cv[cross])
-    b = np.maximum(cu[cross], cv[cross])
-    cw = wt[cross]
-    key = a * np.int64(max(nc, 1)) + b
+    cu, cv = node_cluster[u], node_cluster[v]
+    del u, v
+    cross = np.flatnonzero(cu != cv)
+    cu, cv = cu[cross], cv[cross]
+    cw = np.ones(cross.size) if w is None else w[cross]
+    del w, cross
+    key = np.minimum(cu, cv)
+    key *= max(nc, 1)
+    key += np.maximum(cu, cv)
+    del cu, cv
     uniq, inverse = np.unique(key, return_inverse=True)
+    del key
     agg = _aggregate(cw, inverse, uniq.size, edge_agg, "edge")
+    del cw, inverse
     coarse = _build_arrays(uniq // max(nc, 1), uniq % max(nc, 1), agg, nc)
 
     node_values = None

@@ -67,7 +67,8 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
     When `trace` is a list, each round appends a dict of its `active`,
     `chosen` and `retired` node counts and its `region`: the rows whose
     labels it recomputed, n on a full flood.  A round that picks no node,
-    which only wrong labels can cause, raises RuntimeError.
+    which only wrong labels can cause, raises RuntimeError.  `workers`
+    is accepted and unused: every sweep runs on the calling thread.
     """
     if k < 1:
         raise ValueError("k_mis requires k >= 1")
@@ -93,8 +94,7 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
             region = _region(g, retired, retired_slots, 2 * k - 1, hop,
                              _local_budget(total_slots, active_slots))
         if region is None:
-            for label in flood(g, values, "min", sentinel, k, neighbor_reduce,
-                               workers):
+            for label in flood(g, values, "min", sentinel, k, neighbor_reduce):
                 pass
             picks = np.flatnonzero(label == rank)
         else:
@@ -111,8 +111,7 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
         in_set[picks] = True
         seeds = np.zeros(n, dtype=np.int8)
         seeds[picks] = 1
-        for covered in flood(g, seeds, "max", np.int8(0), k, neighbor_reduce,
-                             workers):
+        for covered in flood(g, seeds, "max", np.int8(0), k, neighbor_reduce):
             pass
         retired = np.flatnonzero((values < sentinel) & (covered != 0))
         if trace is not None:
@@ -128,9 +127,10 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
 
 # A local round may grow its region to LOCAL_EDGE_SHARE of the edge slots,
 # and never beyond the active nodes' slots, which a full flood starts from.
-# On a 120x100 grid (kdeg, k=2) this kept 99 of 111 rounds local; a flat
-# 0.05 share kept 25 and ran 2.1x as long.  The active-slot bound keeps a
-# random graph's late rounds, whose full floods are already sparse, full.
+# With jagged full sweeps, on a 120x100 grid (kdeg, k=2) every share from
+# 0.1 to 0.5 kept 99 of 111 rounds local; a flat 0.05 share kept 25 and ran
+# 1.5-1.7x as long.  The active-slot bound keeps a random graph's late
+# rounds, whose full floods are already sparse, full.
 LOCAL_EDGE_SHARE = 0.25
 
 

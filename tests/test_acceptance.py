@@ -142,7 +142,7 @@ def test_criterion_2_validity(corpus, fixture_graphs):
     assert ok
 
 
-def test_criterion_3_determinism_and_relabeling(corpus, split_every_row):
+def test_criterion_3_determinism_and_relabeling(corpus):
     """Worker count never changes output; relabeling commutes with it."""
     mismatches = 0
     for gi, (g, edges, n) in enumerate(corpus[:50]):

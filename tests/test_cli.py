@@ -5,12 +5,10 @@ import json
 import os
 import re
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-import kcoarsen._propagate
 import kcoarsen.cli
 from kcoarsen import build, coarsen_pipeline
 from kcoarsen.cli import RunConfig, _id_columns, _write_coarsen_artifacts, main
@@ -248,32 +246,23 @@ def test_non_finite_score_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_threads_capped_at_cpu_count(tmp_path, monkeypatch, split_every_row):
+def test_threads_capped_at_cpu_count(tmp_path, monkeypatch):
     recorded = []
+    real = kcoarsen.cli.coarsen_pipeline
 
-    class InlinePool:
-        """Records the requested size and runs every task at once."""
+    def spy(*args, workers, **kwargs):
+        recorded.append(workers)
+        return real(*args, workers=workers, **kwargs)
 
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    # three CPUs, so the 5-node input splits on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(kcoarsen._propagate, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(kcoarsen._propagate, "_POOLS", {})  # none cached yet
+    monkeypatch.setattr(kcoarsen.cli, "coarsen_pipeline", spy)
     inp = write_path5(tmp_path)
     out = tmp_path / "run"
     assert run(["coarsen", "-i", inp, "-k", "1", "--rank", "kdeg",
                 "--threads", "1000000", "-o", out]) == 0
-    cpus = os.cpu_count()
-    assert recorded and all(workers <= cpus for workers in recorded)
+    assert recorded == [3]
     config = json.loads((out / "run_config.json").read_text())
-    assert config["threads"] == cpus
+    assert config["threads"] == 3
 
 
 def test_parallel_weights_summing_past_float64_exit_2(tmp_path, capsys):

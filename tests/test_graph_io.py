@@ -182,6 +182,19 @@ def test_write_table_formats_each_value_like_the_line_writer(tmp_path):
     assert path.read_text() == "# a\n# b c\n" + rows
 
 
+@given(st.lists(st.integers(-4, 4) | st.integers(-2**63, 2**63 - 1), max_size=30),
+       st.sampled_from([np.int64, np.int32, np.float64]))
+@settings(max_examples=200, deadline=None)
+def test_table_cells_distinct_values_match_np_unique(values, dtype):
+    col = np.array(values, dtype=np.int64)
+    if dtype != np.int64:  # narrow or float columns take small values only
+        col = (col % 9).astype(dtype)
+    got, at = kcoarsen.graph._distinct(col)
+    want, want_at = np.unique(col, return_inverse=True)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(at, want_at)
+
+
 def test_write_table_chunks_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(kcoarsen.graph, "WRITE_CHUNK", 3)
     path = tmp_path / "t.txt"

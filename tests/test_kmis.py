@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kcoarsen._propagate
 import kcoarsen.kmis
 from kcoarsen import Ranking, build, k_mis, resolve_ranking
 from kcoarsen._propagate import neighbor_reduce
@@ -136,25 +135,13 @@ def test_selection_is_valid(small_corpus):
 
 
 @pytest.mark.parametrize("rule", ROUND_RULES)
-def test_worker_count_does_not_change_result(small_corpus, split_every_row, rule):
+def test_worker_count_does_not_change_result(small_corpus, rule):
     with forced_rounds(rule):
         for g, edges, n in small_corpus[:8]:
             rank = resolve_ranking(g, "random", seed=42)
             base = k_mis(g, 2, rank, workers=1).selected
             for workers in (2, 8):
                 assert np.array_equal(k_mis(g, 2, rank, workers=workers).selected, base)
-
-
-def test_sweeps_below_the_row_floor_stay_off_the_pool(monkeypatch):
-    def no_pool(workers):
-        raise AssertionError("sweep split on a graph below the floor")
-
-    monkeypatch.setattr(kcoarsen._propagate, "_pool", no_pool)
-    n = kcoarsen._propagate.ROWS_PER_CHUNK * 2 - 1
-    g = build(helpers.path_edges(n))
-    values = np.arange(n, dtype=np.int64)
-    out = neighbor_reduce(g, values, "min", np.int64(n), 8)
-    assert out.tolist() == [0] + list(range(n - 1))
 
 
 def test_relabeling_equivariance():
@@ -268,8 +255,8 @@ def test_repeat_runs_identical(small_corpus):
 def test_round_that_picks_nothing_raises(monkeypatch):
     # labels off by one on every row-subset round make the local rounds
     # pick nothing; without a progress check such a round repeats forever
-    def off_by_one(g, values, kind, fill, workers=1, rows=None):
-        out = neighbor_reduce(g, values, kind, fill, workers, rows=rows)
+    def off_by_one(g, values, kind, fill, rows=None):
+        out = neighbor_reduce(g, values, kind, fill, rows=rows)
         return out if rows is None else out + 1
 
     monkeypatch.setattr(kcoarsen.kmis, "neighbor_reduce", off_by_one)

@@ -1,5 +1,6 @@
-"""The propagation round (row subsets, the bitwise-or kind) and the flood."""
+"""Propagation rounds, full and on row subsets, and the flood."""
 
+import operator
 import sys
 import threading
 
@@ -38,65 +39,97 @@ def test_row_subset_equals_full_round_at_those_rows(corpus):
                 assert np.array_equal(got, full[rows])
 
 
-def test_or_round_matches_closed_neighborhood_union(small_corpus):
+def skewed_graphs():
+    """(edges, n) of degree-skewed graphs around the jagged column floor."""
+    floor = kcoarsen._propagate.COLUMN_MIN_ROWS
+    rng = helpers.make_rng("skewed")
+    sparse = helpers.random_edges(rng, 2 * floor, 2.0 / floor)
+    hub = floor + 100  # past the last column: its neighbors run the tail
+    return [
+        (helpers.path_edges(6), 12),  # isolated rows after the path
+        (helpers.star_edges(40) + [(5, 6), (7, 9)], 40),  # one hub
+        (helpers.cycle_edges(floor + 44), floor + 44),  # every row of degree 2
+        (helpers.random_edges(rng, floor // 2, 0.1), floor // 2),  # n below the floor
+        (sparse + [(hub, v) for v in range(0, 2 * floor, 3)], 2 * floor),
+    ]
+
+
+def test_jagged_layout_holds_each_neighbor_list_once():
+    for edges, n in skewed_graphs():
+        g = build(edges, n=n)
+        layout = g.jagged
+        degree = g.degrees.tolist()
+        assert sorted(range(n), key=lambda v: -degree[v]) == layout.order.tolist()
+        rows = {v: [] for v in range(n)}
+        for column in layout.columns:
+            for v, u in zip(layout.order.tolist(), column.tolist()):
+                rows[v].append(u)
+        starts = layout.tail_starts.tolist()
+        for i, v in enumerate(layout.order[:len(starts) - 1].tolist()):
+            rows[v] += layout.tail[starts[i]:starts[i + 1]].tolist()
+        assert all(rows[v] == g.neighbors(v).tolist() for v in range(n))
+
+
+ORACLE_OPS = {"min": min, "max": max, "or": operator.or_}
+
+
+def test_round_matches_closed_neighborhood_oracle(small_corpus, monkeypatch):
+    """min, max and or full rounds against a pure-Python closed neighborhood.
+
+    Each graph is rebuilt under every column floor, so its layout runs
+    columns only, the reduceat tail only, or both.
+    """
     rng = np.random.default_rng(1)
-    for g, edges, n in small_corpus[:10]:
-        adj = helpers.adjacency(n, edges)
-        values = random_values(rng, n, np.uint64)
-        expect = [int(values[v]) for v in range(n)]
-        for v in range(n):
-            for u in adj[v]:
-                expect[v] |= int(values[u])
-        assert neighbor_reduce(g, values, "or", np.uint64(0)).tolist() == expect
+    cases = [(edges, n) for _, edges, n in small_corpus[:10]] + skewed_graphs()
+    layouts = set()  # (has columns, has a tail)
+    for floor in (1, 3, kcoarsen._propagate.COLUMN_MIN_ROWS):
+        monkeypatch.setattr(kcoarsen._propagate, "COLUMN_MIN_ROWS", floor)
+        for edges, n in cases:
+            g = build(edges, n=n)
+            layouts.add((bool(g.jagged.columns), bool(g.jagged.tail.size)))
+            adj = helpers.adjacency(n, edges)
+            for kind, dtype, fill in KINDS:
+                if kind == "sum":
+                    continue
+                values = random_values(rng, n, dtype)
+                op = ORACLE_OPS[kind]
+                expect = [int(values[v]) for v in range(n)]
+                for v in range(n):
+                    for u in adj[v]:
+                        expect[v] = op(expect[v], int(values[u]))
+                got = neighbor_reduce(g, values, kind, fill)
+                assert got.dtype == values.dtype and got.tolist() == expect
+    assert {(True, False), (False, True), (True, True)} <= layouts
 
 
-def test_or_round_is_bitwise_invariant_across_worker_counts(small_corpus,
-                                                            split_every_row):
-    rng = np.random.default_rng(2)
-    for g, edges, n in small_corpus[:8]:
-        values = random_values(rng, n, np.uint64)
-        base = neighbor_reduce(g, values, "or", np.uint64(0))
-        for workers in (2, 5, 16):
-            out = neighbor_reduce(g, values, "or", np.uint64(0), workers)
-            assert np.array_equal(out, base)
-
-
-def test_concurrent_callers_share_one_pool_per_worker_count(
-        small_corpus, split_every_row, monkeypatch):
-    made = []
-    real = kcoarsen._propagate.ThreadPoolExecutor
-
-    def counting(max_workers):
-        made.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(kcoarsen._propagate, "ThreadPoolExecutor", counting)
-    monkeypatch.setattr(kcoarsen._propagate, "_POOLS", {})
-    g, _, n = small_corpus[0]
+def test_concurrent_callers_agree_while_the_layout_is_built():
+    """Threads racing to build a fresh graph's layout all get the round."""
+    edges, n = skewed_graphs()[-1]
     values = np.random.default_rng(4).integers(0, 1000, size=n)
-    expect = neighbor_reduce(g, values, "min", np.int64(1000))
+    expect = neighbor_reduce(build(edges, n=n), values, "min", np.int64(1000))
     same = []
-
-    def caller():
-        for _ in range(20):
-            got = neighbor_reduce(g, values, "min", np.int64(1000), 3)
-            same.append(np.array_equal(got, expect))
-
-    callers = [threading.Thread(target=caller) for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join(timeout=60)
+        for _ in range(5):
+            g = build(edges, n=n)
+            start = threading.Barrier(6)
+
+            def caller():
+                start.wait(timeout=60)
+                for _ in range(4):
+                    got = neighbor_reduce(g, values, "min", np.int64(1000))
+                    same.append(np.array_equal(got, expect))
+
+            callers = [threading.Thread(target=caller) for _ in range(6)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in callers)
     finally:
         sys.setswitchinterval(interval)
-        for pool in kcoarsen._propagate._POOLS.values():
-            pool.shutdown()
-    assert not any(thread.is_alive() for thread in callers)
     assert len(same) == 120 and all(same)
-    assert made == [3]
 
 
 FLOOD_FILLS = {"min": np.int64(1 << 40), "max": np.int64(-1), "or": np.uint64(0)}
@@ -185,13 +218,3 @@ def test_flood_on_the_empty_graph():
         values = np.empty(0, dtype=FLOOD_FILLS[kind].dtype)
         states, _ = run_flood(g, values, kind, None)
         assert len(states) == 1 and states[0].size == 0
-
-
-def test_flood_is_invariant_across_worker_counts(small_corpus, split_every_row):
-    rng = np.random.default_rng(3)
-    for g, edges, n in small_corpus[:8]:
-        values = rng.integers(0, 1000, size=n)
-        base, _ = run_flood(g, values, "min", None)
-        got, _ = run_flood(g, values, "min", None, workers=3)
-        assert len(got) == len(base)
-        assert all(np.array_equal(a, b) for a, b in zip(got, base))

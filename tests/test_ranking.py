@@ -43,8 +43,7 @@ def test_walk_counts_matches_dense_reference(small_corpus):
             assert got.tolist() == helpers.walk_vector(n, edges, x, k)
 
 
-def test_walk_counts_worker_count_is_bitwise_invariant(small_corpus,
-                                                      split_every_row):
+def test_walk_counts_worker_count_is_bitwise_invariant(small_corpus):
     for g, edges, n in small_corpus[:6]:
         rng = helpers.make_rng("workers", n)
         x = helpers.dyadic_weights(rng, n)
@@ -193,10 +192,9 @@ def test_walk_counts_overflow_raises():
         resolve_ranking(g, "kdeg", k=250)
 
 
-def test_walk_counts_overflow_on_worker_threads_raises_only_value_error(
-        split_every_row):
-    # pytest turns warnings into errors here, so a RuntimeWarning from a
-    # worker thread would surface instead of the ValueError
+def test_walk_counts_overflow_on_worker_threads_raises_only_value_error():
+    # pytest turns warnings into errors here, so a RuntimeWarning would
+    # surface instead of the ValueError, at any worker count
     g = build(helpers.star_edges(1001))
     with pytest.raises(ValueError, match="overflow"):
         walk_counts(g, np.ones(g.n), 250, workers=2)

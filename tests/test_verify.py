@@ -20,6 +20,10 @@ from kcoarsen import (
     verify_reduction,
 )
 from kcoarsen.verify import (
+    ComponentReport,
+    DistortionReport,
+    ValidityReport,
+    Violation,
     check_components,
     check_distortion,
     check_edge_bounds,
@@ -352,6 +356,60 @@ def test_report_round_trip_with_violations():
     assert [v.kind for _, v in back.all_violations()] == [
         v.kind for _, v in report.all_violations()
     ]
+
+
+# the violation kinds each report section records
+SECTION_KINDS = {
+    "edge_bounds": ["edge_bound"],
+    "distortion": ["assignment_target", "distortion_lower", "distortion_upper"],
+    "components": ["assignment_target", "component_count", "component_split"],
+    "validity": ["independence", "maximality"],
+}
+
+
+@st.composite
+def reports(draw):
+    """Reports with any evidence rows, empty ones included, and violations
+    holding inf, nan, signed zeros and empty node tuples."""
+    int64s = st.integers(-2**63, 2**63 - 1)
+
+    def rows(width):
+        drawn = draw(st.lists(st.lists(int64s | st.integers(-3, 3),
+                                       min_size=width, max_size=width),
+                              max_size=6))
+        return np.array(drawn, dtype=np.int64).reshape(len(drawn), width)
+
+    counts = st.integers(0, 2**31)
+    sections = {
+        "edge_bounds": DistortionReport(per_coarse_edge=rows(3)),
+        "distortion": DistortionReport(per_pair_sample=rows(4)),
+        "components": ComponentReport(graph_components=draw(counts),
+                                      coarse_components=draw(counts)),
+        "validity": ValidityReport(selected_count=draw(counts)),
+    }
+    for name, section in sections.items():
+        for _ in range(draw(st.integers(0, 3))):
+            section.violations.append(Violation(
+                kind=draw(st.sampled_from(SECTION_KINDS[name])),
+                nodes=tuple(draw(st.lists(int64s, max_size=3))),
+                observed=draw(st.floats()), bound=draw(st.floats())))
+    return VerificationReport(k=draw(st.integers(0, 50)), **sections)
+
+
+@given(reports())
+@settings(max_examples=150, deadline=None)
+def test_report_text_round_trip_property(report):
+    text = report.to_text()
+    back = VerificationReport.from_text(text)
+    assert back.to_text() == text  # nan != nan, so compare by text
+    assert back.k == report.k and back.passed == report.passed
+    for got, want in ((back.edge_bounds.per_coarse_edge,
+                       report.edge_bounds.per_coarse_edge),
+                      (back.distortion.per_pair_sample,
+                       report.distortion.per_pair_sample)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert [(s, v.kind, v.nodes) for s, v in back.all_violations()] == [
+        (s, v.kind, v.nodes) for s, v in report.all_violations()]
 
 
 def test_report_evidence_is_int64_rows():
