@@ -62,12 +62,20 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least `low`, or a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _thread_count(text: str) -> int:
     """A --threads value, capped at the CPU count: extra threads only queue."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return min(value, os.cpu_count() or 1)
+    return min(_at_least(1)(text), os.cpu_count() or 1)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="edgelist", help="input format (default edgelist)")
     parser.add_argument("--rank", default="kweight",
                         help="ranking: kdeg, kweight, id, random, const, or file:PATH")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_at_least(0), default=0,
                         help="seed for random rankings and sampling")
     parser.add_argument("--threads", type=_thread_count,
                         default=os.cpu_count() or 1,
@@ -107,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--edge-agg", choices=list(EDGE_AGGREGATIONS), default="sum")
     p.add_argument("--node-agg", choices=list(_NODE_AGG_FLAGS), default="centroid")
-    p.add_argument("--pairs", type=int, default=10_000,
+    p.add_argument("--pairs", type=_at_least(1), default=10_000,
                    help="sampled node pairs for distance checks on large graphs")
     p.add_argument("--artifacts", default=None,
                    help="verify a previously written output directory instead "
@@ -157,7 +165,9 @@ def cmd_coarsen(args) -> int:
                        k=args.k, rank=args.rank, edge_agg=args.edge_agg,
                        node_agg=args.node_agg, output=args.output,
                        seed=args.seed, threads=args.threads)
+    t0 = perf_counter()
     g, original_ids = load(args.input, format=args.format)
+    t_load = perf_counter() - t0
     timings: dict[str, float] = {}
     t0 = perf_counter()
     ranking = "const" if args.k == 0 else _resolve_rank_spec(
@@ -167,16 +177,20 @@ def cmd_coarsen(args) -> int:
         g, args.k, ranking=ranking, edge_agg=args.edge_agg,
         node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
         workers=args.threads, timings=timings)
+    t0 = perf_counter()
     _write_coarsen_artifacts(Path(args.output), config, g, original_ids, h,
                              partition, result)
+    t_write = perf_counter() - t0
     ratio = result.selected.size / g.n if g.n else 0.0
     print(f"n={g.n} m={g.m} coarse_n={h.graph.n} coarse_m={h.graph.m} "
           f"selected={result.selected.size} ratio={ratio:.4f} "
           f"rounds={result.rounds} "
+          f"t_load={t_load:.4f}s "
           f"t_rank={t_rank + timings['ranking']:.4f}s "
           f"t_select={timings.get('select', 0.0):.4f}s "
           f"t_cluster={timings.get('cluster', 0.0):.4f}s "
-          f"t_reduce={timings.get('reduce', 0.0):.4f}s")
+          f"t_reduce={timings.get('reduce', 0.0):.4f}s "
+          f"t_write={t_write:.4f}s")
     return 0
 
 

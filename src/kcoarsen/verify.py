@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._propagate import concat_ranges, flood, neighbor_reduce
+from ._propagate import concat_ranges, flood, neighbor_reduce, sorted_unique
 from .coarsen import CoarsenedGraph
-from .graph import Graph, bfs, connected_components, table_cells
+from .graph import Graph, bfs, connected_components, table_text
 from .kmis import KMisResult
 
 __all__ = [
@@ -150,9 +150,11 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     them all.  Pairs in different components of g are skipped (both
     sides are infinite).  `per_pair_sample` records at most
     MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
-    full.  Raises ValueError for a row that is not a (u, v) pair or a
-    pair with a node outside 0..n-1.
+    full.  Raises ValueError for `sample_pairs` below 1, a row that is
+    not a (u, v) pair or a pair with a node outside 0..n-1.
     """
+    if sample_pairs < 1:
+        raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
     report = DistortionReport()
     n = g.n
     if pairs is not None:
@@ -213,8 +215,9 @@ def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
     if coarse_of is None:
         return report
     if g.n:
-        pairs = np.unique(np.stack([g_labels, h_labels[coarse_of]], axis=1), axis=0)
-        comp_targets = np.bincount(pairs[:, 0], minlength=g_count)
+        # one key per (input component, coarse component) pair
+        pairs = sorted_unique(g_labels * h_count + h_labels[coarse_of])
+        comp_targets = np.bincount(pairs // h_count, minlength=g_count)
         for comp in np.flatnonzero(comp_targets > 1).tolist():
             report.violations.append(Violation(
                 kind="component_split", nodes=(comp,),
@@ -337,8 +340,8 @@ class VerificationReport:
 
 
 def _csv(rows: np.ndarray) -> str:
-    """Integer rows as comma-separated lines, each distinct value formatted once."""
-    return "".join(table_cells(rows.T, ",").ravel().tolist())
+    """Integer rows as comma-separated lines."""
+    return b"".join(table_text(rows.T, ",")).decode()
 
 
 def _int_rows(lines: list[str], width: int) -> np.ndarray:

@@ -50,6 +50,8 @@ def test_coarsen_writes_artifacts(tmp_path, capsys):
     stats = capsys.readouterr().out
     assert "n=5 m=4 coarse_n=3 coarse_m=2 selected=3" in stats
     assert re.search(r"t_rank=\S+ t_select=\S+ t_cluster=\S+ t_reduce=", stats)
+    assert re.search(r" t_load=[0-9.]+s t_rank=.* t_reduce=[0-9.]+s t_write=[0-9.]+s$",
+                     stats.strip())
 
     pairs = [tuple(map(int, line.split()[:2]))
              for line in (out / "assignment.txt").read_text().splitlines()
@@ -314,6 +316,27 @@ def test_threads_below_one_is_usage_error(tmp_path):
         run(["coarsen", "-i", inp, "-k", "1", "--threads", "0",
              "-o", tmp_path / "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--pairs", "-5"), ("verify", "--pairs", "0"),
+    ("verify", "--seed", "-1"), ("coarsen", "--seed", "-1"),
+])
+def test_out_of_range_pairs_and_seed_are_usage_errors(tmp_path, capsys, command,
+                                                      flag, value):
+    inp = write_path5(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-i", inp, "-k", "1", flag, value, "-o", tmp_path / "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err and f"got {value}" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_smallest_pairs_and_seed_are_accepted(tmp_path, capsys):
+    inp = write_path5(tmp_path)
+    assert run(["verify", "-i", inp, "-k", "1", "--pairs", "1", "--seed", "0"]) == 0
+    assert '"pairs": 1' in capsys.readouterr().out
 
 
 def test_verify_disconnected_input_passes(tmp_path):

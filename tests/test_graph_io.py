@@ -182,10 +182,43 @@ def test_write_table_formats_each_value_like_the_line_writer(tmp_path):
     assert path.read_text() == "# a\n# b c\n" + rows
 
 
+_ANY_INT64 = st.one_of(st.integers(-12, 12), st.integers(-2**63, 2**63 - 1),
+                      st.sampled_from([-2**63, -2**63 + 1, 2**63 - 1, -10**18, 10**18,
+                                       -(10**18) + 1, 10**18 - 1, 9, 10, -9, -10]))
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                        1e16, 1.5e16, -1e16, 1e-5, 3e-05, 0.1, 1 / 3]))
+
+
+@st.composite
+def table_columns(draw):
+    """1 to 4 int64 or float64 columns of one length, 0 to 40 rows."""
+    rows = draw(st.integers(0, 40))
+    return [np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=dtype)
+            for values, dtype in draw(st.lists(st.sampled_from(
+                [(_ANY_INT64, np.int64), (_ANY_FLOAT, np.float64)]), min_size=1, max_size=4))]
+
+
+@given(table_columns(), st.integers(1, 5), st.lists(st.text("ab {}:", max_size=5),
+                                                    max_size=2))
+@example([np.array([0.0, -0.0]), np.array([-0.0, 0.0])], 1, [])
+@example([np.array([-2**63, 2**63 - 1, 0], dtype=np.int64)], 2, ["h"])
+@example([np.empty(0, np.int64), np.empty(0)], 1, ["only a header"])
+@settings(max_examples=300, deadline=None)
+def test_write_table_matches_a_line_writer(tmp_path_factory, columns, chunk, header):
+    path = tmp_path_factory.mktemp("table") / "t.txt"
+    with mock.patch.object(kcoarsen.graph, "WRITE_CHUNK", chunk):
+        kcoarsen.graph.write_table(path, header, *columns)
+    want = "".join(f"# {line}\n" for line in header) + "".join(
+        " ".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in zip(*(col.tolist() for col in columns)))
+    assert path.read_bytes() == want.encode()
+
+
 @given(st.lists(st.integers(-4, 4) | st.integers(-2**63, 2**63 - 1), max_size=30),
        st.sampled_from([np.int64, np.int32, np.float64]))
 @settings(max_examples=200, deadline=None)
-def test_table_cells_distinct_values_match_np_unique(values, dtype):
+def test_distinct_values_match_np_unique(values, dtype):
     col = np.array(values, dtype=np.int64)
     if dtype != np.int64:  # narrow or float columns take small values only
         col = (col % 9).astype(dtype)

@@ -2,10 +2,11 @@
 
 perfbench/reference.json records, per benchmark input and seed, the
 input's n, m and SHA-256 and the SHA-256 of the artifacts that
-``kcoarsen coarsen`` writes for it.  This test regenerates three inputs
+``kcoarsen coarsen`` writes for it.  This test regenerates four inputs
 at seed 0 with the benchmark's generator, coarsens them with the
 benchmark's flags and compares digests, so a change to the artifact
-bytes fails here and not only in a benchmark run.  It also pins the
+bytes fails here and not only in a benchmark run.  Full ``uniform``'s
+184k coarse edges span three write blocks.  It also pins the
 stdout of ``kcoarsen verify --artifacts`` on the same runs.  It writes
 nothing under perfbench/.
 """
@@ -34,7 +35,7 @@ def load_perfbench(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["mesh", "social", "uniform_small"])
+@pytest.mark.parametrize("name", ["mesh", "social", "uniform_small", "uniform"])
 def test_coarsen_artifacts_match_reference_digest(tmp_path, monkeypatch, name):
     generate = load_perfbench("generate", monkeypatch)
     run = load_perfbench("run", monkeypatch)

@@ -95,6 +95,13 @@ def test_distortion_explicit_pairs():
     assert got[(1, 3)] == (2, 1)
 
 
+@pytest.mark.parametrize("sample_pairs", [0, -5])
+def test_distortion_rejects_sample_pairs_below_one(sample_pairs):
+    g, h, _ = coarsened_path()
+    with pytest.raises(ValueError, match=f"sample_pairs must be at least 1, got {sample_pairs}"):
+        check_distortion(g, h, 1, sample_pairs=sample_pairs)
+
+
 @pytest.mark.parametrize("pair", [(0, -1), (0, 7), (-2, 3), (5, 0)])
 def test_distortion_rejects_pairs_outside_the_graph(pair):
     g, h, _ = coarsened_path()
