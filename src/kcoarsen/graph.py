@@ -221,12 +221,14 @@ def _fast_edgelist(path):
     loop reads that file, with its exact errors.
     """
     # Lines are counted split at b"\n" alone.  The loader, like the line
-    # loop, also ends lines at '\r', so it skips at most the counted lines
-    # and reads the rest of them as the line loop would, or refuses a '#'.
+    # loop, also ends lines at '\r', so a skipped line with a '\r' inside
+    # may hide a data line: the line loop reads that file.
     with open(path, "rb") as fh:
         for skip, line in enumerate(fh):
             if line.strip() and not line.startswith((b"#", b"%")):
                 break
+            if b"\r" in line.rstrip(b"\r\n"):
+                return None
         else:
             return None
     cols = len(line.split())

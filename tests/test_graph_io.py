@@ -95,6 +95,7 @@ def same_weights(a, b):
 @example("1 2\n3 4 5\n")
 @example("1 2\n99999999999999999999 3\n")
 @example("-9223372036854775809 1\n")
+@example("# a\r1 2\n\n0 0\n")  # the line loop reads "1 2" after the '\r'
 @settings(max_examples=300, deadline=None)
 def test_fast_path_reads_what_the_line_loop_reads(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("edgelist") / "g.edgelist"
