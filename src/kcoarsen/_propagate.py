@@ -62,9 +62,9 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """np.unique of an integer array, by np.sort plus a neighbour compare.
-
-    numpy 2.4's np.unique took 5.8 ms on 28k ids where np.sort took 0.25 ms.
+    """The sorted distinct values of an integer array, by np.sort plus a
+    neighbour compare (numpy 2.4's unique took 5.8 ms on 28k ids where
+    np.sort took 0.25 ms).
     """
     ids = np.sort(ids)
     keep = np.ones(ids.size, dtype=bool)

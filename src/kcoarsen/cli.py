@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coarsen", help="coarsen a graph and write artifacts")
     _add_common(p)
-    p.add_argument("-k", type=int, required=True,
+    p.add_argument("-k", type=_at_least(0), required=True,
                    help="independence radius; 0 is the identity coarsening")
     p.add_argument("--edge-agg", choices=list(EDGE_AGGREGATIONS), default="sum",
                    help="crossing-edge weight aggregation")
@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="coarsen (or load artifacts) and check guarantees")
     _add_common(p)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_at_least(0), required=True)
     p.add_argument("--edge-agg", choices=list(EDGE_AGGREGATIONS), default="sum")
     p.add_argument("--node-agg", choices=list(_NODE_AGG_FLAGS), default="centroid")
     p.add_argument("--pairs", type=_at_least(1), default=10_000,
@@ -213,9 +213,10 @@ def _read_artifacts(artifacts: Path, g: Graph,
                     original_ids: np.ndarray) -> CoarsenedGraph:
     """Rebuild a coarsening from files written by cmd_coarsen.
 
-    Raises ValueError unless the centroid rows carry coarse indices
-    0..nc-1, each once, with centroid ids increasing by index (the
-    writer's order), so the stored index is the one verified.
+    Raises ValueError unless every node has one assignment row, the
+    centroid rows carry coarse indices 0..nc-1, each once, with centroid
+    ids increasing by index (the writer's order), so the stored index is
+    the one verified, and each coarse edge has one row, no self-loop.
     """
     def dense_of(originals: np.ndarray, path: Path) -> np.ndarray:
         """Dense indices of original ids, by binary search of the sorted ids."""
@@ -231,6 +232,9 @@ def _read_artifacts(artifacts: Path, g: Graph,
     assignment[dense[0::2]] = dense[1::2]
     if (assignment < 0).any():
         raise ValueError("assignment file does not cover every node")
+    if dense.size > 2 * g.n:  # every node has a row, so one has two
+        repeated = original_ids[np.bincount(dense[0::2]).argmax()]
+        raise ValueError(f"{assignment_path}: node id {repeated} is assigned more than once")
 
     centroids_path = artifacts / "centroids.txt"
     index, centroids = _id_columns(centroids_path, more=True).T
@@ -247,6 +251,8 @@ def _read_artifacts(artifacts: Path, g: Graph,
     if ends.size and ends.max() >= centroids.size:
         raise ValueError("coarse edgelist references unknown coarse index")
     coarse_graph = _build_arrays(ends[:, 0], ends[:, 1], w, centroids.size)
+    if coarse_graph.m < len(ends):  # the writer emits each coarse edge once
+        raise ValueError("coarse edgelist repeats an edge or holds a self-loop")
     partition = Partition(assignment=assignment,
                           cluster_count=int(centroids.size))
     return CoarsenedGraph(graph=coarse_graph, centroids=centroids,

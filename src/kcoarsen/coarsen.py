@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from ._propagate import flood, neighbor_reduce, sorted_unique
-from .graph import Graph, _build_arrays, as_node_weights
+from .graph import Graph, _aggregate, _build_arrays, as_node_weights
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
 
@@ -129,11 +129,12 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
            node_weights=None, node_agg: str = "keep_centroid") -> CoarsenedGraph:
     """Contract each cluster to its centroid.
 
-    Crossing edges between two clusters merge into a single coarse edge
-    whose weight aggregates their weights (1 each when g is unweighted)
-    by `edge_agg`.  Intra-cluster edges are dropped.  `node_agg`
-    aggregates optional node weights: keep_centroid takes the
-    centroid's own value, sum/mean fold the whole fiber.
+    Each edge maps to its endpoints' clusters; `_build_arrays` drops the
+    intra-cluster pairs as self-loops and folds the crossing edges of two
+    clusters (1 each when g is unweighted) into one coarse edge by
+    `edge_agg`, in `edge_list` order.  `node_agg` aggregates optional node
+    weights: keep_centroid takes the centroid's own value, sum/mean fold
+    the whole fiber.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
@@ -143,31 +144,14 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
         raise ValueError("partition does not match graph")
     partition.validate()
     centroids = partition.centroids
+    node_cluster = np.searchsorted(centroids, partition.assignment)
     nc = centroids.size
 
-    lookup = np.full(g.n, -1, dtype=np.int64)
-    lookup[centroids] = np.arange(nc, dtype=np.int64)
-    node_cluster = lookup[partition.assignment]
-
-    # Each temporary is dropped once used: this sets the peak memory of a
-    # coarsen run on large inputs.  Crossing edges keep edge_list order,
-    # so weights sum in the same order.
     u, v, w = g.edge_list()
-    cu, cv = node_cluster[u], node_cluster[v]
-    del u, v
-    cross = np.flatnonzero(cu != cv)
-    cu, cv = cu[cross], cv[cross]
-    cw = np.ones(cross.size) if w is None else w[cross]
-    del w, cross
-    key = np.minimum(cu, cv)
-    key *= max(nc, 1)
-    key += np.maximum(cu, cv)
-    del cu, cv
-    uniq, inverse = np.unique(key, return_inverse=True)
-    del key
-    agg = _aggregate(cw, inverse, uniq.size, edge_agg, "edge")
-    del cw, inverse
-    coarse = _build_arrays(uniq // max(nc, 1), uniq % max(nc, 1), agg, nc)
+    u, v = node_cluster[u], node_cluster[v]
+    coarse = _build_arrays(
+        u, v, np.ones(u.size) if w is None else w, nc, agg=edge_agg,
+        overflow="edge_agg 'sum' gives a coarse edge weight beyond float64's range")
 
     node_values = None
     if node_weights is not None:
@@ -175,36 +159,12 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
         if node_agg == "keep_centroid":
             node_values = x[centroids]
         else:
-            node_values = _aggregate(x, node_cluster, nc, node_agg, "node")
+            node_values = _aggregate(
+                x, node_cluster, nc, node_agg,
+                "node_agg 'sum' gives a coarse node weight beyond float64's range")
 
     return CoarsenedGraph(graph=coarse, centroids=centroids,
                           provenance=partition, node_values=node_values)
-
-
-def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,
-               how: str, what: str) -> np.ndarray:
-    """Fold `values` into `count` groups by `how`.
-
-    `what` ("edge" or "node") names the aggregation in the overflow error.
-    """
-    if how in ("max", "min"):
-        out = np.full(count, -np.inf if how == "max" else np.inf)
-        (np.maximum if how == "max" else np.minimum).at(out, groups, values)
-        return out
-    sums = np.bincount(groups, weights=values, minlength=count)
-    over = np.isinf(sums)
-    if how == "sum":
-        if over.any():
-            raise ValueError(f"{what}_agg 'sum' gives a coarse {what} weight "
-                             "beyond float64's range")
-        return sums
-    sizes = np.bincount(groups, minlength=count)
-    means = sums / np.maximum(sizes, 1)
-    if over.any():  # finite weights have a finite mean: sum them scaled by 2**-64
-        hit = over[groups]
-        scaled = np.bincount(groups[hit], weights=values[hit] * 2.0**-64, minlength=count)
-        means[over] = scaled[over] / sizes[over] * 2.0**64
-    return means
 
 
 def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,

@@ -219,6 +219,27 @@ def king_grid_edges(rows, cols):
     return edges
 
 
+def contraction_reference(edges, cluster_of, how):
+    """{(a, b): weight} of the coarse edges, a < b, by a dict walk.
+
+    `edges` are (u, v, w) triples in the order their weights fold;
+    `cluster_of[v]` is v's coarse node.  Edges inside one cluster are
+    dropped; the crossing edges of a pair fold left to right by `how`
+    ("sum", "mean", "max" or "min").
+    """
+    fold = {"max": max, "min": min}.get(how, float.__add__)  # mean sums first
+    folded, counts = {}, {}
+    for u, v, w in edges:
+        pair = tuple(sorted((cluster_of[u], cluster_of[v])))
+        if pair[0] == pair[1]:
+            continue
+        folded[pair] = fold(folded[pair], w) if pair in folded else w
+        counts[pair] = counts.get(pair, 0) + 1
+    if how == "mean":
+        return {pair: total / counts[pair] for pair, total in folded.items()}
+    return folded
+
+
 def dyadic_weights(rng, n, denom_bits=4):
     """Strictly positive weights of the form m / 2^b, exact in binary floats."""
     return [rng.randrange(1, 64) / (1 << denom_bits) for _ in range(n)]
@@ -233,8 +254,9 @@ def csr_reference(u, v, w, n):
 
     Unlike the oracles above this one is numpy, on purpose: it pins
     `graph._build_arrays` bitwise, including the order in which parallel
-    weights are summed (one lexsort of the canonical pairs, `reduceat`
-    over each run, then a second lexsort of the directed arcs).
+    weights are summed (one stable lexsort of the canonical pairs, each
+    run summed left to right, so in input order, then a second lexsort of
+    the directed arcs).
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -250,7 +272,7 @@ def csr_reference(u, v, w, n):
     if lo.size:
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     elo, ehi = lo[first], hi[first]
-    ew = None if w is None else np.add.reduceat(w[order], np.flatnonzero(first))
+    ew = None if w is None else np.bincount(np.cumsum(first) - 1, weights=w[order])
 
     deg = np.bincount(elo, minlength=n) + np.bincount(ehi, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)

@@ -187,9 +187,16 @@ def test_verify_malformed_centroids_exits_2(tmp_path, capsys, edit):
     ("centroids.txt", lambda rows: rows + ["3 9"], "unknown node id 9"),
     ("centroids.txt", lambda rows: rows[:1] + rows[2:],
      "coarse indices must run 0..nc-1"),
+    ("assignment.txt", lambda rows: rows + ["1 2"],
+     "node id 1 is assigned more than once"),
+    ("coarse.edgelist", lambda rows: rows + ["1 0 5.0"],
+     "coarse edgelist repeats an edge or holds a self-loop"),
+    ("coarse.edgelist", lambda rows: rows + ["2 2 1.0"],
+     "coarse edgelist repeats an edge or holds a self-loop"),
 ], ids=["three_columns", "float_column", "centroid_note", "unknown_id",
         "beyond_int64", "non_integer",
-        "unknown_centroid", "missing_centroid"])
+        "unknown_centroid", "missing_centroid", "repeated_node",
+        "repeated_coarse_edge", "coarse_self_loop"])
 def test_verify_malformed_artifact_rows(tmp_path, capsys, name, edit, message):
     inp = write_path5(tmp_path)
     out = tmp_path / "run"
@@ -321,6 +328,7 @@ def test_threads_below_one_is_usage_error(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("verify", "--pairs", "-5"), ("verify", "--pairs", "0"),
     ("verify", "--seed", "-1"), ("coarsen", "--seed", "-1"),
+    ("verify", "-k", "-1"), ("coarsen", "-k", "-1"),
 ])
 def test_out_of_range_pairs_and_seed_are_usage_errors(tmp_path, capsys, command,
                                                       flag, value):

@@ -1,5 +1,7 @@
 """Cluster assignment, edge/node aggregation, and the full pipeline."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from kcoarsen import (
     reduce,
     resolve_ranking,
 )
+from kcoarsen.coarsen import EDGE_AGGREGATIONS
 from kcoarsen.graph import connected_components
 
 from . import helpers
@@ -158,6 +161,30 @@ def test_node_mean_of_weights_past_float64_is_finite():
     assert part.assignment.tolist() == [0, 0, 2, 2, 4]
     assert h.node_values.tolist() == pytest.approx(
         [1e308 / 2 + 1.5e308 / 2, 1.7e308 / 2 + 0.25, 1e308], rel=1e-15)
+
+
+@pytest.mark.parametrize("how", EDGE_AGGREGATIONS)
+def test_reduce_matches_pure_python_contraction(small_corpus, how):
+    """Bitwise, on the small corpus with non-dyadic weights: each coarse
+    weight folds its crossing weights left to right in edge_list order."""
+    multiple = 0
+    for i, (_, edges, n) in enumerate(small_corpus):
+        if not edges:  # builds an unweighted graph
+            continue
+        rng = helpers.make_rng("contraction", i)
+        g = build([(u, v, rng.uniform(0.1, 10.0)) for u, v in edges], n=n)
+        h, part, _ = coarsen_pipeline(g, 1, ranking="random", seed=i, edge_agg=how)
+        cluster_of = np.searchsorted(h.centroids, part.assignment).tolist()
+        triples = list(zip(*(col.tolist() for col in g.edge_list())))
+        want = helpers.contraction_reference(triples, cluster_of, how)
+        cu, cv, cw = h.graph.edge_list()
+        got = dict(zip(zip(cu.tolist(), cv.tolist()), cw.tolist()))
+        assert {pair: w.hex() for pair, w in got.items()} == {
+            pair: w.hex() for pair, w in want.items()}
+        pairs = Counter(tuple(sorted((cluster_of[u], cluster_of[v])))
+                        for u, v, _ in triples if cluster_of[u] != cluster_of[v])
+        multiple += sum(count >= 3 for count in pairs.values())
+    assert multiple >= 50  # pairs whose fold order matters
 
 
 def test_reduce_rejects_unknown_aggregation():

@@ -7,8 +7,9 @@ at seed 0 with the benchmark's generator, coarsens them with the
 benchmark's flags and compares digests, so a change to the artifact
 bytes fails here and not only in a benchmark run.  Full ``uniform``'s
 184k coarse edges span three write blocks.  It also pins the
-stdout of ``kcoarsen verify --artifacts`` on the same runs.  It writes
-nothing under perfbench/.
+stdout of ``kcoarsen verify --artifacts`` on the same runs, and the
+artifacts of a weighted graph built here under every --edge-agg.  It
+writes nothing under perfbench/.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kcoarsen.cli import main
@@ -70,3 +72,38 @@ def test_verify_stdout_matches_reference_digest(tmp_path, monkeypatch, capsys, n
     lines = capsys.readouterr().out.splitlines(keepends=True)
     report = "".join(line for line in lines if not line.startswith("# config:"))
     assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_STDOUT_SHA256[name]
+
+
+def write_weighted_graph(path):
+    """A seeded graph on about 3,000 nodes with about 12,000 distinct edges
+    and non-dyadic weights, so coarse sums depend on their order."""
+    rng = np.random.default_rng(2022)
+    n = 3000
+    u, v = rng.integers(0, n, size=(2, 12_000))
+    key = np.unique(np.minimum(u, v)[u != v] * n + np.maximum(u, v)[u != v])
+    w = rng.uniform(0.1, 10.0, key.size)
+    path.write_text("".join(f"{a} {b} {x!r}\n" for a, b, x in
+                            zip((key // n).tolist(), (key % n).tolist(), w.tolist())))
+
+
+# SHA-256 of the coarsen artifacts of the weighted graph under
+# `--rank kweight -k 2`, per --edge-agg: 2,998 nodes, 11,980 edges and
+# 7,634 coarse edges.
+WEIGHTED_ARTIFACTS_SHA256 = {
+    "sum": "39484c66412c264dfcfb7c178c18c635121bd7658745e9ec7ac0290cf54e0834",
+    "mean": "96e81da8da7f059383b7b58ac556980f828837607460b5e518512ddd8e794f61",
+    "max": "5240712614d8bc9fe9e4bdf281b9cc599215dea3f03611f8c626aec8fa1d8af1",
+    "min": "b526e234405d796968a24b9e546f7183b0884df433b8235cdadbd806b215ce17",
+}
+
+
+@pytest.mark.parametrize("agg", sorted(WEIGHTED_ARTIFACTS_SHA256))
+def test_weighted_coarsen_artifacts_match_reference_digest(tmp_path, monkeypatch,
+                                                           agg):
+    run = load_perfbench("run", monkeypatch)
+    graph = tmp_path / "weighted.edgelist"
+    write_weighted_graph(graph)
+    out = tmp_path / "out"
+    assert main(["coarsen", "-i", str(graph), "--rank", "kweight", "-k", "2",
+                 "--edge-agg", agg, "--threads", "1", "-o", str(out)]) == 0
+    assert run.artifact_digest(out) == WEIGHTED_ARTIFACTS_SHA256[agg]
