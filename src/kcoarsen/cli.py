@@ -1,8 +1,9 @@
 """Command-line interface: coarsen graphs, verify reductions, benchmark.
 
 Exit codes: 0 on success, 1 when verification finds a violation, 2 on
-usage or IO errors.  Every output artifact embeds the run configuration
-(including seeds), so a run can be reproduced from any of its files.
+usage or IO errors or a failed allocation.  Every output artifact embeds
+the run configuration (including seeds), so a run can be reproduced from
+any of its files.
 """
 
 from __future__ import annotations
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a --pairs sample larger than memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,8 @@ can show all witnesses at once.  The guarantees checked here:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,9 @@ EXHAUSTIVE_PAIR_LIMIT = 500
 DEFAULT_SAMPLE_PAIRS = 10_000
 # Checked pairs a distortion report keeps as its sample.
 MAX_RECORDED_PAIRS = 1000
+# SplitMix64's increment and output mix (Steele, Lea & Flood, OOPSLA 2014)
+_SPLITMIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                      0x94D049BB133111EB], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -138,23 +143,50 @@ def _coarse_of(h: CoarsenedGraph, assignment: np.ndarray,
     return idx
 
 
+def _draws(seed: int, count: int, n: int) -> np.ndarray:
+    """Outputs 0..count-1 of the SplitMix64 stream seeded with `seed`, mod n.
+
+    Output i is mix(seed + (i+1) * 0x9E3779B97F4A7C15); the mod-n bias is
+    at most n / 2**64.  Arrays only: uint64 array arithmetic wraps silently.
+    """
+    step, m1, m2 = _SPLITMIX
+    # (i+1) * step by a running sum: np.arange silently returns an empty
+    # array for lengths near 2**63, where np.full raises
+    z = np.full(count, step)
+    np.cumsum(z, out=z)
+    z += np.uint64(operator.index(seed) % 2**64)  # np.int64 % 2**64 overflows
+    z ^= z >> np.uint64(30)
+    z *= m1
+    z ^= z >> np.uint64(27)
+    z *= m2
+    z ^= z >> np.uint64(31)
+    z %= np.uint64(n)
+    return z.astype(np.int64)
+
+
 def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
                      seed: int = 0) -> DistortionReport:
     """Check the two-sided distance bounds over node pairs.
 
     With `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
-    are checked over all pairs; larger graphs use `sample_pairs` seeded
-    uniform pairs, drawn as groups of targets per source; explicit pairs
-    are taken grouped by source.  One pair search on each graph answers
-    them all.  Pairs in different components of g are skipped (both
-    sides are infinite).  `per_pair_sample` records at most
+    are checked over all pairs; larger graphs sample about `sample_pairs`
+    pairs: floor(sqrt(sample_pairs)) targets for each of
+    sample_pairs // that many sources.  The draws come from the SplitMix64
+    stream of `seed` (any int >= 0; it is taken mod 2**64): the sources
+    first, then the targets source by source, each reduced mod n.
+    Explicit pairs are taken grouped by source.  One pair search on each
+    graph answers them all.  Pairs in different components of g are
+    skipped (both sides are infinite).  `per_pair_sample` records at most
     MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
-    full.  Raises ValueError for `sample_pairs` below 1, a row that is
-    not a (u, v) pair or a pair with a node outside 0..n-1.
+    full.  Raises ValueError for `sample_pairs` below 1, a negative
+    `seed`, a row that is not a (u, v) pair or a pair with a node outside
+    0..n-1.
     """
     if sample_pairs < 1:
         raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     report = DistortionReport()
     n = g.n
     if pairs is not None:
@@ -168,11 +200,11 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     elif n <= EXHAUSTIVE_PAIR_LIMIT:
         src, dst = np.triu_indices(n, 1)
     else:
-        rng = np.random.default_rng(seed)
-        group = max(1, int(np.sqrt(sample_pairs)))
+        group = max(1, math.isqrt(sample_pairs))
         n_sources = max(1, sample_pairs // group)
-        src = np.repeat(rng.integers(0, n, size=n_sources), group)
-        dst = rng.integers(0, n, size=(n_sources, group)).ravel()
+        draws = _draws(seed, n_sources * (group + 1), n)
+        src = np.repeat(draws[:n_sources], group)
+        dst = draws[n_sources:]
     coarse_of = _coarse_of(h, h.provenance.assignment, report)
     if coarse_of is None:
         return report

@@ -148,6 +148,20 @@ def pair_work(n, pairs=None):
     return sorted(groups.items())
 
 
+def splitmix64(seed, count):
+    """The first `count` outputs of SplitMix64 (Steele, Lea & Flood, OOPSLA
+    2014) seeded with `seed` mod 2**64: the state steps by the golden-ratio
+    increment, each output is the mixed state."""
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def fibers(assignment):
     """Map each centroid to the sorted array of its member nodes."""
     groups = {}

@@ -4,7 +4,10 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +348,45 @@ def test_smallest_pairs_and_seed_are_accepted(tmp_path, capsys):
     inp = write_path5(tmp_path)
     assert run(["verify", "-i", inp, "-k", "1", "--pairs", "1", "--seed", "0"]) == 0
     assert '"pairs": 1' in capsys.readouterr().out
+    assert run(["verify", "-i", inp, "-k", "1", "--seed", 2**64]) == 0
+    assert f'"seed": {2**64}' in capsys.readouterr().out
+
+
+def write_path600(tmp_path):
+    """A path above verify's exhaustive limit, so verify samples its pairs."""
+    p = tmp_path / "path600.edgelist"
+    p.write_text("".join(f"{u} {v}\n" for u, v in helpers.path_edges(600)))
+    return p
+
+
+def test_sampled_verify_leaves_numpy_random_unloaded(tmp_path):
+    # pytest's own process already holds numpy.random, so a child runs verify
+    argv = ["verify", "-i", str(write_path600(tmp_path)), "-k", "1",
+            "--rank", "kdeg", "--seed", str(2**64)]
+    code = ("import sys; from kcoarsen.cli import main; "
+            f"code = main({argv!r}); "
+            "print('numpy.random' in sys.modules, code, file=sys.stderr)")
+    src = str(Path(kcoarsen.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                           capture_output=True, text=True, check=True)
+    pairs = child.stdout.split("[pairs]\n")[1].split("[components]")[0]
+    assert len(pairs.splitlines()) == 1000  # sampled, recording capped
+    assert child.stderr.splitlines()[-1] == "False 0"
+
+
+def test_sample_larger_than_memory_is_an_error_not_a_failed_check(tmp_path, capsys):
+    # 10**12 pairs take 8 TB, which Linux refuses at once in overcommit
+    # modes 0 and 2; a kernel that grants it would have the fill run out
+    overcommit = Path("/proc/sys/vm/overcommit_memory")
+    if not overcommit.exists() or overcommit.read_text().strip() not in ("0", "2"):
+        pytest.skip("only a Linux kernel that refuses 8 TB is known to be safe")
+    inp = write_path600(tmp_path)
+    assert run(["verify", "-i", inp, "-k", "1", "--rank", "kdeg",
+                "--pairs", 10**12]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err
 
 
 def test_verify_disconnected_input_passes(tmp_path):

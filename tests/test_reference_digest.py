@@ -53,9 +53,9 @@ def test_coarsen_artifacts_match_reference_digest(tmp_path, monkeypatch, name):
 # SHA-256 of `kcoarsen verify --artifacts` stdout without its `# config:`
 # line, for the benchmark's flags on the seed-0 inputs.
 VERIFY_STDOUT_SHA256 = {
-    "mesh": "300fc8843a384c8079d8a0d551f06dd8efb53e082f2f86b4f4adf564f9904c22",
-    "social": "4db0e24bc5949633066c4d0ef2b6c09acf8b91c49a68f0262f15f7a7bf5b7b7e",
-    "uniform_small": "48b0a9ec469f46b2641640b70e7cf4cfe083295042375a25896d08e505a44901",
+    "mesh": "6de9ef8a01029dccd5561ee87bbf2e602dc9b5c57c033ad65051a8f28cbe4cac",
+    "social": "407bc0081f1ab946cf67e9227aaa024a4de458f2c4f9bfa3d49d5ddb4c4c64d9",
+    "uniform_small": "dc08d7231fffc2f525ba4dbeb7d1c4dc16b303e1591fb9a11df414abccb15a65",
 }
 
 

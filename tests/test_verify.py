@@ -1,5 +1,6 @@
 """Distance-distortion, component, and validity checks plus report I/O."""
 
+import math
 import re
 
 import numpy as np
@@ -177,12 +178,13 @@ def test_checks_match_reference_on_fabricated_coarsenings(corpus):
 
 
 def sampled_work(n, sample_pairs, seed):
-    """check_distortion's seeded draws for graphs above the exhaustive limit."""
-    rng = np.random.default_rng(seed)
-    group = max(1, int(np.sqrt(sample_pairs)))
+    """check_distortion's seeded draws for graphs above the exhaustive limit:
+    the first draws mod n are the sources, the rest their targets in turn."""
+    group = max(1, math.isqrt(sample_pairs))
     n_sources = max(1, sample_pairs // group)
-    sources = rng.integers(0, n, size=n_sources).tolist()
-    return list(zip(sources, rng.integers(0, n, size=(n_sources, group)).tolist()))
+    draws = [x % n for x in helpers.splitmix64(seed, n_sources * (group + 1))]
+    return [(u, draws[n_sources + i * group:n_sources + (i + 1) * group])
+            for i, u in enumerate(draws[:n_sources])]
 
 
 def test_checks_match_reference_around_the_exhaustive_limit():
@@ -194,6 +196,37 @@ def test_checks_match_reference_around_the_exhaustive_limit():
         assert_checks_match_reference(g, h, 1, work, sample_pairs=300, seed=4)
         assert_checks_match_reference(g, fabricated(g, n), 2, work,
                                       sample_pairs=300, seed=4)
+
+
+@given(seed=st.sampled_from([0, 1, 2**63, 2**64 - 1, 2**64])
+       | st.integers(0, 2**70),
+       n=st.integers(1, 10**9), count=st.integers(0, 50))
+@settings(max_examples=200, deadline=None)
+def test_sample_draws_match_pure_python_splitmix64(seed, n, count):
+    draws = kcoarsen.verify._draws(seed, count, n)
+    assert draws.dtype == np.int64
+    assert draws.tolist() == [x % n for x in helpers.splitmix64(seed, count)]
+
+
+def test_splitmix64_oracle_matches_published_outputs():
+    assert helpers.splitmix64(0, 4) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                        0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+
+def test_sample_draws_spread_evenly_over_residues():
+    counts = np.bincount(kcoarsen.verify._draws(0, 100_000, 10), minlength=10)
+    assert np.all(np.abs(counts - 10_000) <= 500), counts
+
+
+def test_sampled_distortion_takes_seeds_mod_2_64_and_rejects_negative_ones():
+    g = build(helpers.path_edges(501))
+    h, _, _ = coarsen_pipeline(g, 1, ranking="id")
+    report = check_distortion(g, h, 1, seed=2**64)
+    assert report.passed
+    assert np.array_equal(check_distortion(g, h, 1, seed=np.int64(0)).per_pair_sample,
+                          report.per_pair_sample)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        check_distortion(g, h, 1, seed=-1)
 
 
 def test_verify_makes_one_search_per_distance_question(monkeypatch):
