@@ -127,64 +127,68 @@ def _jagged_sweep(layout: Jagged, values, ufunc) -> np.ndarray:
     return out
 
 
-def _reduce_segments(own, gathered, lengths, ufunc, fill, out):
+def _identity(kind: str, dtype) -> int:
+    """0 for sum and or, the dtype's largest value for min, smallest for max."""
+    if kind in ("sum", "or"):
+        return 0
+    info = np.iinfo(dtype)
+    return info.max if kind == "min" else info.min
+
+
+def _reduce_segments(own, gathered, lengths, ufunc, kind):
     # reduceat misbehaves on empty rows (stray element for interior ones,
     # IndexError for trailing ones), so it reduces the nonempty rows only;
     # their starts are consecutive positions in `gathered`, which makes
     # each reduceat segment exactly one neighbor list.
     nonempty = np.flatnonzero(lengths)
-    seg = np.full(own.size, fill, dtype=own.dtype)
+    seg = np.full(own.size, _identity(kind, own.dtype), dtype=own.dtype)
     if nonempty.size:
         seg[nonempty] = ufunc.reduceat(gathered,
                                        (np.cumsum(lengths) - lengths)[nonempty])
-    return ufunc(own, seg, out=out)
+    return ufunc(own, seg)
 
 
-def neighbor_reduce(g: Graph, values: np.ndarray, kind: str, fill,
+def neighbor_reduce(g: Graph, values: np.ndarray, kind: str,
                     rows: np.ndarray | None = None) -> np.ndarray:
-    """One reduction round; `fill` must be the identity of the op.
-
-    `kind` is "min", "max", "sum" or "or" (bitwise, on unsigned masks).
-    With `rows`, sorted int64 node ids, only those rows are recomputed:
-    the result holds one entry per row, equal to the full round's
-    entries at `rows`.
+    """One round of `kind`: "min" or "max" (integer labels), "sum", or "or"
+    (bitwise, on unsigned or bool masks); a row with no neighbor reduces
+    over the identity of `kind` for the dtype of `values`.  With `rows`,
+    sorted int64 node ids, only those rows are recomputed: the result
+    holds one entry per row, equal to the full round's entries at `rows`.
     """
     ufunc = _UFUNCS[kind]
     if rows is not None:
         lengths = g.indptr[rows + 1] - g.indptr[rows]
         gathered = values[g.indices[concat_ranges(g.indptr[rows], lengths)]]
-        return _reduce_segments(values[rows], gathered, lengths, ufunc, fill,
-                                None)
+        return _reduce_segments(values[rows], gathered, lengths, ufunc, kind)
     if kind != "sum":
         return _jagged_sweep(g.jagged, values, ufunc)
-    return _reduce_segments(values, values[g.indices], g.degrees, ufunc, fill,
-                            None)
+    return _reduce_segments(values, values[g.indices], g.degrees, ufunc, kind)
 
 
-def flood(g: Graph, values: np.ndarray, kind: str, fill, steps: int | None,
-          sweep):
+def flood(g: Graph, values: np.ndarray, kind: str, steps: int | None, sweep):
     """Yield `values`, then the state after each round that changes it.
 
     Runs rounds of an idempotent `kind` ("min", "max" or "or") until
     `steps` rounds (None: no cap) or the first round that changes
     nothing, which comes within n rounds.  The first frontier is the
-    nodes not holding `fill`.  The caller's array is copied, never
-    written; a yielded state is updated in place by later rounds, so
-    copy it to keep it.
+    nodes off the identity of `kind`, the only ones that move a neighbor.
+    The caller's array is copied, never written; a yielded state is
+    updated in place by later rounds, so copy it to keep it.
     """
     # `sweep` is the caller's neighbor_reduce binding: tracers and spies patch it
     values = np.array(values)
     yield values
     degrees = g.degrees
-    frontier = np.flatnonzero(values != fill)
+    frontier = np.flatnonzero(values != _identity(kind, values.dtype))
     for _ in range(g.n if steps is None else steps):
         if degrees[frontier].sum() > DENSE_EDGE_SHARE * g.indptr[-1]:
-            nxt = sweep(g, values, kind, fill)
+            nxt = sweep(g, values, kind)
             frontier = np.flatnonzero(nxt != values)
             values = nxt
         else:
             rows = next_to(g, frontier)
-            got = sweep(g, values, kind, fill, rows=rows)
+            got = sweep(g, values, kind, rows=rows)
             grew = got != values[rows]
             frontier = rows[grew]
             values[frontier] = got[grew]

@@ -221,10 +221,12 @@ def _read_artifacts(artifacts: Path, g: Graph,
     """
     def dense_of(originals: np.ndarray, path: Path) -> np.ndarray:
         """Dense indices of original ids, by binary search of the sorted ids."""
-        unknown = ~np.isin(originals, original_ids)
-        if unknown.any():
-            raise ValueError(f"{path}: unknown node id {originals[np.argmax(unknown)]}")
-        return np.searchsorted(original_ids, originals)
+        at = np.searchsorted(original_ids, originals)
+        known = at < original_ids.size
+        known[known] = original_ids[at[known]] == originals[known]
+        if not known.all():
+            raise ValueError(f"{path}: unknown node id {originals[np.argmin(known)]}")
+        return at
 
     assignment_path = artifacts / "assignment.txt"
     dense = dense_of(_id_columns(assignment_path, more=False).ravel(),
@@ -302,6 +304,8 @@ def cmd_bench(args) -> int:
         k_values = [int(tok) for tok in args.k_list.split(",") if tok]
         low_txt, high_txt = args.weight_range.split(":")
         weight_low, weight_high = float(low_txt), float(high_txt)
+        if not 0 < weight_low <= weight_high < float("inf"):
+            raise ValueError(args.weight_range)
     except ValueError:
         print("bad --k-list or --weight-range value", file=sys.stderr)
         return 2

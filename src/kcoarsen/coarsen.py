@@ -110,10 +110,10 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
     if n == 0:
         return Partition(assignment=np.empty(0, dtype=np.int64), cluster_count=0)
     rank = ranking.rank
-    sentinel = np.int64(n)
+    sentinel = np.iinfo(np.int64).max
     seeds = np.full(n, sentinel, dtype=np.int64)
     seeds[selected] = rank[selected]
-    for label in flood(g, seeds, "min", sentinel, k, neighbor_reduce):
+    for label in flood(g, seeds, "min", k, neighbor_reduce):
         pass
     if (label == sentinel).any():
         raise ValueError("selected set does not cover the graph within k hops")

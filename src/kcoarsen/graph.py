@@ -573,7 +573,7 @@ def bfs(g: Graph, sources, targets, max_depth: int | None = None) -> np.ndarray:
         pending = np.flatnonzero(slot // BFS_BATCH == first // BFS_BATCH)
         start = np.zeros(g.n, dtype=np.uint64)
         start[sources[pending]] = bit[pending]
-        levels = flood(g, start, "or", np.uint64(0), max_depth, neighbor_reduce)
+        levels = flood(g, start, "or", max_depth, neighbor_reduce)
         for depth, seen in enumerate(levels):
             hit = (seen[targets[pending]] & bit[pending]) != 0
             dist[pending[hit]] = depth
@@ -588,36 +588,28 @@ def power(g: Graph, k: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Graph:
 
     Materializing the power graph is oracle support for small graphs
     only; refuses when ``g.n`` exceeds `oracle_cap`.  The result is
-    always unweighted.
+    always unweighted.  As in `bfs`, BFS_BATCH sources own a bit each of
+    a mask per node; after a k-step "or" `flood` each set bit is a pair.
     """
     if k < 1:
         raise ValueError("power requires k >= 1")
     if g.n > oracle_cap:
         raise ValueError(f"power() refused: n={g.n} exceeds cap {oracle_cap}")
-    if k == 1:
-        return Graph(n=g.n, m=g.m, indptr=g.indptr, indices=g.indices)
-    adj = [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(g.n)]
-    stamp = [-1] * g.n
-    us: list[int] = []
-    vs: list[int] = []
-    for s in range(g.n):
-        stamp[s] = s
-        frontier = [s]
-        for _ in range(k):
-            nxt = []
-            for node in frontier:
-                for t in adj[node]:
-                    if stamp[t] != s:
-                        stamp[t] = s
-                        nxt.append(t)
-                        if t > s:
-                            us.append(s)
-                            vs.append(t)
-            if not nxt:
-                break
-            frontier = nxt
-    return _build_arrays(np.array(us, dtype=np.int64),
-                         np.array(vs, dtype=np.int64), None, g.n)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for first in range(0, g.n, BFS_BATCH):
+        width = min(BFS_BATCH, g.n - first)
+        start = np.zeros(g.n, dtype=np.uint64)
+        start[first:first + width] = np.uint64(1) << np.arange(width, dtype=np.uint64)
+        for seen in flood(g, start, "or", k, neighbor_reduce):
+            pass
+        reached = np.flatnonzero(seen)
+        bits = np.unpackbits(seen[reached].astype("<u8").view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")  # column j: bit j
+        row, source = np.nonzero(bits)
+        us.append(reached[row])
+        vs.append(first + source)
+    # each source reaches itself (a self-loop) and every pair shows twice
+    return _build_arrays(np.concatenate(us), np.concatenate(vs), None, g.n)
 
 
 def connected_components(g: Graph) -> tuple[int, np.ndarray]:
@@ -632,7 +624,7 @@ def connected_components(g: Graph) -> tuple[int, np.ndarray]:
     while True:
         nxt = parent[parent]
         if np.array_equal(nxt, parent):
-            low = neighbor_reduce(g, parent, "min", np.int64(g.n))
+            low = neighbor_reduce(g, parent, "min")
             if np.array_equal(low, parent):
                 break
             np.minimum.at(nxt, parent, low)

@@ -75,7 +75,7 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
     ranking.validate(g.n)
     n = g.n
     rank = ranking.rank
-    sentinel = np.int64(n)
+    sentinel = np.iinfo(np.int64).max
     # the rank of an active node, else the sentinel, so only an active node
     # can see its own rank as its label
     values = rank.copy()
@@ -94,7 +94,7 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
             region = _region(g, retired, retired_slots, 2 * k - 1, hop,
                              _local_budget(total_slots, active_slots))
         if region is None:
-            for label in flood(g, values, "min", sentinel, k, neighbor_reduce):
+            for label in flood(g, values, "min", k, neighbor_reduce):
                 pass
             picks = np.flatnonzero(label == rank)
         else:
@@ -102,18 +102,18 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
             src = values
             for radius in range(2 * k - 1, k - 1, -1):
                 rows = nodes[hops <= radius]
-                got = neighbor_reduce(g, src, "min", sentinel, rows=rows)
+                got = neighbor_reduce(g, src, "min", rows=rows)
                 src = scratch
                 src[rows] = got
             picks = rows[got == rank[rows]]
         if not picks.size:
             raise RuntimeError(f"k_mis round {rounds} picked no node")
         in_set[picks] = True
-        seeds = np.zeros(n, dtype=np.int8)
-        seeds[picks] = 1
-        for covered in flood(g, seeds, "max", np.int8(0), k, neighbor_reduce):
+        seeds = np.zeros(n, dtype=bool)
+        seeds[picks] = True
+        for covered in flood(g, seeds, "or", k, neighbor_reduce):
             pass
-        retired = np.flatnonzero((values < sentinel) & (covered != 0))
+        retired = np.flatnonzero((values < sentinel) & covered)
         if trace is not None:
             trace.append({"active": remaining, "chosen": int(picks.size),
                           "retired": int(retired.size),

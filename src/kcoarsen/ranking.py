@@ -58,10 +58,11 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> np.ndarray:
     """Compute (A + I)^k x by k rounds of inclusive neighborhood sums.
 
     The power graph is never materialized; k = 0 returns x unchanged.
-    Raises ValueError when the counts overflow float64: every ratio
-    score would become 0 and the order would silently fall back to ids.
-    `workers` is accepted and unused: every sweep runs on the calling
-    thread.
+    Raises ValueError at the first round whose counts overflow float64:
+    every ratio score would become 0 and the order would silently fall
+    back to ids.  A round that changes nothing, which only a graph
+    without edges has, ends the rounds early.  `workers` is accepted and
+    unused: every sweep runs on the calling thread.
     """
     if k < 0:
         raise ValueError("walk_counts requires k >= 0")
@@ -69,9 +70,12 @@ def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> np.ndarray:
     # overflow is reported below as a ValueError, not as a numpy warning
     with np.errstate(over="ignore"):
         for _ in range(k):
-            vec = neighbor_reduce(g, vec, "sum", 0.0)
-    if not np.isfinite(vec).all():
-        raise ValueError(f"walk counts overflow float64 at k={k}")
+            nxt = neighbor_reduce(g, vec, "sum")
+            if not np.isfinite(nxt).all():
+                raise ValueError(f"walk counts overflow float64 at k={k}")
+            if np.array_equal(nxt, vec):
+                break
+            vec = nxt
     return vec
 
 

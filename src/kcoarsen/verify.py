@@ -261,7 +261,7 @@ def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
     """Check pairwise distance > k within the set and k-hop coverage of V.
 
     A k-step max-flood labels each node with the largest selected id
-    within k hops (-1: uncovered).  Only selected nodes s labelled above
+    within k hops (below 0: uncovered).  Only selected nodes s labelled above
     their own id are suspects; one depth-capped pair search from them to
     the selected ids in s+1..label[s] names the pairs.
     """
@@ -269,8 +269,8 @@ def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
     mask = np.zeros(g.n, dtype=bool)
     mask[result.selected] = True
     selected = np.flatnonzero(mask)
-    seeds = np.where(mask, np.arange(g.n), -1)
-    for label in flood(g, seeds, "max", np.int64(-1), k, neighbor_reduce):
+    seeds = np.where(mask, np.arange(g.n), np.iinfo(np.int64).min)
+    for label in flood(g, seeds, "max", k, neighbor_reduce):
         pass
     suspects = np.flatnonzero(label[selected] > selected)  # into selected
     if suspects.size:

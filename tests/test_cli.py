@@ -183,6 +183,7 @@ def test_verify_malformed_centroids_exits_2(tmp_path, capsys, edit):
      "line 4: expected 'u v'"),
     ("centroids.txt", lambda rows: rows[:1] + ["1 2 x"] + rows[2:], None),
     ("assignment.txt", lambda rows: rows + ["7 0"], "unknown node id 7"),
+    ("assignment.txt", lambda rows: rows + ["9 0", "-3 0"], "unknown node id 9"),
     ("assignment.txt", lambda rows: rows + ["99999999999999999999 0"],
      "must fit int64"),
     ("centroids.txt", lambda rows: rows[:1] + ["1 x"] + rows[2:],
@@ -197,6 +198,7 @@ def test_verify_malformed_centroids_exits_2(tmp_path, capsys, edit):
     ("coarse.edgelist", lambda rows: rows + ["2 2 1.0"],
      "coarse edgelist repeats an edge or holds a self-loop"),
 ], ids=["three_columns", "float_column", "centroid_note", "unknown_id",
+        "first_unknown_id_in_file_order",
         "beyond_int64", "non_integer",
         "unknown_centroid", "missing_centroid", "repeated_node",
         "repeated_coarse_edge", "coarse_self_loop"])
@@ -471,6 +473,25 @@ def test_bench_compare_greedy(tmp_path):
 def test_bench_rejects_empty_k_list(tmp_path):
     inp = write_path5(tmp_path)
     assert run(["bench", "-i", inp, "--k-list", "", "-o", tmp_path / "b"]) == 2
+
+
+@pytest.mark.parametrize("bounds", ["1:inf", "nan:2", "5:1", "0:0", "-1:1"])
+def test_bench_rejects_weight_range_outside_finite_positive(tmp_path, capsys, bounds):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "bench"
+    assert run(["bench", "-i", inp, "--k-list", "1", "--trials", "1",
+                "--compare-greedy", f"--weight-range={bounds}", "-o", out]) == 2
+    assert "bad --k-list or --weight-range value" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
+
+
+def test_bench_accepts_a_one_point_weight_range(tmp_path):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "bench"
+    assert run(["bench", "-i", inp, "--k-list", "1", "--trials", "1",
+                "--compare-greedy", "--weight-range", "2:2", "-o", out]) == 0
+    config = (out / "compare.csv").read_text().splitlines()[0]
+    assert json.loads(config.split(": ", 1)[1])["weight_range"] == "2:2"
 
 
 def test_bench_mm_input(tmp_path):

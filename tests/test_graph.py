@@ -361,12 +361,23 @@ def test_power_cycle():
 
 
 def test_power_matches_reference(small_corpus):
-    for g, edges, n in small_corpus[:10]:
+    """Every k from 1 to 3 and on until the power stops growing, on graphs
+    of one and of several BFS_BATCH source batches, one with isolated nodes."""
+    rng = helpers.make_rng("power")
+    cases = [(edges, n) for _, edges, n in small_corpus[:10]] + [
+        (helpers.random_edges(rng, 63, 0.08), 63),
+        (helpers.path_edges(64), 64),
+        (helpers.cycle_edges(65), 65),
+        (helpers.random_edges(rng, 100, 0.03), 130),  # 100..129 isolated
+    ]
+    for edges, n in cases:
+        g = build(edges, n=n)
         adj = helpers.adjacency(n, edges)
-        for k in (1, 2, 3):
-            gk = power(g, k)
-            u, v, _ = gk.edge_list()
-            assert list(zip(u.tolist(), v.tolist())) == helpers.power_edges(adj, k)
+        k, last, want = 0, None, None
+        while k < 3 or want != last:
+            k, last, want = k + 1, want, helpers.power_edges(adj, k + 1)
+            u, v, _ = power(g, k).edge_list()
+            assert list(zip(u.tolist(), v.tolist())) == want, (n, k)
 
 
 def test_power_one_drops_weights():

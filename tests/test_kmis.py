@@ -255,8 +255,8 @@ def test_repeat_runs_identical(small_corpus):
 def test_round_that_picks_nothing_raises(monkeypatch):
     # labels off by one on every row-subset round make the local rounds
     # pick nothing; without a progress check such a round repeats forever
-    def off_by_one(g, values, kind, fill, rows=None):
-        out = neighbor_reduce(g, values, kind, fill, rows=rows)
+    def off_by_one(g, values, kind, rows=None):
+        out = neighbor_reduce(g, values, kind, rows=rows)
         return out if rows is None else out + 1
 
     monkeypatch.setattr(kcoarsen.kmis, "neighbor_reduce", off_by_one)

@@ -14,8 +14,8 @@ from kcoarsen._propagate import flood, neighbor_reduce
 
 from . import helpers
 
-KINDS = (("min", np.int64, np.int64(1 << 40)), ("max", np.int64, np.int64(-1)),
-         ("sum", np.float64, 0.0), ("or", np.uint64, np.uint64(0)))
+KINDS = (("min", np.int64), ("max", np.int64), ("sum", np.float64),
+         ("or", np.uint64))
 
 
 def random_values(rng, n, dtype):
@@ -27,14 +27,14 @@ def random_values(rng, n, dtype):
 def test_row_subset_equals_full_round_at_those_rows(corpus):
     rng = np.random.default_rng(0)
     for g, edges, n in corpus[::5]:
-        for kind, dtype, fill in KINDS:
+        for kind, dtype in KINDS:
             values = random_values(rng, n, dtype)
-            full = neighbor_reduce(g, values, kind, fill)
+            full = neighbor_reduce(g, values, kind)
             subsets = (np.arange(n), np.empty(0, dtype=np.int64),
                        np.flatnonzero(rng.random(n) < 0.3),
                        np.flatnonzero(g.degrees == 0))
             for rows in subsets:
-                got = neighbor_reduce(g, values, kind, fill, rows=rows)
+                got = neighbor_reduce(g, values, kind, rows=rows)
                 assert got.dtype == values.dtype
                 assert np.array_equal(got, full[rows])
 
@@ -88,7 +88,7 @@ def test_round_matches_closed_neighborhood_oracle(small_corpus, monkeypatch):
             g = build(edges, n=n)
             layouts.add((bool(g.jagged.columns), bool(g.jagged.tail.size)))
             adj = helpers.adjacency(n, edges)
-            for kind, dtype, fill in KINDS:
+            for kind, dtype in KINDS:
                 if kind == "sum":
                     continue
                 values = random_values(rng, n, dtype)
@@ -97,7 +97,7 @@ def test_round_matches_closed_neighborhood_oracle(small_corpus, monkeypatch):
                 for v in range(n):
                     for u in adj[v]:
                         expect[v] = op(expect[v], int(values[u]))
-                got = neighbor_reduce(g, values, kind, fill)
+                got = neighbor_reduce(g, values, kind)
                 assert got.dtype == values.dtype and got.tolist() == expect
     assert {(True, False), (False, True), (True, True)} <= layouts
 
@@ -106,7 +106,7 @@ def test_concurrent_callers_agree_while_the_layout_is_built():
     """Threads racing to build a fresh graph's layout all get the round."""
     edges, n = skewed_graphs()[-1]
     values = np.random.default_rng(4).integers(0, 1000, size=n)
-    expect = neighbor_reduce(build(edges, n=n), values, "min", np.int64(1000))
+    expect = neighbor_reduce(build(edges, n=n), values, "min")
     same = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -118,7 +118,7 @@ def test_concurrent_callers_agree_while_the_layout_is_built():
             def caller():
                 start.wait(timeout=60)
                 for _ in range(4):
-                    got = neighbor_reduce(g, values, "min", np.int64(1000))
+                    got = neighbor_reduce(g, values, "min")
                     same.append(np.array_equal(got, expect))
 
             callers = [threading.Thread(target=caller) for _ in range(6)]
@@ -132,23 +132,35 @@ def test_concurrent_callers_agree_while_the_layout_is_built():
     assert len(same) == 120 and all(same)
 
 
-FLOOD_FILLS = {"min": np.int64(1 << 40), "max": np.int64(-1), "or": np.uint64(0)}
+FLOOD_DTYPES = {"min": (np.int32, np.int64), "max": (np.int32, np.int64),
+                "or": (np.uint8, np.uint64, np.bool_)}
+
+
+def identity(kind, dtype):
+    """The value of `kind` that changes no neighbor: what flood leaves idle."""
+    if kind == "or":
+        return 0
+    return np.iinfo(dtype).max if kind == "min" else np.iinfo(dtype).min
 
 
 @st.composite
 def flood_cases(draw):
-    """(graph, values, kind, steps): few or many nodes off the fill."""
+    """(graph, values, kind, steps): few or many nodes off the identity."""
     n = draw(st.integers(1, 60))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
-    kind = draw(st.sampled_from(sorted(FLOOD_FILLS)))
-    fill = FLOOD_FILLS[kind]
+    kind = draw(st.sampled_from(sorted(FLOOD_DTYPES)))
+    dtype = draw(st.sampled_from(FLOOD_DTYPES[kind]))
     seeded = draw(st.lists(st.integers(0, n - 1), min_size=1,
                            max_size=draw(st.sampled_from([2, n]))))
-    values = np.full(n, fill)
+    values = np.full(n, identity(kind, dtype), dtype=dtype)
     for v in seeded:
-        values[v] = draw(st.integers(1, 1000)) if kind != "or" else 1 << draw(
-            st.integers(0, 63))
+        if kind != "or":
+            values[v] = draw(st.integers(-1000, 1000))
+        elif dtype != np.bool_:
+            values[v] = 1 << draw(st.integers(0, 8 * values.itemsize - 1))
+        else:
+            values[v] = True
     steps = draw(st.none() | st.integers(0, 8))
     return build(edges, n=n), values, kind, steps
 
@@ -157,7 +169,7 @@ def full_rounds(g, values, kind, steps):
     """The states a flood must yield, from full neighbor_reduce rounds."""
     states = [values]
     while steps is None or len(states) <= steps:
-        nxt = neighbor_reduce(g, states[-1], kind, FLOOD_FILLS[kind])
+        nxt = neighbor_reduce(g, states[-1], kind)
         if np.array_equal(nxt, states[-1]):
             break
         states.append(nxt)
@@ -172,8 +184,8 @@ def run_flood(g, values, kind, steps, **kwargs):
         sparse.append(kw.get("rows") is not None)
         return neighbor_reduce(*args, **kw)
 
-    states = [state.copy() for state in flood(g, values, kind, FLOOD_FILLS[kind],
-                                              steps, sweep, **kwargs)]
+    states = [state.copy() for state in flood(g, values, kind, steps, sweep,
+                                              **kwargs)]
     return states, sparse
 
 
@@ -184,7 +196,7 @@ def test_flood_yields_full_rounds_until_steps_or_fixed_point():
     seen = set()
 
     @given(flood_cases())
-    @example((PATH40, np.where(np.arange(40) == 7, 3, FLOOD_FILLS["min"]), "min", None))
+    @example((PATH40, np.where(np.arange(40) == 7, 3, identity("min", np.int64)), "min", None))
     @example((PATH40, np.arange(40), "max", 3))
     @settings(max_examples=200, deadline=None)
     def check(case):
@@ -214,7 +226,7 @@ def test_flood_with_zero_steps_yields_a_copy_and_sweeps_nothing():
 
 def test_flood_on_the_empty_graph():
     g = build([], n=0)
-    for kind in FLOOD_FILLS:
-        values = np.empty(0, dtype=FLOOD_FILLS[kind].dtype)
-        states, _ = run_flood(g, values, kind, None)
-        assert len(states) == 1 and states[0].size == 0
+    for kind, dtypes in FLOOD_DTYPES.items():
+        for dtype in dtypes:
+            states, _ = run_flood(g, np.empty(0, dtype=dtype), kind, None)
+            assert len(states) == 1 and states[0].size == 0

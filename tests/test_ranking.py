@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcoarsen.ranking
 from kcoarsen import Ranking, build, resolve_ranking
+from kcoarsen._propagate import neighbor_reduce
 from kcoarsen.ranking import load_scores, walk_counts
 
 from . import helpers
@@ -190,6 +192,31 @@ def test_walk_counts_overflow_raises():
         walk_counts(g, np.ones(g.n), 250)
     with pytest.raises(ValueError, match="overflow"):
         resolve_ranking(g, "kdeg", k=250)
+
+
+def test_walk_counts_stop_at_overflow_or_a_fixed_point(monkeypatch):
+    # (A + I) 1 at most triples on a path, so its counts pass float64
+    # within ~650 rounds of the 10**9 asked; an edgeless graph's first
+    # round changes nothing.  The spy stops a run that sweeps on regardless.
+    sweeps = []
+
+    def spy(*args, **kwargs):
+        sweeps.append(kwargs.get("rows"))
+        if len(sweeps) > 2000:
+            raise AssertionError("walk_counts swept past the overflow")
+        return neighbor_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(kcoarsen.ranking, "neighbor_reduce", spy)
+    path = build(helpers.path_edges(5))
+    with pytest.raises(ValueError, match="overflow"):
+        walk_counts(path, np.ones(5), 10**9)
+    assert len(sweeps) <= 1100
+    sweeps.clear()
+    assert walk_counts(build([], n=4), np.ones(4), 10**9).tolist() == [1.0] * 4
+    assert len(sweeps) <= 2
+    sweeps.clear()
+    assert walk_counts(path, np.ones(5), 2).tolist() == [5.0, 8.0, 9.0, 8.0, 5.0]
+    assert len(sweeps) == 2
 
 
 def test_walk_counts_overflow_on_worker_threads_raises_only_value_error():
