@@ -26,7 +26,6 @@ from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
 from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
                     load, store, write_table, _build_arrays, _edge_table,
                     _fast_edgelist, _id_pair)
-from .kmis import KMisResult
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
 from .ranking import resolve_ranking as _resolve_rank_spec
@@ -143,9 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_coarsen_artifacts(outdir: Path, config: RunConfig, g: Graph,
+def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
                              original_ids: np.ndarray, h: CoarsenedGraph,
-                             partition: Partition, result: KMisResult) -> None:
+                             partition: Partition) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     config_line = f"config: {config.to_json()}"
     store(h.graph, outdir / "coarse.edgelist", header_lines=[config_line])
@@ -178,12 +177,14 @@ def cmd_coarsen(args) -> int:
         g, args.k, ranking=ranking, edge_agg=args.edge_agg,
         node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
         workers=args.threads, timings=timings)
+    n, m = g.n, g.m
+    del g, ranking  # free the input CSR and its sweep layout before the write
     t0 = perf_counter()
-    _write_coarsen_artifacts(Path(args.output), config, g, original_ids, h,
-                             partition, result)
+    _write_coarsen_artifacts(Path(args.output), config, original_ids, h,
+                             partition)
     t_write = perf_counter() - t0
-    ratio = result.selected.size / g.n if g.n else 0.0
-    print(f"n={g.n} m={g.m} coarse_n={h.graph.n} coarse_m={h.graph.m} "
+    ratio = result.selected.size / n if n else 0.0
+    print(f"n={n} m={m} coarse_n={h.graph.n} coarse_m={h.graph.m} "
           f"selected={result.selected.size} ratio={ratio:.4f} "
           f"rounds={result.rounds} "
           f"t_load={t_load:.4f}s "

@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from ._propagate import flood, neighbor_reduce, sorted_unique
-from .graph import Graph, _aggregate, _build_arrays, as_node_weights
+from .graph import Graph, _aggregate, _coalesce, as_node_weights
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
 
@@ -129,12 +129,12 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
            node_weights=None, node_agg: str = "keep_centroid") -> CoarsenedGraph:
     """Contract each cluster to its centroid.
 
-    Each edge maps to its endpoints' clusters; `_build_arrays` drops the
-    intra-cluster pairs as self-loops and folds the crossing edges of two
-    clusters (1 each when g is unweighted) into one coarse edge by
-    `edge_agg`, in `edge_list` order.  `node_agg` aggregates optional node
-    weights: keep_centroid takes the centroid's own value, sum/mean fold
-    the whole fiber.
+    Each edge maps to its endpoints' clusters, and only the crossing
+    edges' keys ``min * nc + max`` reach `_coalesce`, which folds the
+    crossing edges of two clusters (1 each when g is unweighted) into one
+    coarse edge by `edge_agg`, in `edge_list` order.  `node_agg`
+    aggregates optional node weights: keep_centroid takes the centroid's
+    own value, sum/mean fold the whole fiber.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
@@ -149,9 +149,13 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
 
     u, v, w = g.edge_list()
     u, v = node_cluster[u], node_cluster[v]
-    coarse = _build_arrays(
-        u, v, np.ones(u.size) if w is None else w, nc, agg=edge_agg,
-        overflow="edge_agg 'sum' gives a coarse edge weight beyond float64's range")
+    crossing = u != v
+    u, v = u[crossing], v[crossing]
+    w = np.ones(u.size) if w is None else w[crossing]
+    key = np.minimum(u, v) * nc + np.maximum(u, v, out=u)
+    del u, v, crossing
+    coarse = _coalesce(key, w, nc, edge_agg,
+                       "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
 
     node_values = None
     if node_weights is not None:

@@ -143,16 +143,9 @@ def as_node_weights(values, n: int) -> np.ndarray:
 
 
 def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
-                  n: int, agg: str = "sum",
-                  overflow: str = "parallel edge weights sum beyond float64's range"
-                  ) -> Graph:
-    """Assemble a normalized Graph from parallel endpoint arrays.
-
-    The one place that merges parallel edges: it drops self-loops, groups
-    the keys ``min * n + max`` by `_distinct` and folds each group's
-    weights in input order by `agg` (unweighted, it keeps only the sorted
-    distinct keys); a sum past float64 raises ValueError(overflow).
-    """
+                  n: int) -> Graph:
+    """Assemble a normalized Graph from parallel endpoint arrays: check
+    them, drop self-loops and let `_coalesce` merge parallel edges by sum."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.size:
@@ -164,20 +157,46 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
         raise ValueError(f"n={n} is too large: edge keys n*u + v overflow int64")
     keep = u != v
     u, v = u[keep], v[keep]
+    w = None if w is None else np.asarray(w, np.float64)[keep]
     key = np.minimum(u, v) * n + np.maximum(u, v)
-    del u, v
+    del u, v, keep
+    return _coalesce(key, w, n, "sum", "parallel edge weights sum beyond float64's range")
+
+
+def _coalesce(key: np.ndarray, w: np.ndarray | None, n: int, agg: str,
+              overflow: str) -> Graph:
+    """The Graph of edge keys ``lo * n + hi`` (lo < hi), assembled in place.
+
+    The one place that merges parallel edges: it groups the keys by
+    `_distinct` and folds each group's float64 weights in input order by
+    `agg` (unweighted, it keeps only the sorted distinct keys); a sum past
+    float64 raises ValueError(overflow).
+    """
     if w is None:  # nothing to fold: the distinct keys suffice
         key = sorted_unique(key)
     else:
         key, group = _distinct(key)
-        w = _aggregate(np.asarray(w, np.float64)[keep], group, key.size, agg, overflow)
-        del keep, group  # the arcs below set the peak memory of a large build
+        w = _aggregate(w, group, key.size, agg, overflow)
+        del group  # the arcs below set the peak memory of a large build
+    m = key.size
     # the arcs' keys src*n + dst are distinct, so any sort gives CSR order
-    arcs = np.concatenate([key, key % n * n + key // n])
-    order = None if w is None else np.argsort(arcs)
-    arcs = np.sort(arcs) if w is None else arcs[order]
-    return Graph(n=n, m=key.size, indptr=np.searchsorted(arcs, np.arange(n + 1) * n),
-                 indices=arcs % n, weights=None if w is None else np.concatenate([w, w])[order])
+    arcs = np.empty(2 * m, dtype=np.int64)
+    arcs[:m] = key
+    np.divmod(key, n, out=(arcs[m:], key))  # the reverse arcs: hi * n + lo
+    key *= n
+    arcs[m:] += key
+    del key
+    if w is None:
+        arcs.sort()
+    else:
+        order = np.argsort(arcs)
+        arcs = arcs[order]
+        order %= m  # arcs i and m + i carry edge i's weight
+        w = w[order]
+        del order
+    indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+    arcs %= n
+    return Graph(n=n, m=m, indptr=indptr, indices=arcs, weights=w)
 
 
 def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,
@@ -189,6 +208,7 @@ def _aggregate(values: np.ndarray, groups: np.ndarray, count: int,
         (np.maximum if how == "max" else np.minimum).at(out, groups, values)
         return out
     sums = np.bincount(groups, weights=values, minlength=count)
+    sums = sums.astype(np.float64, copy=False)  # int64 when groups is empty
     over = np.isinf(sums)
     if how == "sum":
         if over.any():

@@ -32,11 +32,10 @@ def run(argv):
 def test_centroids_file_carries_node_values(tmp_path):
     # the CLI passes no node weights; the library path still writes them
     g = build(helpers.path_edges(5))
-    h, partition, result = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
-                                            weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
+    h, partition, _ = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
+                                       weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
     config = RunConfig(command="coarsen", input="in", format="edgelist")
-    _write_coarsen_artifacts(tmp_path, config, g, np.arange(5) * 10, h,
-                             partition, result)
+    _write_coarsen_artifacts(tmp_path, config, np.arange(5) * 10, h, partition)
     lines = (tmp_path / "centroids.txt").read_text().splitlines()
     assert lines[1] == "# coarse_index centroid_id node_value"
     assert lines[2:] == [f"{i} {10 * c} {x!r}" for i, (c, x) in
@@ -217,11 +216,11 @@ def test_verify_malformed_artifact_rows(tmp_path, capsys, name, edit, message):
 
 def test_artifact_columns_read_alike_on_both_paths(tmp_path, monkeypatch):
     g = build(helpers.path_edges(5))
-    h, partition, result = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
-                                            weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
+    h, partition, _ = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
+                                       weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
     config = RunConfig(command="coarsen", input="in", format="edgelist")
     ids = np.array([-(2**62), -5, 0, 7, 2**62])
-    _write_coarsen_artifacts(tmp_path, config, g, ids, h, partition, result)
+    _write_coarsen_artifacts(tmp_path, config, ids, h, partition)
     more = {"assignment.txt": False, "centroids.txt": True}
     fast = {name: _id_columns(tmp_path / name, more[name]) for name in more}
     monkeypatch.setattr(kcoarsen.cli, "_fast_edgelist", lambda data: None)

@@ -1,10 +1,12 @@
 """Cluster assignment, edge/node aggregation, and the full pipeline."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import kcoarsen.graph
 from kcoarsen import (
     CoarsenedGraph,
     KMisResult,
@@ -185,6 +187,39 @@ def test_reduce_matches_pure_python_contraction(small_corpus, how):
                         for u, v, _ in triples if cluster_of[u] != cluster_of[v])
         multiple += sum(count >= 3 for count in pairs.values())
     assert multiple >= 50  # pairs whose fold order matters
+
+
+@pytest.mark.parametrize("how", EDGE_AGGREGATIONS)
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1, 2.5), (1, 2, 0.5)]])
+def test_reduce_without_crossing_edges(edges, how):
+    # k = 5 puts the whole path in one cluster
+    g = build(edges, n=3)
+    with np.errstate(all="raise"):
+        h, part, _ = coarsen_pipeline(g, 5, ranking="kdeg", edge_agg=how,
+                                      weights=[1.0, 2.0, 4.0], node_agg="sum")
+    assert part.cluster_count == 1 and h.graph.m == 0
+    assert h.graph.indptr.tolist() == [0, 0] and h.graph.indices.size == 0
+    assert h.graph.weights.dtype == np.float64 and h.graph.weights.size == 0
+    assert h.node_values.tolist() == [7.0]
+
+
+def test_reduce_peak_memory_per_edge():
+    """reduce's tracemalloc peak on a seeded uniform graph stays below 75
+    bytes per input edge.  Holding the full-length cluster-index arrays
+    and an all-edges `ones` through the grouping read about 90 here."""
+    rng = np.random.default_rng(0)
+    n = 20_000
+    g = kcoarsen.graph._build_arrays(*rng.integers(0, n, size=(2, 4 * n)), None, n)
+    ranking = resolve_ranking(g, "kdeg", k=2)
+    part = cluster(g, 2, ranking, k_mis(g, 2, ranking))
+    tracemalloc.start()
+    try:
+        h = reduce(g, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.graph.m > g.m // 2  # most edges cross, as on the benchmark's graph
+    assert peak / g.m < 75
 
 
 def test_reduce_rejects_unknown_aggregation():

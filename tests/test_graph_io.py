@@ -289,6 +289,29 @@ def test_build_arrays_guards_key_overflow():
         kcoarsen.graph._build_arrays(np.array([0]), np.array([1]), None, 2**32)
 
 
+@pytest.mark.parametrize("u, v, w, n", [
+    ([], [], None, 0),
+    ([], [], [], 0),
+    ([], [], None, 1),
+    ([0], [0], [1.5], 1),  # a self-loop only
+    ([0], [1], None, 2),
+    ([1], [0], [2.5], 2),
+    ([2, 0, 2], [0, 2, 0], [0.1, 0.2, 0.3], 3),  # node 1 isolated
+])
+def test_in_place_csr_edge_cases_match_reference(u, v, w, n):
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    w = None if w is None else np.array(w, dtype=np.float64)
+    with np.errstate(all="raise"):  # an integer % 0 would raise, not warn
+        g = kcoarsen.graph._build_arrays(u, v, w, n)
+    indptr, indices, weights = helpers.csr_reference(u, v, w, n)
+    assert np.array_equal(g.indptr, indptr) and g.indptr.dtype == np.int64
+    assert np.array_equal(g.indices, indices) and g.indices.dtype == np.int64
+    if w is None:
+        assert g.weights is None
+    else:
+        assert g.weights.dtype == np.float64 and np.array_equal(g.weights, weights)
+
+
 @st.composite
 def one_graph_two_files(draw):
     """(Matrix Market text, edgelist text, ids, field): one graph on nodes
