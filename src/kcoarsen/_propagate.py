@@ -21,8 +21,9 @@ by how busy the host kept the second core.
 point.  Under these idempotent kinds a node can change only next to one
 that changed in the last round (the frontier), so a round is a full
 sweep when the frontier holds more than DENSE_EDGE_SHARE of the edge
-slots, else a `rows=` round next to it (Ligra's rule: Shun & Blelloch,
-PPoPP 2013).
+slots, else a `rows=` round on its closed neighbourhood (Ligra's rule:
+Shun & Blelloch, PPoPP 2013); recomputing a frontier row itself cannot
+move it.  `k_mis` updates its label layers by the same rule.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
 
 
 def next_to(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Sorted ids of the nodes adjacent to some node of `nodes`."""
+    """Sorted ids of the closed neighbourhood N[nodes]: `nodes` and every
+    node adjacent to one of them."""
     starts = g.indptr[nodes]
-    return sorted_unique(g.indices[concat_ranges(starts,
-                                                 g.indptr[nodes + 1] - starts)])
+    near = g.indices[concat_ranges(starts, g.indptr[nodes + 1] - starts)]
+    return sorted_unique(np.concatenate([nodes, near]))
 
 
 class Jagged(NamedTuple):

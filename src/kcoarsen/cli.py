@@ -128,14 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k-list", default="1,2,4,8",
                    help="comma-separated k values (default 1,2,4,8)")
-    p.add_argument("--trials", type=int, default=10,
+    p.add_argument("--trials", type=_at_least(1), default=10,
                    help="repetitions per k (and greedy trials)")
     p.add_argument("--compare-greedy", action="store_true",
                    help="also run the sequential greedy baseline on the "
                         "explicit power graph")
     p.add_argument("--weight-range", default="1:100",
                    help="uniform node-weight range LO:HI for greedy trials")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+    p.add_argument("--oracle-cap", type=_at_least(1), default=DEFAULT_ORACLE_CAP,
                    help="largest n for which the power graph may be built")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
@@ -310,8 +310,8 @@ def cmd_bench(args) -> int:
     except ValueError:
         print("bad --k-list or --weight-range value", file=sys.stderr)
         return 2
-    if not k_values or min(k_values) < 1 or args.trials < 1:
-        print("bench needs k values >= 1 and trials >= 1", file=sys.stderr)
+    if not k_values or min(k_values) < 1:
+        print("bench needs k values >= 1", file=sys.stderr)
         return 2
     config = RunConfig(command="bench", input=args.input, format=args.format,
                        k_list=k_values, rank=args.rank, output=args.output,

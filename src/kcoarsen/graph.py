@@ -306,6 +306,7 @@ def _edge_table(path):
 def _parse_edgelist(path: Path):
     ends, w = _edge_table(path)
     ids, dense = _distinct(ends.ravel())
+    del ends  # the raw id table would outlive the build below
     u, v = dense.reshape(-1, 2).T
     return _build_arrays(u, v, w, ids.size), ids
 

@@ -3,19 +3,21 @@
 A set S is k-independent when every two members are more than k hops
 apart, and maximal when every node lies within k hops of S.  Selection
 emulates greedy MIS on the k-th graph power without materializing it:
-each round floods the minimum rank of the still-active nodes through k
-propagation steps, keeps the active nodes whose own rank survived, then
+each round labels every node with the minimum rank of the still-active
+nodes within k hops, keeps the active nodes whose own rank survived, then
 flags and retires everything within k hops of the new picks.  Retired
 nodes stop contributing a rank but still relay labels and flags, so hop
 distances are always those of the full graph.
 
-A node's label is the minimum active rank within k hops, so retiring a
-set R changes labels only on N_k(R), and those depend only on ranks in
-N_2k(R).  A round after the first therefore recomputes labels on that
-region alone, a linear-work round in the sense of Blelloch, Fineman &
-Shun (SPAA 2012), and falls back to flooding every active rank when the
-region would cost more than that flood (Ligra's switch: Shun & Blelloch,
-PPoPP 2013).  Both forms give the same labels, so the same picks.
+The labels live across rounds as k+1 layers: layer 0 holds the active
+ranks, and layer j is one min round over layer j-1, the minimum active
+rank within j hops.  A row of layer j can change only on the closed
+neighbourhood of the rows whose layer j-1 changed, so a round recomputes
+those rows alone, layer by layer up from the ranks the last round
+retired: a linear-work round in the sense of Blelloch, Fineman & Shun
+(SPAA 2012).  Each layer is a full sweep instead when its changed rows
+hold more than DENSE_EDGE_SHARE of the edge slots, `flood`'s rule
+(Ligra: Shun & Blelloch, PPoPP 2013).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._propagate import flood, neighbor_reduce, next_to
+from ._propagate import DENSE_EDGE_SHARE, flood, neighbor_reduce, next_to
 from .graph import Graph
 from .ranking import Ranking
 
@@ -51,61 +53,52 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
           trace: list | None = None) -> KMisResult:
     """Deterministic maximal k-independent set for a given ranking.
 
-    The first round floods the active ranks k steps over the whole
-    graph.  A later round changes labels only within k hops of the nodes
-    the last round retired (R), so it grows the balls around R out to
-    2k - 1 hops, recomputes labels by k `rows=` steps over N_{2k-1}(R)
-    down to N_k(R), and tests only the active nodes of N_k(R) as picks;
-    it floods all active ranks again when the balls would hold more edge
-    slots than `_local_budget` allows.  Either way the round then floods
-    the cover k steps from its picks and retires what it reaches.  A
-    flood step is a full sweep, or about the edges next to the last
-    step's changes once those are a small share of them, and a step that
-    changes nothing ends its flood early, which is sound because
-    min-label flooding is monotone.
+    Each round brings the k label layers up to date, one min round per
+    layer on the closed neighbourhood of the rows whose layer below
+    changed (every row in the first round), and tests as picks only the
+    rows whose top label changed: an unchanged label still names a
+    smaller active rank.  It then floods the cover k steps from its picks
+    and retires what it reaches.  When the active nodes hold fewer edge
+    slots than the nodes just retired, the next round relabels from the
+    active ranks instead: layers 1..k restart at the sentinel and the
+    changed rows are the active nodes.  A round that picks no node,
+    which only wrong labels can cause, raises RuntimeError.
 
     When `trace` is a list, each round appends a dict of its `active`,
     `chosen` and `retired` node counts and its `region`: the rows whose
-    labels it recomputed, n on a full flood.  A round that picks no node,
-    which only wrong labels can cause, raises RuntimeError.  `workers`
-    is accepted and unused: every sweep runs on the calling thread.
+    top label changed, the rows it tested for picks (n in the first
+    round).  `workers` is accepted and unused: every sweep runs on the
+    calling thread.
     """
     if k < 1:
         raise ValueError("k_mis requires k >= 1")
     ranking.validate(g.n)
     n = g.n
     rank = ranking.rank
-    sentinel = np.iinfo(np.int64).max
-    # the rank of an active node, else the sentinel, so only an active node
-    # can see its own rank as its label
-    values = rank.copy()
-    in_set = np.zeros(n, dtype=bool)
-    hop = np.full(n, -1, dtype=np.int64)
-    scratch = np.empty(n, dtype=np.int64)
-    remaining = n
+    degrees = g.degrees
     total_slots = active_slots = int(g.indptr[-1])
-    retired = None
-    retired_slots = 0
+    sentinel = np.iinfo(np.int64).max
+    # layers[0] holds the rank of an active node, else the sentinel, so only
+    # an active node can see its own rank as its label
+    layers = [rank.copy()] + [np.full(n, sentinel) for _ in range(k)]
+    changed = np.arange(n)
+    in_set = np.zeros(n, dtype=bool)
+    remaining = n
     rounds = 0
     while remaining:
         rounds += 1
-        region = None
-        if retired is not None:
-            region = _region(g, retired, retired_slots, 2 * k - 1, hop,
-                             _local_budget(total_slots, active_slots))
-        if region is None:
-            for label in flood(g, values, "min", k, neighbor_reduce):
-                pass
-            picks = np.flatnonzero(label == rank)
-        else:
-            nodes, hops = region
-            src = values
-            for radius in range(2 * k - 1, k - 1, -1):
-                rows = nodes[hops <= radius]
-                got = neighbor_reduce(g, src, "min", rows=rows)
-                src = scratch
-                src[rows] = got
-            picks = rows[got == rank[rows]]
+        for j in range(1, k + 1):
+            old = layers[j]
+            if degrees[changed].sum() > DENSE_EDGE_SHARE * total_slots:
+                layers[j] = neighbor_reduce(g, layers[j - 1], "min")
+                changed = np.flatnonzero(layers[j] != old)
+            else:
+                rows = next_to(g, changed)
+                got = neighbor_reduce(g, layers[j - 1], "min", rows=rows)
+                moved = got != old[rows]
+                changed = rows[moved]
+                old[changed] = got[moved]
+        picks = changed[layers[k][changed] == rank[changed]]
         if not picks.size:
             raise RuntimeError(f"k_mis round {rounds} picked no node")
         in_set[picks] = True
@@ -113,55 +106,21 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
         seeds[picks] = True
         for covered in flood(g, seeds, "or", k, neighbor_reduce):
             pass
-        retired = np.flatnonzero((values < sentinel) & covered)
+        active = layers[0]
+        retired = np.flatnonzero((active < sentinel) & covered)
         if trace is not None:
             trace.append({"active": remaining, "chosen": int(picks.size),
                           "retired": int(retired.size),
-                          "region": n if region is None else int(nodes.size)})
-        values[retired] = sentinel
+                          "region": int(changed.size)})
+        active[retired] = sentinel
         remaining -= retired.size
-        retired_slots = int(g.degrees[retired].sum())
+        retired_slots = int(degrees[retired].sum())
         active_slots -= retired_slots
+        changed = retired
+        # updating from the retired rows costs about their edge slots,
+        # relabelling from the active ranks about the active nodes' slots
+        if active_slots < retired_slots:
+            for layer in layers[1:]:
+                layer.fill(sentinel)
+            changed = np.flatnonzero(active < sentinel)
     return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds, k=k)
-
-
-# A local round may grow its region to LOCAL_EDGE_SHARE of the edge slots,
-# and never beyond the active nodes' slots, which a full flood starts from.
-# With jagged full sweeps, on a 120x100 grid (kdeg, k=2) every share from
-# 0.1 to 0.5 kept 99 of 111 rounds local; a flat 0.05 share kept 25 and ran
-# 1.5-1.7x as long.  The active-slot bound keeps a random graph's late
-# rounds, whose full floods are already sparse, full.
-LOCAL_EDGE_SHARE = 0.25
-
-
-def _local_budget(total_slots: int, active_slots: int) -> float:
-    """Edge slots past which a round floods all active ranks instead."""
-    return min(LOCAL_EDGE_SHARE * total_slots, active_slots)
-
-
-def _region(g: Graph, retired: np.ndarray, slots: int, radius: int,
-            hop: np.ndarray, budget: float):
-    """Sorted ids within `radius` hops of `retired` and their hop counts.
-
-    `slots` is the edge-slot count of `retired`; None once the region
-    holds more than `budget` slots.  `hop` is scratch: -1 everywhere on
-    entry, and again on return.
-    """
-    if slots > budget:
-        return None
-    shells = [retired]
-    hop[retired] = 0
-    while len(shells) <= radius and shells[-1].size:
-        near = next_to(g, shells[-1])
-        shell = near[hop[near] < 0]
-        hop[shell] = len(shells)
-        shells.append(shell)
-        slots += g.degrees[shell].sum()
-        if slots > budget:
-            for shell in shells:
-                hop[shell] = -1
-            return None
-    nodes = np.sort(np.concatenate(shells))
-    hops = hop[nodes]
-    hop[nodes] = -1
-    return nodes, hops

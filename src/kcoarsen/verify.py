@@ -8,6 +8,7 @@ can show all witnesses at once.  The guarantees checked here:
 * for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v) and
   d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, where c maps a node to
   its centroid's coarse index;
+* every node lies within k hops of its centroid;
 * coarsening preserves the number of connected components, mapping each
   input component onto exactly one coarse component;
 * a selection is k-independent (pairwise distance > k) and maximal
@@ -179,9 +180,10 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     graph answers them all.  Pairs in different components of g are
     skipped (both sides are infinite).  `per_pair_sample` records at most
     MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
-    full.  Raises ValueError for `sample_pairs` below 1, a negative
-    `seed`, a row that is not a (u, v) pair or a pair with a node outside
-    0..n-1.
+    full.  One depth-k pair search from each node's centroid to the node
+    checks the radius, d_G(u, c(u)) <= k, for every node.  Raises
+    ValueError for `sample_pairs` below 1, a negative `seed`, a row that
+    is not a (u, v) pair or a pair with a node outside 0..n-1.
     """
     if sample_pairs < 1:
         raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
@@ -205,7 +207,8 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
         draws = _draws(seed, n_sources * (group + 1), n)
         src = np.repeat(draws[:n_sources], group)
         dst = draws[n_sources:]
-    coarse_of = _coarse_of(h, h.provenance.assignment, report)
+    assignment = h.provenance.assignment
+    coarse_of = _coarse_of(h, assignment, report)
     if coarse_of is None:
         return report
     hg = h.graph
@@ -231,6 +234,12 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
             report.violations.append(Violation(
                 kind="distortion_upper", nodes=(u, v),
                 observed=float(dg[i]), bound=float(limit[i])))
+    # both bounds rest on every node lying within k hops of its centroid
+    radius = bfs(g, assignment, np.arange(n), max_depth=k)
+    for u in np.flatnonzero(radius == n).tolist():
+        report.violations.append(Violation(
+            kind="radius", nodes=(u, int(assignment[u])),
+            observed=float("inf"), bound=float(k)))
     return report
 
 

@@ -109,6 +109,13 @@ def edge_bounds_reference(adj, centroids, coarse_adj, k):
     return records, violations
 
 
+def radius_reference(adj, assignment, k):
+    """check_distortion's radius violations: u farther than k hops from
+    its centroid assignment[u], in node order."""
+    return [("radius", (u, c), float("inf"), float(k))
+            for u, c in enumerate(assignment) if u not in ball(adj, c, k)]
+
+
 def distortion_reference(adj, coarse_adj, coarse_of, k, work, max_recorded=1000):
     """check_distortion's pair loop over (source, targets) work items.
 

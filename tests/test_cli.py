@@ -151,6 +151,23 @@ def test_verify_corrupted_assignment_exits_1(tmp_path, capsys):
     assert "violation" in err.lower()
 
 
+def test_verify_node_far_from_its_centroid_exits_1(tmp_path, capsys):
+    inp = tmp_path / "path12.edgelist"
+    inp.write_text("".join(f"{u} {v}\n" for u, v in helpers.path_edges(12)))
+    out = tmp_path / "run"
+    run(["coarsen", "-i", inp, "-k", "1", "--rank", "kdeg", "-o", out])
+    assignment = out / "assignment.txt"
+    lines = assignment.read_text().splitlines()
+    assert "2 2" in lines and "0 0" in lines
+    # centroid 2 now claims centroid 0, two hops away
+    assignment.write_text("\n".join("2 0" if line == "2 2" else line
+                                    for line in lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 1
+    err = capsys.readouterr().err
+    assert "violation [distortion] radius nodes=(2, 0) observed=inf bound=1.0" in err
+
+
 def _rewrite_rows(path, edit):
     """Apply `edit` to the data rows of an artifact file, keep comments."""
     lines = path.read_text().splitlines()
@@ -472,6 +489,21 @@ def test_bench_compare_greedy(tmp_path):
 def test_bench_rejects_empty_k_list(tmp_path):
     inp = write_path5(tmp_path)
     assert run(["bench", "-i", inp, "--k-list", "", "-o", tmp_path / "b"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--oracle-cap", "-1"),
+                                         ("--oracle-cap", "0"),
+                                         ("--trials", "0")])
+def test_bench_caps_and_trials_below_one_are_usage_errors(tmp_path, capsys,
+                                                           flag, value):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "bench"
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "-i", inp, "--k-list", "1", "--compare-greedy", flag,
+             value, "-o", out])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bounds", ["1:inf", "nan:2", "5:1", "0:0", "-1:1"])

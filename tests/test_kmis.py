@@ -14,18 +14,18 @@ from kcoarsen.graph import power
 
 from . import helpers
 
-# Edge-slot budgets that force every round after the first to recompute
-# labels locally, or to flood every active rank; the small test graphs
-# rarely take a local round under the default budget.
-ROUND_RULES = {"all_local": np.inf, "all_full": -1.0}
+# Dense-edge shares that force every label-layer update, the first round's
+# included, to recompute a row subset, or to sweep every row.  Not inf:
+# inf * 0 edge slots warns on an edgeless graph.
+ROUND_RULES = {"all_local": 2.0, "all_full": -1.0}
 
 
 @contextlib.contextmanager
 def forced_rounds(rule):
-    """Run k_mis under ROUND_RULES[rule], or its own budget for None."""
+    """Run k_mis under ROUND_RULES[rule], or its own share for None."""
     with pytest.MonkeyPatch.context() as mp:
         if rule is not None:
-            mp.setattr(kcoarsen.kmis, "_local_budget", lambda *_: ROUND_RULES[rule])
+            mp.setattr(kcoarsen.kmis, "DENSE_EDGE_SHARE", ROUND_RULES[rule])
         yield
 
 
@@ -261,5 +261,6 @@ def test_round_that_picks_nothing_raises(monkeypatch):
 
     monkeypatch.setattr(kcoarsen.kmis, "neighbor_reduce", off_by_one)
     g = build(helpers.grid_edges(20, 20))
-    with pytest.raises(RuntimeError, match="picked no node"):
+    with forced_rounds("all_local"), pytest.raises(RuntimeError,
+                                                   match="picked no node"):
         k_mis(g, 2, resolve_ranking(g, "id"))

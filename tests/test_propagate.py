@@ -5,12 +5,14 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kcoarsen._propagate
 from kcoarsen import build
-from kcoarsen._propagate import flood, neighbor_reduce
+from kcoarsen._propagate import (concat_ranges, flood, neighbor_reduce,
+                                 next_to, sorted_unique)
 
 from . import helpers
 
@@ -130,6 +132,48 @@ def test_concurrent_callers_agree_while_the_layout_is_built():
     finally:
         sys.setswitchinterval(interval)
     assert len(same) == 120 and all(same)
+
+
+# a path 0-1-2-3, a triangle 4-5-6 and the isolated nodes 7 and 8
+HELPER_GRAPH = build(helpers.path_edges(4) + [(4, 5), (5, 6), (4, 6)], n=9)
+NODE_SETS = {
+    "empty": [],
+    "isolated": [7, 8],
+    "repeated": [2, 2, 0, 2, 7, 7],
+    "with_neighbour": [1, 2, 5, 4],
+    "all": list(range(9)),
+}
+
+
+@pytest.mark.parametrize("name", NODE_SETS)
+def test_next_to_is_the_closed_neighbourhood(name):
+    nodes = NODE_SETS[name]
+    adj = helpers.adjacency(9, zip(*(a.tolist()
+                                     for a in HELPER_GRAPH.edge_list()[:2])))
+    got = next_to(HELPER_GRAPH, np.array(nodes, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == sorted(set(nodes).union(*(adj[v] for v in nodes)))
+
+
+@pytest.mark.parametrize("name", NODE_SETS)
+def test_sorted_unique_matches_a_sorted_set(name):
+    ids = np.array(NODE_SETS[name] + NODE_SETS[name][::-1], dtype=np.int64)
+    got = sorted_unique(ids)
+    assert got.dtype == np.int64 and got.tolist() == sorted(set(ids.tolist()))
+
+
+@pytest.mark.parametrize("starts, lengths", [
+    ([], []),  # no range
+    ([3, 9], [0, 0]),  # empty ranges only
+    ([5, 5, 0], [2, 2, 3]),  # a repeated start
+    ([4, 1, 7, 2], [1, 0, 3, 2]),  # an empty range between others
+])
+def test_concat_ranges_matches_chained_ranges(starts, lengths):
+    got = concat_ranges(np.array(starts, dtype=np.int64),
+                        np.array(lengths, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [x for s, n in zip(starts, lengths)
+                            for x in range(s, s + n)]
 
 
 FLOOD_DTYPES = {"min": (np.int32, np.int64), "max": (np.int32, np.int64),

@@ -144,8 +144,10 @@ def assert_checks_match_reference(g, h, k, work, **kwargs):
     assert (list(map(tuple, edges.per_coarse_edge.tolist())), violations(edges)) == \
         helpers.edge_bounds_reference(adj, h.centroids.tolist(), coarse_adj, k)
     pairs = check_distortion(g, h, k, **kwargs)
+    records, far = helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
+    radius = helpers.radius_reference(adj, h.provenance.assignment.tolist(), k)
     assert (list(map(tuple, pairs.per_pair_sample.tolist())), violations(pairs)) == \
-        helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
+        (records, far + radius)
 
 
 def fabricated(g, seed):
@@ -241,9 +243,9 @@ def test_verify_makes_one_search_per_distance_question(monkeypatch):
 
     monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
     assert verify_reduction(g, h, 2, result=res).passed
-    # edge bounds, then distortion on g and on the coarse graph; a valid
-    # selection needs no search to name independence pairs
-    assert depths == [6, None, None]
+    # edge bounds, distortion on g and on the coarse graph, then the radius;
+    # a valid selection needs no search to name independence pairs
+    assert depths == [6, None, None, 2]
 
 
 def test_distortion_flags_merged_far_pair():
@@ -364,6 +366,22 @@ def test_verify_reduction_green_path(small_corpus):
         report = verify_reduction(g, h, 2, result=res)
         assert report.passed
         assert report.all_violations() == []
+
+
+def test_node_assigned_to_a_far_centroid_breaks_the_radius():
+    # on the 12-node path under kdeg, centroid 2 is pointed at centroid 0,
+    # 2 hops away; every pair bound still holds, the radius does not
+    g = build(helpers.path_edges(12))
+    h, part, res = coarsen_pipeline(g, 1, ranking="kdeg")
+    assignment = part.assignment.copy()
+    assert assignment[2] == 2 and 0 in h.centroids
+    assignment[2] = 0
+    far = CoarsenedGraph(graph=h.graph, centroids=h.centroids,
+                         provenance=Partition(assignment=assignment,
+                                              cluster_count=part.cluster_count))
+    report = verify_reduction(g, far, 1, result=res)
+    assert violations(report.distortion) == [("radius", (2, 0), math.inf, 1.0)]
+    assert [section for section, _ in report.all_violations()] == ["distortion"]
 
 
 def test_verify_reduction_default_result_uses_centroids():
