@@ -24,7 +24,7 @@ from . import oracle
 from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
                       coarsen_pipeline)
 from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
-                    load, store, write_table, _build_arrays, _edge_table,
+                    load, store, write_table, _distinct, _edge_table,
                     _fast_edgelist, _id_pair)
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
@@ -147,7 +147,7 @@ def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
                              partition: Partition) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     config_line = f"config: {config.to_json()}"
-    store(h.graph, outdir / "coarse.edgelist", header_lines=[config_line])
+    store(h, outdir / "coarse.edgelist", header_lines=[config_line])
     write_table(outdir / "assignment.txt", [config_line, "original_id centroid_id"],
                 original_ids, original_ids[partition.assignment])
     values = [] if h.node_values is None else [h.node_values]
@@ -184,7 +184,7 @@ def cmd_coarsen(args) -> int:
                              partition)
     t_write = perf_counter() - t0
     ratio = result.selected.size / n if n else 0.0
-    print(f"n={n} m={m} coarse_n={h.graph.n} coarse_m={h.graph.m} "
+    print(f"n={n} m={m} coarse_n={h.centroids.size} coarse_m={h.keys.size} "
           f"selected={result.selected.size} ratio={ratio:.4f} "
           f"rounds={result.rounds} "
           f"t_load={t_load:.4f}s "
@@ -252,14 +252,19 @@ def _read_artifacts(artifacts: Path, g: Graph,
 
     # rows are coarse indices; isolated coarse nodes have none
     ends, w = _edge_table(artifacts / "coarse.edgelist")
-    if ends.size and ends.max() >= centroids.size:
+    nc = centroids.size
+    if ends.size and (ends.min() < 0 or ends.max() >= nc):
         raise ValueError("coarse edgelist references unknown coarse index")
-    coarse_graph = _build_arrays(ends[:, 0], ends[:, 1], w, centroids.size)
-    if coarse_graph.m < len(ends):  # the writer emits each coarse edge once
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys, at = _distinct(lo * nc + hi)
+    if keys.size < lo.size or (lo == hi).any():  # the writer emits each edge once
         raise ValueError("coarse edgelist repeats an edge or holds a self-loop")
-    partition = Partition(assignment=assignment,
-                          cluster_count=int(centroids.size))
-    return CoarsenedGraph(graph=coarse_graph, centroids=centroids,
+    weights = None
+    if w is not None:
+        weights = np.empty(keys.size)
+        weights[at] = w
+    partition = Partition(assignment=assignment, cluster_count=nc)
+    return CoarsenedGraph(keys=keys, weights=weights, centroids=centroids,
                           provenance=partition)
 
 
@@ -338,8 +343,8 @@ def cmd_bench(args) -> int:
             total = perf_counter() - t0
             rows.append({
                 "k": k, "trial": trial, "n": g.n, "m": g.m,
-                "coarse_n": h.graph.n, "coarse_m": h.graph.m,
-                "ratio": h.graph.n / g.n if g.n else 0.0,
+                "coarse_n": h.centroids.size, "coarse_m": h.keys.size,
+                "ratio": h.centroids.size / g.n if g.n else 0.0,
                 "t_rank": t_rank + timings["ranking"], "t_select": timings["select"],
                 "t_cluster": timings["cluster"],
                 "t_reduce": timings["reduce"], "t_total": total,

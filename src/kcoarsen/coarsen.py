@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from ._propagate import flood, neighbor_reduce, sorted_unique
-from .graph import Graph, _aggregate, _coalesce, as_node_weights
+from .graph import Graph, _aggregate, _assemble, _distinct, as_node_weights
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
 
@@ -31,6 +31,11 @@ __all__ = [
 
 EDGE_AGGREGATIONS = ("sum", "max", "min", "mean")
 NODE_AGGREGATIONS = ("keep_centroid", "sum", "mean")
+
+# Arcs per block of `_crossing_keys`.  A block's temporaries take about 20
+# bytes an arc; at 1 << 16 they raised a 120x100 grid's coarsen peak RSS
+# by 0.6 MB (numpy 2.4, Linux x86-64).
+KEY_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,22 +80,82 @@ class Partition:
 
 @dataclass(frozen=True)
 class CoarsenedGraph:
-    """Contracted graph plus provenance.
+    """A contraction plus provenance.
 
-    `graph` is indexed densely 0..cluster_count-1; ``centroids[i]`` is
-    the original node id of coarse node i.  `node_values` carries the
-    aggregated node weights when the input had any.
+    Coarse node i stands for the cluster of ``centroids[i]``, an original
+    node id.  `keys` are the coarse edges: the sorted distinct keys
+    ``i * nc + j`` (i < j, nc the cluster count) of the cluster pairs
+    that input edges cross.  `weights` holds each key's float64 weight,
+    or is None for an unweighted coarse graph.  `graph`, the CSR indexed
+    0..nc-1, is assembled from them on first access.  `node_values`
+    carries the aggregated node weights when the input had any.
     """
 
-    graph: Graph
+    keys: np.ndarray
+    weights: np.ndarray | None
     centroids: np.ndarray
     provenance: Partition
     node_values: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.centroids, self.node_values):
+        for arr in (self.keys, self.weights, self.centroids, self.node_values):
             if arr is not None:
                 arr.setflags(write=False)
+
+    @classmethod
+    def from_graph(cls, graph: Graph, centroids, provenance: Partition,
+                   node_values=None) -> "CoarsenedGraph":
+        """The coarsening whose coarse CSR is `graph`, node i being
+        ``centroids[i]``'s cluster."""
+        centroids = np.asarray(centroids, dtype=np.int64)
+        if centroids.shape != (graph.n,):
+            raise ValueError("the coarse graph needs one node per centroid")
+        keys, weights = _crossing_keys(graph, np.arange(graph.n), graph.n)
+        return cls(keys=keys, weights=weights, centroids=centroids,
+                   provenance=provenance, node_values=node_values)
+
+    def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The coarse edges as (u, v, w) arrays with u < v, ordered as
+        `Graph.edge_list` orders them, without assembling the CSR."""
+        u, v = np.divmod(self.keys, self.centroids.size)
+        return u, v, self.weights
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The coarse CSR, assembled from `keys` and `weights` once."""
+        return _assemble(self.keys.copy(), self.weights, self.centroids.size)
+
+
+def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The keys ``lo * nc + hi`` of the edges of g whose ends lie in two
+    clusters lo < hi, in `edge_list` order, and those edges' weights
+    (None when g is unweighted).
+
+    `cluster_of[v]` is v's cluster, one of 0..nc-1.  The CSR rows go in
+    blocks of about KEY_BLOCK arcs, so no array over all 2m arcs is built.
+    """
+    key = np.empty(g.m, dtype=np.int64)
+    w = None if g.weights is None else np.empty(g.m)
+    cuts = np.searchsorted(g.indptr, np.arange(KEY_BLOCK, g.indptr[-1], KEY_BLOCK))
+    rows = [0, *cuts.tolist(), g.n]
+    count = 0
+    for first, last in zip(rows, rows[1:]):
+        arcs = slice(g.indptr[first], g.indptr[last])
+        src = np.repeat(np.arange(first, last), g.degrees[first:last])
+        dst = g.indices[arcs]
+        keep = src < dst  # each edge once, from its smaller end
+        cu, cv = cluster_of[src[keep]], cluster_of[dst[keep]]
+        cross = cu != cv
+        cu, cv = cu[cross], cv[cross]
+        block = key[count:count + cu.size]
+        np.minimum(cu, cv, out=block)
+        block *= nc
+        block += np.maximum(cu, cv, out=cu)
+        if w is not None:
+            w[count:count + cu.size] = g.weights[arcs][keep][cross]
+        count += cu.size
+    return key[:count], None if w is None else w[:count]
 
 
 def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
@@ -129,12 +194,16 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
            node_weights=None, node_agg: str = "keep_centroid") -> CoarsenedGraph:
     """Contract each cluster to its centroid.
 
-    Each edge maps to its endpoints' clusters, and only the crossing
-    edges' keys ``min * nc + max`` reach `_coalesce`, which folds the
-    crossing edges of two clusters (1 each when g is unweighted) into one
-    coarse edge by `edge_agg`, in `edge_list` order.  `node_agg`
-    aggregates optional node weights: keep_centroid takes the centroid's
-    own value, sum/mean fold the whole fiber.
+    The result holds the contraction, not a CSR: the sorted distinct keys
+    ``lo * nc + hi`` of the cluster pairs that g's edges cross, from
+    `_crossing_keys` in `edge_list` order, and each pair's weight, the
+    fold of its crossing edges' weights by `edge_agg`.  Unweighted edges
+    weigh 1 each, so one in-place sort and its run lengths give every
+    fold: a sum is the run length, and max, min and mean are 1.0.
+    Weighted keys group by `_distinct` and fold in `edge_list` order by
+    `_aggregate`.  `node_agg` aggregates optional node weights:
+    keep_centroid takes the centroid's own value, sum/mean fold the
+    whole fiber.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
@@ -147,16 +216,6 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
     node_cluster = np.searchsorted(centroids, partition.assignment)
     nc = centroids.size
 
-    u, v, w = g.edge_list()
-    u, v = node_cluster[u], node_cluster[v]
-    crossing = u != v
-    u, v = u[crossing], v[crossing]
-    w = np.ones(u.size) if w is None else w[crossing]
-    key = np.minimum(u, v) * nc + np.maximum(u, v, out=u)
-    del u, v, crossing
-    coarse = _coalesce(key, w, nc, edge_agg,
-                       "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
-
     node_values = None
     if node_weights is not None:
         x = as_node_weights(node_weights, g.n)
@@ -167,7 +226,28 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
                 x, node_cluster, nc, node_agg,
                 "node_agg 'sum' gives a coarse node weight beyond float64's range")
 
-    return CoarsenedGraph(graph=coarse, centroids=centroids,
+    key, w = _crossing_keys(g, node_cluster, nc)
+    del node_cluster
+    if w is None:
+        key.sort()
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        crossing = key.size
+        key = key[starts]  # frees the crossing keys before the weights
+        w = np.ones(key.size)
+        if edge_agg == "sum" and key.size:  # the run lengths
+            np.subtract(starts[1:], starts[:-1], out=w[:-1])
+            w[-1] = crossing - starts[-1]
+        del starts
+    else:
+        key, group = _distinct(key)
+        w = _aggregate(w, group, key.size, edge_agg,
+                       "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
+        del group
+
+    return CoarsenedGraph(keys=key, weights=w, centroids=centroids,
                           provenance=partition, node_values=node_values)
 
 
@@ -179,7 +259,7 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
 
     `ranking` is a Ranking or one of the specs accepted by
     :func:`kcoarsen.ranking.resolve_ranking`.  k = 0 is the identity
-    coarsening: the input graph comes back unchanged under an identity
+    coarsening: the coarse graph equals the input under an identity
     assignment.  When `timings` is a dict it receives per-phase wall
     times in seconds under 'ranking', 'select', 'cluster' and 'reduce'.
     """
@@ -190,8 +270,7 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
         partition = Partition(assignment=identity.copy(), cluster_count=g.n)
         result = KMisResult(selected=identity.copy(), rounds=0, k=0)
         node_values = None if weights is None else as_node_weights(weights, g.n)
-        coarse = CoarsenedGraph(graph=g, centroids=identity,
-                                provenance=partition, node_values=node_values)
+        coarse = CoarsenedGraph.from_graph(g, identity, partition, node_values)
         if timings is not None:
             timings.update({"ranking": 0.0, "select": 0.0, "cluster": 0.0,
                             "reduce": 0.0})

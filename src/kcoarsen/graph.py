@@ -144,8 +144,14 @@ def as_node_weights(values, n: int) -> np.ndarray:
 
 def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
                   n: int) -> Graph:
-    """Assemble a normalized Graph from parallel endpoint arrays: check
-    them, drop self-loops and let `_coalesce` merge parallel edges by sum."""
+    """Assemble a normalized Graph from parallel endpoint arrays.
+
+    The one place that merges parallel edges: it checks the ends and
+    weights, drops self-loops and groups the keys ``min * n + max`` by
+    `_distinct`, summing each group's float64 weights in input order
+    (unweighted, it keeps only the sorted distinct keys), then hands
+    them to `_assemble`.
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.size:
@@ -160,24 +166,18 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
     w = None if w is None else np.asarray(w, np.float64)[keep]
     key = np.minimum(u, v) * n + np.maximum(u, v)
     del u, v, keep
-    return _coalesce(key, w, n, "sum", "parallel edge weights sum beyond float64's range")
-
-
-def _coalesce(key: np.ndarray, w: np.ndarray | None, n: int, agg: str,
-              overflow: str) -> Graph:
-    """The Graph of edge keys ``lo * n + hi`` (lo < hi), assembled in place.
-
-    The one place that merges parallel edges: it groups the keys by
-    `_distinct` and folds each group's float64 weights in input order by
-    `agg` (unweighted, it keeps only the sorted distinct keys); a sum past
-    float64 raises ValueError(overflow).
-    """
     if w is None:  # nothing to fold: the distinct keys suffice
-        key = sorted_unique(key)
-    else:
-        key, group = _distinct(key)
-        w = _aggregate(w, group, key.size, agg, overflow)
-        del group  # the arcs below set the peak memory of a large build
+        return _assemble(sorted_unique(key), None, n)
+    key, group = _distinct(key)
+    w = _aggregate(w, group, key.size, "sum",
+                   "parallel edge weights sum beyond float64's range")
+    del group  # the arcs below set the peak memory of a large build
+    return _assemble(key, w, n)
+
+
+def _assemble(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:
+    """The Graph of sorted distinct edge keys ``lo * n + hi`` (lo < hi)
+    and their weights, assembled in place: `key` is overwritten."""
     m = key.size
     # the arcs' keys src*n + dst are distinct, so any sort gives CSR order
     arcs = np.empty(2 * m, dtype=np.int64)
@@ -466,8 +466,9 @@ def load(path, format: str = "edgelist") -> tuple[Graph, np.ndarray]:
     return _parse_matrix_market(path)
 
 
-def store(g: Graph, path, header_lines=()) -> None:
-    """Write a graph as an edgelist; weights use round-trip float repr."""
+def store(g, path, header_lines=()) -> None:
+    """Write a Graph, or any object with its `edge_list()` (such as a
+    CoarsenedGraph), as an edgelist; weights use round-trip float repr."""
     write_table(path, header_lines, *(col for col in g.edge_list() if col is not None))
 
 

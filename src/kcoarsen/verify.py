@@ -5,6 +5,8 @@ can show all witnesses at once.  The guarantees checked here:
 
 * every coarse edge joins centroids whose hop distance in the original
   graph lies in [k+1, 2k+1];
+* the coarse graph is the contraction of the input: two clusters share
+  a coarse edge exactly when an input edge crosses between them;
 * for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v) and
   d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, where c maps a node to
   its centroid's coarse index;
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._propagate import concat_ranges, flood, neighbor_reduce, sorted_unique
-from .coarsen import CoarsenedGraph
-from .graph import Graph, bfs, connected_components, table_text
+from .coarsen import CoarsenedGraph, _crossing_keys
+from .graph import Graph, _distinct, bfs, connected_components, table_text
 from .kmis import KMisResult
 
 __all__ = [
@@ -101,16 +103,22 @@ class ValidityReport(_Checked):
 
 
 def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
-    """Check k+1 <= d_G(a, b) <= 2k+1 for every coarse edge (a, b).
+    """Check k+1 <= d_G(a, b) <= 2k+1 for every coarse edge (a, b), and
+    that the coarse edges are the contraction of g.
 
     One depth-capped pair search covers every coarse edge, smaller
-    coarse index first in CSR order; distances beyond 2k+2 hops read as
+    coarse index first in key order; distances beyond 2k+2 hops read as
     the unreachable sentinel ``g.n`` and are reported as violations.
+    Then each input edge between two clusters must find their coarse
+    edge (a `missing_coarse_edge` per cluster pair that does not, its
+    crossing input edges observed), and each coarse edge must be crossed
+    by an input edge (an `extra_coarse_edge` otherwise), both in key
+    order.  A broken assignment skips that part: the distortion check
+    reports it.
     """
     report = DistortionReport()
     lower, upper = k + 1, 2 * k + 1
-    hg = h.graph
-    ci, cj, _ = hg.edge_list()
+    ci, cj, _ = h.edge_list()
     a, b = h.centroids[ci], h.centroids[cj]
     d = bfs(g, a, b, max_depth=upper + 1)
     report.per_coarse_edge = np.stack([a, b, d], axis=1)
@@ -119,7 +127,35 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
         report.violations.append(Violation(
             kind="edge_bound", nodes=(int(a[i]), int(b[i])),
             observed=observed, bound=float(upper)))
+    coarse_of = _coarse_of(h, h.provenance.assignment, DistortionReport())
+    if coarse_of is not None:
+        _check_contraction(g, h, coarse_of, report)
     return report
+
+
+def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
+                       report: DistortionReport) -> None:
+    """Record the cluster pairs that input edges cross without a coarse
+    edge, then the coarse edges that no input edge crosses."""
+    nc = h.centroids.size
+    crossing, _ = _crossing_keys(g, coarse_of, nc)
+    at = np.searchsorted(h.keys, crossing)
+    found = at < h.keys.size
+    found[found] = h.keys[at[found]] == crossing[found]
+    missing, count = _distinct(crossing[~found])
+    count = np.bincount(count, minlength=missing.size)
+    crossed = np.zeros(h.keys.size, dtype=bool)
+    crossed[at[found]] = True
+    ci, cj = np.divmod(missing, nc)
+    for a, b, seen in zip(h.centroids[ci].tolist(), h.centroids[cj].tolist(),
+                          count.tolist()):
+        report.violations.append(Violation(
+            kind="missing_coarse_edge", nodes=(a, b), observed=float(seen),
+            bound=0.0))
+    ci, cj = np.divmod(h.keys[~crossed], nc)
+    for a, b in zip(h.centroids[ci].tolist(), h.centroids[cj].tolist()):
+        report.violations.append(Violation(
+            kind="extra_coarse_edge", nodes=(a, b), observed=0.0, bound=1.0))
 
 
 def _coarse_of(h: CoarsenedGraph, assignment: np.ndarray,

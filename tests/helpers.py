@@ -261,6 +261,25 @@ def contraction_reference(edges, cluster_of, how):
     return folded
 
 
+def contraction_violations_reference(edges, cluster_of, centroids, coarse_edges):
+    """check_edge_bounds' contraction violations, from contraction_reference.
+
+    `edges` are the input's (u, v) pairs and `coarse_edges` the coarse
+    (i, j) pairs, i < j.  First each cluster pair that input edges cross
+    without a coarse edge, observed = its crossing edges, bound 0; then
+    each coarse edge that no input edge crosses, observed 0, bound 1;
+    each part in (i, j) order, named by the centroids' ids.
+    """
+    crossing = contraction_reference([(u, v, 1.0) for u, v in edges],
+                                     cluster_of, "sum")
+    coarse = set(coarse_edges)
+    missing = [("missing_coarse_edge", (centroids[i], centroids[j]), count, 0.0)
+               for (i, j), count in sorted(crossing.items()) if (i, j) not in coarse]
+    extra = [("extra_coarse_edge", (centroids[i], centroids[j]), 0.0, 1.0)
+             for i, j in sorted(coarse) if (i, j) not in crossing]
+    return missing + extra
+
+
 def dyadic_weights(rng, n, denom_bits=4):
     """Strictly positive weights of the form m / 2^b, exact in binary floats."""
     return [rng.randrange(1, 64) / (1 << denom_bits) for _ in range(n)]

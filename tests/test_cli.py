@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import kcoarsen.cli
+import kcoarsen.coarsen
+import kcoarsen.graph
 from kcoarsen import build, coarsen_pipeline
 from kcoarsen.cli import RunConfig, _id_columns, _write_coarsen_artifacts, main
 
@@ -248,6 +250,79 @@ def test_artifact_columns_read_alike_on_both_paths(tmp_path, monkeypatch):
     for name, pairs in fast.items():
         slow = _id_columns(tmp_path / name, more[name])
         assert slow.dtype == pairs.dtype and np.array_equal(slow, pairs)
+
+
+def test_coarsen_and_bench_never_assemble_the_coarse_csr(tmp_path, monkeypatch):
+    calls = []
+    real = kcoarsen.coarsen._assemble
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kcoarsen.coarsen, "_assemble", spy)
+    inp = tmp_path / "grid.edgelist"
+    inp.write_text("".join(f"{u} {v}\n" for u, v in helpers.grid_edges(9, 9)))
+    weighted = tmp_path / "weighted.edgelist"
+    weighted.write_text("".join(f"{u} {v} {1 + (u * v) % 7}.5\n"
+                                for u, v in helpers.grid_edges(9, 9)))
+    for graph in (inp, weighted):
+        for k in ("0", "2"):
+            assert run(["coarsen", "-i", graph, "-k", k, "--rank", "kdeg",
+                        "-o", tmp_path / f"{graph.stem}{k}"]) == 0
+    assert run(["bench", "-i", inp, "--k-list", "1,2", "--trials", "1",
+                "-o", tmp_path / "bench"]) == 0
+    assert calls == []
+    # the spy sits where the coarse CSR is built: verify needs that CSR
+    assert run(["verify", "-i", inp, "-k", "2", "--rank", "kdeg",
+                "--artifacts", tmp_path / "grid2"]) == 0
+    assert len(calls) == 1
+
+
+def grid_artifacts(tmp_path, k):
+    """A 40x40 grid, too large for exhaustive pairs, its coarse graph
+    in-process and its artifacts; node ids are the dense ids."""
+    g = build(helpers.grid_edges(40, 40))
+    inp = tmp_path / "grid.edgelist"
+    inp.write_text("".join(f"{u} {v}\n" for u, v in helpers.grid_edges(40, 40)))
+    out = tmp_path / "run"
+    assert run(["coarsen", "-i", inp, "-k", k, "--rank", "kdeg", "-o", out]) == 0
+    h, _, _ = coarsen_pipeline(g, k, ranking="kdeg")
+    return g, h, inp, out
+
+
+def test_verify_artifacts_reject_a_dropped_coarse_edge_row(tmp_path, capsys):
+    g, h, inp, out = grid_artifacts(tmp_path, 2)
+    i, j, crossing = h.edge_list()
+    _rewrite_rows(out / "coarse.edgelist", lambda rows: rows[:40] + rows[41:])
+    capsys.readouterr()
+    assert run(["verify", "-i", inp, "-k", 2, "--rank", "kdeg",
+                "--artifacts", out]) == 1
+    a, b = h.centroids[i[40]], h.centroids[j[40]]
+    assert capsys.readouterr().err == (
+        f"violation [edge_bounds] missing_coarse_edge nodes=({a}, {b}) "
+        f"observed={crossing[40]} bound=0.0\n")
+
+
+def test_verify_artifacts_reject_an_extra_coarse_edge_row_within_the_span_bounds(
+        tmp_path, capsys):
+    k = 2
+    g, h, inp, out = grid_artifacts(tmp_path, k)
+    nc = h.centroids.size
+    i, j = np.triu_indices(nc, 1)
+    fresh = ~np.isin(i * nc + j, h.keys)
+    i, j = i[fresh], j[fresh]
+    span = kcoarsen.graph.bfs(g, h.centroids[i], h.centroids[j], max_depth=2 * k + 1)
+    inside = np.flatnonzero((span >= k + 1) & (span <= 2 * k + 1))
+    assert inside.size
+    a, b = i[inside[0]], j[inside[0]]
+    _rewrite_rows(out / "coarse.edgelist", lambda rows: rows + [f"{a} {b} 1.0"])
+    capsys.readouterr()
+    assert run(["verify", "-i", inp, "-k", k, "--rank", "kdeg",
+                "--artifacts", out]) == 1
+    assert capsys.readouterr().err == (
+        f"violation [edge_bounds] extra_coarse_edge nodes=({h.centroids[a]}, "
+        f"{h.centroids[b]}) observed=0.0 bound=1.0\n")
 
 
 def test_verify_non_finite_coarse_weight_exits_2(tmp_path, capsys):

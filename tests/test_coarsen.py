@@ -204,9 +204,11 @@ def test_reduce_without_crossing_edges(edges, how):
 
 
 def test_reduce_peak_memory_per_edge():
-    """reduce's tracemalloc peak on a seeded uniform graph stays below 75
-    bytes per input edge.  Holding the full-length cluster-index arrays
-    and an all-edges `ones` through the grouping read about 90 here."""
+    """reduce's tracemalloc peak on a seeded uniform graph stays below 45
+    bytes per input edge.  It reads about 20 now that reduce ends at the
+    coarse edge keys; assembling the coarse CSR in reduce read about 58,
+    and holding the full-length cluster-index arrays and an all-edges
+    `ones` through the grouping about 90."""
     rng = np.random.default_rng(0)
     n = 20_000
     g = kcoarsen.graph._build_arrays(*rng.integers(0, n, size=(2, 4 * n)), None, n)
@@ -218,8 +220,37 @@ def test_reduce_peak_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.graph.m > g.m // 2  # most edges cross, as on the benchmark's graph
-    assert peak / g.m < 75
+    assert h.keys.size > g.m // 2  # most edges cross, as on the benchmark's graph
+    assert peak / g.m < 45
+
+
+@pytest.mark.parametrize("how", EDGE_AGGREGATIONS)
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_lazy_coarse_graph_equals_the_built_one(how, weighted, k):
+    """h.graph, assembled from h's keys on first access, is the CSR that
+    _build_arrays (and the two-lexsort reference) builds from h's edges."""
+    rng = helpers.make_rng("lazy", how, weighted, k)
+    n = 60
+    edges = helpers.random_edges(rng, n, 0.08)
+    g = build([(u, v, rng.uniform(0.1, 10.0)) for u, v in edges] if weighted
+              else edges, n=n)
+    h, _, _ = coarsen_pipeline(g, k, ranking="random", seed=k, edge_agg=how)
+    assert "graph" not in vars(h)  # no CSR until it is asked for
+    u, v, w = h.edge_list()
+    assert (w is None) == (k == 0 and not weighted)
+    assert np.array_equal(h.keys, u * h.centroids.size + v)
+    want = kcoarsen.graph._build_arrays(u, v, w, h.centroids.size)
+    assert h.graph == want and h.graph is h.graph
+    indptr, indices, weights = helpers.csr_reference(u, v, w, h.centroids.size)
+    assert h.graph.indptr.tolist() == indptr.tolist()
+    assert h.graph.indices.tolist() == indices.tolist()
+    assert (h.graph.weights is None) == (weights is None)
+    if weights is not None:
+        assert h.graph.weights.tolist() == weights.tolist()
+    if k == 0:
+        assert h.graph == g
+    assert not h.keys.flags.writeable
 
 
 def test_reduce_rejects_unknown_aggregation():

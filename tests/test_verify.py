@@ -20,6 +20,7 @@ from kcoarsen import (
     resolve_ranking,
     verify_reduction,
 )
+from kcoarsen.graph import bfs
 from kcoarsen.verify import (
     ComponentReport,
     DistortionReport,
@@ -51,8 +52,8 @@ def test_edge_bounds_detect_fabricated_edge():
     # hand-built coarse graph joining the two path endpoints: span 4 > 3
     g = build(helpers.path_edges(5))
     part = Partition(assignment=np.array([0, 0, 0, 4, 4]), cluster_count=2)
-    h = CoarsenedGraph(graph=build([(0, 1)]), centroids=np.array([0, 4]),
-                       provenance=part)
+    h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 4]),
+                                  provenance=part)
     report = check_edge_bounds(g, h, 1)
     assert not report.passed
     assert report.violations[0].kind == "edge_bound"
@@ -63,11 +64,57 @@ def test_edge_bounds_detect_fabricated_edge():
 def test_edge_bounds_detect_disconnected_endpoints():
     g = build([(0, 1), (2, 3)])
     part = Partition(assignment=np.array([0, 0, 2, 2]), cluster_count=2)
-    h = CoarsenedGraph(graph=build([(0, 1)]), centroids=np.array([0, 2]),
-                       provenance=part)
+    h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 2]),
+                                  provenance=part)
     report = check_edge_bounds(g, h, 1)
     assert not report.passed
     assert report.violations[0].observed == float("inf")
+
+
+def grid_coarsening(k=1):
+    g = build(helpers.grid_edges(12, 12))
+    h, _, res = coarsen_pipeline(g, k, ranking="kdeg")
+    return g, h, res
+
+
+def with_keys(h, keys, weights):
+    return CoarsenedGraph(keys=keys, weights=weights, centroids=h.centroids,
+                          provenance=h.provenance)
+
+
+def test_edge_bounds_report_a_dropped_coarse_edge():
+    g, h, _ = grid_coarsening()
+    assert check_edge_bounds(g, h, 1).passed
+    drop = 5
+    cut = with_keys(h, np.delete(h.keys, drop), np.delete(h.weights, drop))
+    i, j = divmod(int(h.keys[drop]), h.centroids.size)
+    # unweighted input under edge_agg sum: a coarse weight counts the
+    # input edges that cross between its clusters
+    assert h.weights[drop] >= 1
+    assert violations(check_edge_bounds(g, cut, 1)) == [(
+        "missing_coarse_edge", (int(h.centroids[i]), int(h.centroids[j])),
+        float(h.weights[drop]), 0.0)]
+
+
+def test_edge_bounds_report_an_extra_coarse_edge_within_the_span_bounds():
+    k = 1
+    g, h, res = grid_coarsening(k)
+    nc = h.centroids.size
+    i, j = np.triu_indices(nc, 1)
+    fresh = ~np.isin(i * nc + j, h.keys)
+    i, j = i[fresh], j[fresh]
+    span = bfs(g, h.centroids[i], h.centroids[j], max_depth=2 * k + 1)
+    inside = np.flatnonzero((span >= k + 1) & (span <= 2 * k + 1))
+    assert inside.size  # such a pair exists, so no span check can see it
+    key = i[inside[0]] * nc + j[inside[0]]
+    at = np.searchsorted(h.keys, key)
+    extra = with_keys(h, np.insert(h.keys, at, key), np.insert(h.weights, at, 1.0))
+    a, b = int(h.centroids[i[inside[0]]]), int(h.centroids[j[inside[0]]])
+    assert violations(check_edge_bounds(g, extra, k)) == [
+        ("extra_coarse_edge", (a, b), 0.0, 1.0)]
+    # every other check passes: the distance bounds still hold over all pairs
+    report = verify_reduction(g, extra, k, result=res)
+    assert [section for section, _ in report.all_violations()] == ["edge_bounds"]
 
 
 def test_distortion_clean_on_pipeline(small_corpus):
@@ -133,16 +180,22 @@ def violations(report):
 
 
 def assert_checks_match_reference(g, h, k, work, **kwargs):
-    """Both distance checks equal helpers' per-source loops exactly."""
-    adj = helpers.adjacency(g.n, zip(*(a.tolist() for a in g.edge_list()[:2])))
+    """Both distance checks, and the contraction check, equal helpers'
+    per-source loops and dict walk exactly."""
+    input_edges = list(zip(*(a.tolist() for a in g.edge_list()[:2])))
+    adj = helpers.adjacency(g.n, input_edges)
     hg = h.graph
-    coarse_adj = helpers.adjacency(
-        hg.n, zip(*(a.tolist() for a in hg.edge_list()[:2])))
+    coarse_edges = list(zip(*(a.tolist() for a in hg.edge_list()[:2])))
+    coarse_adj = helpers.adjacency(hg.n, coarse_edges)
     index = {c: i for i, c in enumerate(h.centroids.tolist())}
     coarse_of = [index[a] for a in h.provenance.assignment.tolist()]
     edges = check_edge_bounds(g, h, k)
+    records, spans = helpers.edge_bounds_reference(adj, h.centroids.tolist(),
+                                                   coarse_adj, k)
+    contraction = helpers.contraction_violations_reference(
+        input_edges, coarse_of, h.centroids.tolist(), coarse_edges)
     assert (list(map(tuple, edges.per_coarse_edge.tolist())), violations(edges)) == \
-        helpers.edge_bounds_reference(adj, h.centroids.tolist(), coarse_adj, k)
+        (records, spans + contraction)
     pairs = check_distortion(g, h, k, **kwargs)
     records, far = helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
     radius = helpers.radius_reference(adj, h.provenance.assignment.tolist(), k)
@@ -157,8 +210,9 @@ def fabricated(g, seed):
     assignment = np.array([rng.choice(centroids) for _ in range(g.n)])
     nc = len(centroids)
     part = Partition(assignment=assignment, cluster_count=nc)
-    return CoarsenedGraph(graph=build(helpers.random_edges(rng, nc, 0.3), n=nc),
-                          centroids=np.array(centroids), provenance=part)
+    coarse = build(helpers.random_edges(rng, nc, 0.3), n=nc)
+    return CoarsenedGraph.from_graph(coarse, centroids=np.array(centroids),
+                                     provenance=part)
 
 
 def test_checks_match_reference_on_pipeline_coarsenings(corpus):
@@ -252,8 +306,8 @@ def test_distortion_flags_merged_far_pair():
     # nodes 0 and 4 forced into one cluster: dh = 0 but dg = 4 > 2k
     g = build(helpers.path_edges(5))
     part = Partition(assignment=np.array([0, 0, 0, 0, 0]), cluster_count=1)
-    h = CoarsenedGraph(graph=build([], n=1), centroids=np.array([0]),
-                       provenance=part)
+    h = CoarsenedGraph.from_graph(build([], n=1), centroids=np.array([0]),
+                                  provenance=part)
     report = check_distortion(g, h, 1, pairs=[(0, 4)])
     assert not report.passed
     assert report.violations[0].kind == "distortion_upper"
@@ -264,8 +318,8 @@ def test_distortion_flags_lower_bound_break():
     # dh = unreachable while dg = 1 breaks dh <= dg
     g = build([(0, 1)])
     part = Partition(assignment=np.array([0, 1]), cluster_count=2)
-    h = CoarsenedGraph(graph=build([], n=2), centroids=np.array([0, 1]),
-                       provenance=part)
+    h = CoarsenedGraph.from_graph(build([], n=2), centroids=np.array([0, 1]),
+                                  provenance=part)
     report = check_distortion(g, h, 1, pairs=[(0, 1)])
     assert not report.passed
     assert report.violations[0].kind == "distortion_lower"
@@ -298,8 +352,8 @@ def test_components_preserved():
 def test_components_detect_cross_component_merge():
     g = build([(0, 1), (2, 3)])
     part = Partition(assignment=np.array([0, 0, 0, 0]), cluster_count=1)
-    h = CoarsenedGraph(graph=build([], n=1), centroids=np.array([0]),
-                       provenance=part)
+    h = CoarsenedGraph.from_graph(build([], n=1), centroids=np.array([0]),
+                                  provenance=part)
     report = check_components(g, h)
     assert not report.passed
     kinds = {v.kind for v in report.violations}
@@ -376,9 +430,9 @@ def test_node_assigned_to_a_far_centroid_breaks_the_radius():
     assignment = part.assignment.copy()
     assert assignment[2] == 2 and 0 in h.centroids
     assignment[2] = 0
-    far = CoarsenedGraph(graph=h.graph, centroids=h.centroids,
-                         provenance=Partition(assignment=assignment,
-                                              cluster_count=part.cluster_count))
+    moved = Partition(assignment=assignment, cluster_count=part.cluster_count)
+    far = CoarsenedGraph.from_graph(h.graph, centroids=h.centroids,
+                                    provenance=moved)
     report = verify_reduction(g, far, 1, result=res)
     assert violations(report.distortion) == [("radius", (2, 0), math.inf, 1.0)]
     assert [section for section, _ in report.all_violations()] == ["distortion"]
@@ -404,8 +458,8 @@ def test_report_round_trip_with_violations():
     g = build(helpers.path_edges(5))
     fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1, k=1)
     part = Partition(assignment=np.array([0, 0, 0, 3, 3]), cluster_count=2)
-    h = CoarsenedGraph(graph=build([(0, 1)]), centroids=np.array([0, 3]),
-                       provenance=part)
+    h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 3]),
+                                  provenance=part)
     report = verify_reduction(g, h, 1, result=fake)
     assert not report.passed
     back = VerificationReport.from_text(report.to_text())
@@ -418,7 +472,7 @@ def test_report_round_trip_with_violations():
 
 # the violation kinds each report section records
 SECTION_KINDS = {
-    "edge_bounds": ["edge_bound"],
+    "edge_bounds": ["edge_bound", "missing_coarse_edge", "extra_coarse_edge"],
     "distortion": ["assignment_target", "distortion_lower", "distortion_upper"],
     "components": ["assignment_target", "component_count", "component_split"],
     "validity": ["independence", "maximality"],
