@@ -11,8 +11,9 @@ SELL-C-sigma): it gathers each row's own value, folds in one neighbor
 column at a time, a gather and an in-place ufunc each, then the long
 rows' remaining neighbors by one reduceat, and scatters the rows back to
 node order.  A full sum round (walk counts) reduces each neighbor list
-by reduceat, which keeps its float addition order.  A round may also
-recompute only a given subset of rows.  Every round runs on the calling
+by reduceat, which keeps its float addition order, over `row_blocks`,
+so no array over all 2m arcs is gathered.  A round may also recompute
+only a given subset of rows.  Every round runs on the calling
 thread: on a 2-core x86 box a jagged sweep split over two threads ran
 0.84-1.46x as fast as one thread at 60k rows and 0.86-2.06x at 1M rows,
 by how busy the host kept the second core.
@@ -54,6 +55,12 @@ COLUMN_MIN_ROWS = 256
 # 10.6 s with sparse levels only, and 5.0 s with one search per source.)
 DENSE_EDGE_SHARE = 0.03
 
+# Arcs per block of `row_blocks`, and edges per block of graph's table
+# passes.  A block's temporaries take about 20 bytes an arc; at 1 << 16
+# they raised a 120x100 grid's coarsen peak RSS by 0.6 MB (numpy 2.4,
+# Linux x86-64).
+ARC_BLOCK = 1 << 14
+
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of arange(starts[i], starts[i] + lengths[i]) over i."""
@@ -63,14 +70,22 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, by np.sort plus a
-    neighbour compare (numpy 2.4's unique took 5.8 ms on 28k ids where
-    np.sort took 0.25 ms).
+    """The sorted distinct values of an integer array of any shape, by
+    np.sort plus a neighbour compare (numpy 2.4's unique took 5.8 ms on
+    28k ids where np.sort took 0.25 ms).
     """
-    ids = np.sort(ids)
+    ids = np.sort(ids, axis=None)
     keep = np.ones(ids.size, dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def row_blocks(g: Graph) -> list[tuple[int, int]]:
+    """Ranges [first, last) of consecutive rows that cover g's rows in
+    order, each of about ARC_BLOCK arcs; a longer row is a block alone."""
+    cuts = np.searchsorted(g.indptr, np.arange(ARC_BLOCK, g.indptr[-1], ARC_BLOCK))
+    bounds = [0, *cuts.tolist(), g.n]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def next_to(g: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -165,7 +180,12 @@ def neighbor_reduce(g: Graph, values: np.ndarray, kind: str,
         return _reduce_segments(values[rows], gathered, lengths, ufunc, kind)
     if kind != "sum":
         return _jagged_sweep(g.jagged, values, ufunc)
-    return _reduce_segments(values, values[g.indices], g.degrees, ufunc, kind)
+    out = np.empty_like(values)
+    for first, last in row_blocks(g):
+        gathered = values[g.indices[g.indptr[first]:g.indptr[last]]]
+        out[first:last] = _reduce_segments(values[first:last], gathered,
+                                           g.degrees[first:last], ufunc, kind)
+    return out
 
 
 def flood(g: Graph, values: np.ndarray, kind: str, steps: int | None, sweep):

@@ -178,7 +178,7 @@ def cmd_coarsen(args) -> int:
         node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
         workers=args.threads, timings=timings)
     n, m = g.n, g.m
-    del g, ranking  # free the input CSR and its sweep layout before the write
+    del g, ranking  # free the input CSR (the pipeline freed its layout)
     t0 = perf_counter()
     _write_coarsen_artifacts(Path(args.output), config, original_ids, h,
                              partition)
@@ -279,6 +279,7 @@ def cmd_verify(args) -> int:
     if args.artifacts:
         h = _read_artifacts(Path(args.artifacts), g, original_ids)
     else:
+        g.jagged  # built before the pipeline, so that bfs below reuses it
         ranking = "const" if args.k == 0 else _resolve_rank_spec(
             g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
         h, _, result = coarsen_pipeline(
@@ -328,6 +329,7 @@ def cmd_bench(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    g.jagged  # built once: every trial's pipeline keeps it
     rows = []
     for k in k_values:
         for trial in range(args.trials):

@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ._propagate import flood, neighbor_reduce, sorted_unique
+from ._propagate import flood, neighbor_reduce, row_blocks, sorted_unique
 from .graph import Graph, _aggregate, _assemble, _distinct, as_node_weights
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
@@ -31,11 +31,6 @@ __all__ = [
 
 EDGE_AGGREGATIONS = ("sum", "max", "min", "mean")
 NODE_AGGREGATIONS = ("keep_centroid", "sum", "mean")
-
-# Arcs per block of `_crossing_keys`.  A block's temporaries take about 20
-# bytes an arc; at 1 << 16 they raised a 120x100 grid's coarsen peak RSS
-# by 0.6 MB (numpy 2.4, Linux x86-64).
-KEY_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,15 +127,13 @@ def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
     clusters lo < hi, in `edge_list` order, and those edges' weights
     (None when g is unweighted).
 
-    `cluster_of[v]` is v's cluster, one of 0..nc-1.  The CSR rows go in
-    blocks of about KEY_BLOCK arcs, so no array over all 2m arcs is built.
+    `cluster_of[v]` is v's cluster, one of 0..nc-1.  The CSR rows go by
+    `row_blocks`, so no array over all 2m arcs is built.
     """
     key = np.empty(g.m, dtype=np.int64)
     w = None if g.weights is None else np.empty(g.m)
-    cuts = np.searchsorted(g.indptr, np.arange(KEY_BLOCK, g.indptr[-1], KEY_BLOCK))
-    rows = [0, *cuts.tolist(), g.n]
     count = 0
-    for first, last in zip(rows, rows[1:]):
+    for first, last in row_blocks(g):
         arcs = slice(g.indptr[first], g.indptr[last])
         src = np.repeat(np.arange(first, last), g.degrees[first:last])
         dst = g.indices[arcs]
@@ -262,6 +255,9 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
     coarsening: the coarse graph equals the input under an identity
     assignment.  When `timings` is a dict it receives per-phase wall
     times in seconds under 'ranking', 'select', 'cluster' and 'reduce'.
+    A sweep layout (`Graph.jagged`) that select builds lives until
+    cluster returns, as `reduce` does not sweep; one that `g` held
+    before the call stays.
     """
     if k < 0:
         raise ValueError("coarsen_pipeline requires k >= 0")
@@ -276,6 +272,7 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
                             "reduce": 0.0})
         return coarse, partition, result
 
+    laid_out = "jagged" in vars(g)
     t0 = perf_counter()
     ranking = resolve_ranking(g, ranking, k=k, weights=weights, seed=seed,
                               workers=workers)
@@ -283,6 +280,8 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
     result = k_mis(g, k, ranking, workers=workers)
     t2 = perf_counter()
     partition = cluster(g, k, ranking, result, workers=workers)
+    if not laid_out:
+        vars(g).pop("jagged", None)
     t3 = perf_counter()
     coarse = reduce(g, partition, edge_agg=edge_agg, node_weights=weights,
                     node_agg=node_agg)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._propagate import (Jagged, flood, jagged_layout, neighbor_reduce,
-                         sorted_unique)
+from ._propagate import (ARC_BLOCK, Jagged, flood, jagged_layout,
+                         neighbor_reduce, sorted_unique)
 
 # Largest graph the explicit k-th power construction will accept.
 DEFAULT_ORACLE_CAP = 100_000
@@ -97,7 +97,8 @@ class Graph:
 
     @cached_property
     def jagged(self) -> Jagged:
-        """The rows' jagged-diagonal layout for full sweeps, built once."""
+        """The rows' jagged-diagonal layout for full sweeps, built on first
+        use and cached; `coarsen_pipeline` drops one that it built."""
         return jagged_layout(self)
 
     @property
@@ -146,11 +147,8 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
                   n: int) -> Graph:
     """Assemble a normalized Graph from parallel endpoint arrays.
 
-    The one place that merges parallel edges: it checks the ends and
-    weights, drops self-loops and groups the keys ``min * n + max`` by
-    `_distinct`, summing each group's float64 weights in input order
-    (unweighted, it keeps only the sorted distinct keys), then hands
-    them to `_assemble`.
+    Checks the ends and weights, then merges by `_coalesce` the
+    `_edge_keys` of the edges.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -159,20 +157,52 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
             raise ValueError("edge endpoint outside 0..n-1")
         if w is not None and w.size and not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("edge weights must be finite and strictly positive")
+    w = None if w is None else np.asarray(w, np.float64)
+    return _coalesce(_edge_keys(u, v, n), w, n)
+
+
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The key ``min * n + max`` of each edge (u, v), -1 for a self-loop,
+    formed ARC_BLOCK edges at a time into one array."""
     if n > 3_037_000_499:
         raise ValueError(f"n={n} is too large: edge keys n*u + v overflow int64")
-    keep = u != v
-    u, v = u[keep], v[keep]
-    w = None if w is None else np.asarray(w, np.float64)[keep]
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    del u, v, keep
-    if w is None:  # nothing to fold: the distinct keys suffice
-        return _assemble(sorted_unique(key), None, n)
-    key, group = _distinct(key)
-    w = _aggregate(w, group, key.size, "sum",
-                   "parallel edge weights sum beyond float64's range")
-    del group  # the arcs below set the peak memory of a large build
-    return _assemble(key, w, n)
+    key = np.empty(u.size, dtype=np.int64)
+    for first in range(0, u.size, ARC_BLOCK):
+        a, b = u[first:first + ARC_BLOCK], v[first:first + ARC_BLOCK]
+        block = key[first:first + ARC_BLOCK]
+        np.minimum(a, b, out=block)
+        block *= n
+        block += np.maximum(a, b)
+        block[a == b] = -1
+    return key
+
+
+def _coalesce(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:
+    """The Graph of `_edge_keys` and their weights, `key` overwritten.
+
+    The one place that merges parallel edges: it sorts the keys in place
+    (weighted, with a stable argsort that carries the weights along),
+    drops the self-loops' -1 keys and compacts each run of equal keys to
+    its first entry, summing a run's float64 weights in input order.
+    """
+    if w is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key[:] = key[order]
+        w = w[order]
+        del order
+    loops = np.searchsorted(key, 0)
+    key = key[loops:]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    count = int(np.count_nonzero(first))
+    if w is not None:
+        w = _aggregate(w[loops:], np.cumsum(first) - 1, count, "sum",
+                       "parallel edge weights sum beyond float64's range")
+    key[:count] = key[first]
+    del first  # the arcs below set the peak memory of a large build
+    return _assemble(key[:count], w, n)
 
 
 def _assemble(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:
@@ -258,7 +288,8 @@ def data_lines(fh):
 
 
 def _fast_edgelist(path):
-    """An edgelist's (ends, weights) from numpy's C text loader, or None.
+    """An edgelist's (ends, weights) from numpy's C text loader, or None;
+    a two-column file's ends are a view of the loader's rows.
 
     Skips the blank and '#'/'%' lines before the first data line, then
     takes rows that all hold that line's column count: two integer ids,
@@ -291,8 +322,10 @@ def _fast_edgelist(path):
                                               ("w", np.float64)][:cols])
     except (ValueError, Warning):
         return None
-    w = rows["w"].copy() if cols == 3 else None
-    if w is None or np.all((w > 0) & (w < np.inf)):
+    if cols == 2:  # the rows' two int64 fields are the table's columns
+        return rows.view(np.int64).reshape(-1, 2), None
+    w = rows["w"].copy()
+    if np.all((w > 0) & (w < np.inf)):
         return np.stack([rows["u"], rows["v"]], axis=1), w
     return None
 
@@ -305,10 +338,36 @@ def _edge_table(path):
 
 def _parse_edgelist(path: Path):
     ends, w = _edge_table(path)
-    ids, dense = _distinct(ends.ravel())
-    del ends  # the raw id table would outlive the build below
-    u, v = dense.reshape(-1, 2).T
-    return _build_arrays(u, v, w, ids.size), ids
+    ids = _renumber(ends)
+    key = _edge_keys(ends[:, 0], ends[:, 1], ids.size)
+    del ends  # the keys replace the id table; `_coalesce` sorts them in place
+    return _coalesce(key, w, ids.size), ids
+
+
+def _renumber(ends: np.ndarray) -> np.ndarray:
+    """The sorted distinct ids of an (m, 2) id table, whose ids it replaces
+    by their indices in them, in place, ARC_BLOCK rows at a time.
+
+    Ids whose range is at most the table's size number through a
+    presence array, others by binary search of their sorted values.
+    """
+    if not ends.size:
+        return np.empty(0, dtype=np.int64)
+    lo = ends.min()
+    span = int(ends.max()) - int(lo) + 1
+    blocks = [ends[first:first + ARC_BLOCK] for first in range(0, len(ends), ARC_BLOCK)]
+    if span <= ends.size:
+        present = np.zeros(span, dtype=bool)
+        for block in blocks:
+            present[block - lo] = True
+        dense = np.cumsum(present) - 1
+        for block in blocks:  # each block is a view: the table itself changes
+            block[...] = dense[block - lo]
+        return lo + np.flatnonzero(present)
+    ids = sorted_unique(ends)
+    for block in blocks:
+        block[...] = np.searchsorted(ids, block)
+    return ids
 
 
 def _id_pair(path, lineno: int, line: str) -> tuple[int, int]:
@@ -529,14 +588,23 @@ def _int_cells(col: np.ndarray) -> np.ndarray:
 
 
 def _float_cells(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(texts, at): the ``repr`` of each distinct bit pattern of a float
-    column as NUL-padded (bytes, distinct) columns, and each row's pattern.
+    """(texts, at): the ``repr`` of each distinct value of a float column
+    as NUL-padded (bytes, distinct) columns, and each row's value.
 
-    Grouping by bit pattern keeps the texts of 0.0 and -0.0 apart.
+    A column of positive integers below 2**53 groups by its int64
+    values, which `_distinct` numbers through a presence array when
+    their range is small.  Any other one groups by bit pattern, which
+    keeps the texts of 0.0 and -0.0 apart.
     """
-    bits, at = _distinct(col.astype(np.float64, copy=False).view(np.int64))
-    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=bytes)
-    return text.view(np.uint8).reshape(bits.size, text.itemsize).T.copy(), at
+    col = col.astype(np.float64, copy=False)
+    if np.all((col > 0) & (col < 2.0**53)) and np.all(col == np.floor(col)):
+        values, at = _distinct(col.astype(np.int64))
+        values = values.astype(np.float64)
+    else:
+        values, at = _distinct(col.view(np.int64))
+        values = values.view(np.float64)
+    text = np.array([repr(x) for x in values.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(values.size, text.itemsize).T.copy(), at
 
 
 def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

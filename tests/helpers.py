@@ -1,14 +1,15 @@
 """Independent pure-Python oracles used to cross-check the package.
 
-Everything here but `csr_reference` is deliberately written with dicts,
-sets, and deques instead of numpy (`fibers` only wraps its lists as
-arrays) so that a bug in the array code cannot hide in the expected
-values.
+Every oracle here but `csr_reference` is deliberately written with
+dicts, sets, and deques instead of numpy (`fibers` only wraps its lists
+as arrays) so that a bug in the array code cannot hide in the expected
+values.  `traced_peak` is the memory tests' one tracemalloc wrapper.
 """
 
 from collections import deque
 from itertools import combinations
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -322,3 +323,13 @@ def csr_reference(u, v, w, n):
     order2 = np.lexsort((dst, src))
     weights = np.concatenate([ew, ew])[order2] if ew is not None else None
     return indptr, dst[order2], weights
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

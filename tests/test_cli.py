@@ -252,6 +252,27 @@ def test_artifact_columns_read_alike_on_both_paths(tmp_path, monkeypatch):
         assert slow.dtype == pairs.dtype and np.array_equal(slow, pairs)
 
 
+def test_bench_and_verify_lay_out_the_input_once(tmp_path, monkeypatch):
+    """coarsen_pipeline frees a sweep layout it built; bench (for all its
+    trials) and verify (for its checks too) build the input's first."""
+    laid_out = []
+    real = kcoarsen.graph.jagged_layout
+
+    def spy(g):
+        laid_out.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(kcoarsen.graph, "jagged_layout", spy)
+    inp = tmp_path / "grid.edgelist"
+    inp.write_text("".join(f"{u} {v}\n" for u, v in helpers.grid_edges(9, 9)))
+    assert run(["bench", "-i", inp, "--k-list", "1,2", "--trials", "3",
+                "-o", tmp_path / "bench"]) == 0
+    assert laid_out == [81]
+    laid_out.clear()
+    assert run(["verify", "-i", inp, "-k", "2", "--rank", "kdeg"]) == 0
+    assert laid_out.count(81) == 1  # the coarse graph's own layout aside
+
+
 def test_coarsen_and_bench_never_assemble_the_coarse_csr(tmp_path, monkeypatch):
     calls = []
     real = kcoarsen.coarsen._assemble

@@ -1,6 +1,5 @@
 """Cluster assignment, edge/node aggregation, and the full pipeline."""
 
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +20,7 @@ from kcoarsen import (
 )
 from kcoarsen.coarsen import EDGE_AGGREGATIONS
 from kcoarsen.graph import connected_components
+from kcoarsen.ranking import walk_counts
 
 from . import helpers
 
@@ -203,25 +203,58 @@ def test_reduce_without_crossing_edges(edges, how):
     assert h.node_values.tolist() == [7.0]
 
 
+def uniform_graph(n=20_000):
+    """(u, v, g): the ends and graph of a seeded uniform random graph."""
+    u, v = np.random.default_rng(0).integers(0, n, size=(2, 4 * n))
+    return u, v, kcoarsen.graph._build_arrays(u, v, None, n)
+
+
 def test_reduce_peak_memory_per_edge():
     """reduce's tracemalloc peak on a seeded uniform graph stays below 45
     bytes per input edge.  It reads about 20 now that reduce ends at the
     coarse edge keys; assembling the coarse CSR in reduce read about 58,
     and holding the full-length cluster-index arrays and an all-edges
     `ones` through the grouping about 90."""
-    rng = np.random.default_rng(0)
-    n = 20_000
-    g = kcoarsen.graph._build_arrays(*rng.integers(0, n, size=(2, 4 * n)), None, n)
+    _, _, g = uniform_graph()
     ranking = resolve_ranking(g, "kdeg", k=2)
     part = cluster(g, 2, ranking, k_mis(g, 2, ranking))
-    tracemalloc.start()
-    try:
-        h = reduce(g, part)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak = helpers.traced_peak(lambda: reduce(g, part))
     assert h.keys.size > g.m // 2  # most edges cross, as on the benchmark's graph
     assert peak / g.m < 45
+
+
+def test_load_peak_memory_per_edge(tmp_path):
+    """load's tracemalloc peak on that graph's edgelist, its ids shuffled,
+    stays below 40 bytes per edge.  It reads about 31 now that the ids
+    turn dense inside the loader's own table and the edge keys sort in
+    place; a stacked copy of the table plus a full dense-id array read
+    about 53."""
+    u, v, g = uniform_graph()
+    ids = np.random.default_rng(1).permutation(g.n)
+    path = tmp_path / "uniform.edgelist"
+    path.write_text("".join(f"{a} {b}\n"
+                            for a, b in zip(ids[u].tolist(), ids[v].tolist())))
+    (loaded, _), peak = helpers.traced_peak(lambda: kcoarsen.graph.load(path))
+    assert loaded.m == g.m
+    assert peak / g.m < 40
+
+
+def test_walk_counts_peak_memory_per_edge():
+    """walk_counts' tracemalloc peak on that graph stays below 16 bytes
+    per edge: its sum sweeps gather a block of rows at a time (about 11),
+    where one gather over all 2m arcs read about 30."""
+    _, _, g = uniform_graph()
+    _, peak = helpers.traced_peak(lambda: walk_counts(g, np.ones(g.n), 2))
+    assert peak / g.m < 16
+
+
+def test_pipeline_frees_only_a_sweep_layout_it_built():
+    g = build(helpers.grid_edges(12, 12))
+    coarsen_pipeline(g, 2, ranking="kdeg")
+    assert "jagged" not in vars(g)  # select built it and reduce does not sweep
+    layout = g.jagged
+    coarsen_pipeline(g, 2, ranking="kdeg")
+    assert vars(g)["jagged"] is layout  # the caller's layout stays
 
 
 @pytest.mark.parametrize("how", EDGE_AGGREGATIONS)

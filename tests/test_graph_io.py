@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import kcoarsen.graph
 from kcoarsen import GraphFormatError, build, load, store
+from kcoarsen._propagate import ARC_BLOCK
 
 from . import helpers
 
@@ -162,6 +163,34 @@ def test_fast_path_leaves_other_files_to_the_line_loop(tmp_path, text):
     assert kcoarsen.graph._fast_edgelist(path) is None
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("spread", [1, 10**12])  # a presence array, a search
+def test_line_loop_and_fast_path_load_the_same_graph(tmp_path, weighted, spread):
+    """Both paths renumber the ids in place over several blocks of rows,
+    and build the CSR the two-lexsort oracle builds, self-loops and
+    repeated edges included."""
+    rng = np.random.default_rng([spread, weighted])
+    n = 4_000
+    u, v = rng.integers(0, n, size=(2, 3 * ARC_BLOCK))
+    ids = rng.permutation(n) * spread - n
+    w = rng.random(u.size) * 10.0 ** rng.integers(-3, 4, size=u.size)
+    path = tmp_path / "g.edgelist"
+    path.write_text("".join(f"{a} {b}" + (f" {x!r}\n" if weighted else "\n")
+                            for a, b, x in zip(ids[u].tolist(), ids[v].tolist(),
+                                               w.tolist())))
+    assert kcoarsen.graph._fast_edgelist(path) is not None
+    g, got_ids = load(path)
+    slow, slow_ids = load_with_line_loop(path)
+    assert g == slow and same_weights(g.weights, slow.weights)
+    assert np.array_equal(got_ids, slow_ids)
+    assert np.array_equal(got_ids, np.unique(ids[np.concatenate([u, v])]))
+    dense = np.searchsorted(got_ids, ids)
+    indptr, indices, weights = helpers.csr_reference(
+        dense[u], dense[v], w if weighted else None, got_ids.size)
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    assert same_weights(g.weights, weights)
+
+
 def test_writers_output_takes_the_fast_path(tmp_path):
     g = build([(0, 1, 0.1), (1, 2, 1 / 3), (2, 3, 1e-12), (3, 0, 2.0), (0, 2, 1e300)])
     for graph in (g, build([(0, 1), (1, 2)])):
@@ -227,6 +256,33 @@ def test_distinct_values_match_np_unique(values, dtype):
     want, want_at = np.unique(col, return_inverse=True)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(at, want_at)
+
+
+@pytest.mark.parametrize("values, whole", [
+    ([1.0, 2.0, 1.0, 7.0], True),
+    ([3.0, 2.0**53 - 1, 3.0], True),
+    ([1.0, 2.0**53, 1.0], False),  # past 2**53 a float64 skips integers
+    ([1.0, 0.5, 2.0], False),
+    ([1.0, 0.0, -0.0, 2.0], False),  # 0.0 and -0.0 print apart
+    ([2.0, -3.0], False),
+    ([], True),
+])
+def test_float_cells_group_positive_integers_by_value(values, whole, monkeypatch):
+    """A column of positive integers below 2**53 groups by its int64 values,
+    any other by bit pattern; both print each value's repr."""
+    grouped = []
+    real = kcoarsen.graph._distinct
+
+    def spy(col):
+        grouped.append(col)
+        return real(col)
+
+    monkeypatch.setattr(kcoarsen.graph, "_distinct", spy)
+    col = np.array(values, dtype=np.float64)
+    text = b"".join(kcoarsen.graph.table_text([col], " "))
+    assert text == "".join(f"{x!r}\n" for x in values).encode()
+    want = col.astype(np.int64) if whole else col.view(np.int64)
+    assert len(grouped) == 1 and np.array_equal(grouped[0], want)
 
 
 def test_write_table_chunks_rows(tmp_path, monkeypatch):

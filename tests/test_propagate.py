@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kcoarsen._propagate
+import kcoarsen.graph
 from kcoarsen import build
-from kcoarsen._propagate import (concat_ranges, flood, neighbor_reduce,
-                                 next_to, sorted_unique)
+from kcoarsen._propagate import (ARC_BLOCK, concat_ranges, flood,
+                                 neighbor_reduce, next_to, row_blocks,
+                                 sorted_unique)
 
 from . import helpers
 
@@ -39,6 +41,26 @@ def test_row_subset_equals_full_round_at_those_rows(corpus):
                 got = neighbor_reduce(g, values, kind, rows=rows)
                 assert got.dtype == values.dtype
                 assert np.array_equal(got, full[rows])
+
+
+def test_blocked_sum_round_adds_as_one_reduceat_over_all_arcs():
+    """The full sum round, a block of rows at a time, equals to the bit one
+    reduceat over the gather of all 2m arcs, on values whose sums depend
+    on the order of addition: with a hub row longer than a block and
+    rows without a neighbor."""
+    rng = np.random.default_rng(5)
+    n = 3 * ARC_BLOCK
+    hub = np.arange(1, ARC_BLOCK + 100)
+    u = np.concatenate([np.zeros(hub.size, np.int64), rng.integers(1, n - 50, size=n)])
+    v = np.concatenate([hub, rng.integers(1, n - 50, size=n)])
+    g = kcoarsen.graph._build_arrays(u, v, None, n)
+    assert (0, 1) in row_blocks(g) and len(row_blocks(g)) > 3
+    values = rng.random(n) * 10.0 ** rng.integers(-8, 9, size=n)
+    nonempty = np.flatnonzero(g.degrees)
+    want = values.copy()
+    want[nonempty] += np.add.reduceat(values[g.indices], g.indptr[nonempty])
+    got = neighbor_reduce(g, values, "sum")
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def skewed_graphs():
