@@ -18,13 +18,13 @@ thread: on a 2-core x86 box a jagged sweep split over two threads ran
 0.84-1.46x as fast as one thread at 60k rows and 0.86-2.06x at 1M rows,
 by how busy the host kept the second core.
 
-`flood` repeats min, max or bitwise-or rounds up to a step cap or a fixed
-point.  Under these idempotent kinds a node can change only next to one
-that changed in the last round (the frontier), so a round is a full
+`advance` is the one frontier step.  A round's output can change only
+next to an input entry that changed (the frontier), so it is a full
 sweep when the frontier holds more than DENSE_EDGE_SHARE of the edge
 slots, else a `rows=` round on its closed neighbourhood (Ligra's rule:
-Shun & Blelloch, PPoPP 2013); recomputing a frontier row itself cannot
-move it.  `k_mis` updates its label layers by the same rule.
+Shun & Blelloch, PPoPP 2013).  `flood` repeats it in place for min, max
+or bitwise-or rounds up to a step cap or a fixed point; `k_mis` runs it
+from each label layer into the next.
 """
 
 from __future__ import annotations
@@ -188,32 +188,39 @@ def neighbor_reduce(g: Graph, values: np.ndarray, kind: str,
     return out
 
 
+def advance(g: Graph, src: np.ndarray, dst: np.ndarray, changed: np.ndarray,
+            kind: str, sweep) -> tuple[np.ndarray, np.ndarray]:
+    """The one frontier step: bring `dst`, a round of `kind` over `src`, up
+    to date after the rows `changed` of `src` changed, and return it (a
+    fresh array after a full sweep, else `dst` written in place; it may
+    be `src`) with its changed rows.  `sweep` is the caller's
+    neighbor_reduce binding: tracers and spies patch it."""
+    if g.degrees[changed].sum() > DENSE_EDGE_SHARE * g.indptr[-1]:
+        nxt = sweep(g, src, kind)
+        return nxt, np.flatnonzero(nxt != dst)
+    rows = next_to(g, changed)
+    got = sweep(g, src, kind, rows=rows)
+    moved = got != dst[rows]
+    changed = rows[moved]
+    dst[changed] = got[moved]
+    return dst, changed
+
+
 def flood(g: Graph, values: np.ndarray, kind: str, steps: int | None, sweep):
     """Yield `values`, then the state after each round that changes it.
 
-    Runs rounds of an idempotent `kind` ("min", "max" or "or") until
-    `steps` rounds (None: no cap) or the first round that changes
+    Runs `advance` rounds of an idempotent `kind` ("min", "max" or "or")
+    until `steps` rounds (None: no cap) or the first round that changes
     nothing, which comes within n rounds.  The first frontier is the
-    nodes off the identity of `kind`, the only ones that move a neighbor.
-    The caller's array is copied, never written; a yielded state is
-    updated in place by later rounds, so copy it to keep it.
+    nodes off the identity of `kind`, the only ones that move a
+    neighbor.  The caller's array is copied, never written; a yielded
+    state is updated in place by later rounds, so copy it to keep it.
     """
-    # `sweep` is the caller's neighbor_reduce binding: tracers and spies patch it
     values = np.array(values)
     yield values
-    degrees = g.degrees
     frontier = np.flatnonzero(values != _identity(kind, values.dtype))
     for _ in range(g.n if steps is None else steps):
-        if degrees[frontier].sum() > DENSE_EDGE_SHARE * g.indptr[-1]:
-            nxt = sweep(g, values, kind)
-            frontier = np.flatnonzero(nxt != values)
-            values = nxt
-        else:
-            rows = next_to(g, frontier)
-            got = sweep(g, values, kind, rows=rows)
-            grew = got != values[rows]
-            frontier = rows[grew]
-            values[frontier] = got[grew]
+        values, frontier = advance(g, values, values, frontier, kind, sweep)
         if not frontier.size:
             return
         yield values

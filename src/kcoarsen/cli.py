@@ -287,7 +287,8 @@ def cmd_verify(args) -> int:
             node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
             workers=args.threads)
     report = verify_reduction(g, h, args.k, result=result,
-                              sample_pairs=args.pairs, seed=args.seed)
+                              sample_pairs=args.pairs, seed=args.seed,
+                              edge_agg=args.edge_agg)
     text = report.to_text()
     sys.stdout.write(f"# config: {config.to_json()}\n")
     sys.stdout.write(text)

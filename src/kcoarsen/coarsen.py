@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from ._propagate import flood, neighbor_reduce, row_blocks, sorted_unique
-from .graph import Graph, _aggregate, _assemble, _distinct, as_node_weights
+from .graph import Graph, _aggregate, _assemble, _fold, as_node_weights
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
 
@@ -190,13 +190,10 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
     The result holds the contraction, not a CSR: the sorted distinct keys
     ``lo * nc + hi`` of the cluster pairs that g's edges cross, from
     `_crossing_keys` in `edge_list` order, and each pair's weight, the
-    fold of its crossing edges' weights by `edge_agg`.  Unweighted edges
-    weigh 1 each, so one in-place sort and its run lengths give every
-    fold: a sum is the run length, and max, min and mean are 1.0.
-    Weighted keys group by `_distinct` and fold in `edge_list` order by
-    `_aggregate`.  `node_agg` aggregates optional node weights:
-    keep_centroid takes the centroid's own value, sum/mean fold the
-    whole fiber.
+    `_fold` of its crossing edges' weights by `edge_agg` in that order
+    (unweighted edges weigh 1 each).  `node_agg` aggregates optional
+    node weights: keep_centroid takes the centroid's own value, sum/mean
+    fold the whole fiber.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
@@ -221,24 +218,9 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
 
     key, w = _crossing_keys(g, node_cluster, nc)
     del node_cluster
-    if w is None:
-        key.sort()
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
-        crossing = key.size
-        key = key[starts]  # frees the crossing keys before the weights
-        w = np.ones(key.size)
-        if edge_agg == "sum" and key.size:  # the run lengths
-            np.subtract(starts[1:], starts[:-1], out=w[:-1])
-            w[-1] = crossing - starts[-1]
-        del starts
-    else:
-        key, group = _distinct(key)
-        w = _aggregate(w, group, key.size, edge_agg,
-                       "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
-        del group
+    key, w = _fold(key, w, edge_agg,
+                   "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
+    key = key.copy()  # frees the crossing keys
 
     return CoarsenedGraph(keys=key, weights=w, centroids=centroids,
                           provenance=partition, node_values=node_values)

@@ -178,12 +178,20 @@ def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _coalesce(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:
-    """The Graph of `_edge_keys` and their weights, `key` overwritten.
+    """The Graph of `_edge_keys` and their weights, `key` overwritten:
+    `_fold` drops the self-loops and sums parallel edges' weights."""
+    return _assemble(*_fold(key, w, None if w is None else "sum",
+                            "parallel edge weights sum beyond float64's range"), n)
 
-    The one place that merges parallel edges: it sorts the keys in place
-    (weighted, with a stable argsort that carries the weights along),
-    drops the self-loops' -1 keys and compacts each run of equal keys to
-    its first entry, summing a run's float64 weights in input order.
+
+def _fold(key: np.ndarray, w: np.ndarray | None, how: str | None,
+          overflow: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one fold of equal keys: the sorted distinct non-negative keys,
+    a view of `key`, which is sorted in place (weighted keys by a stable
+    argsort that carries the weights), and each one's weights folded in
+    input order by `_aggregate(..., how, overflow)`.  Unweighted keys
+    weigh 1 each: a sum is the run length, max, min and mean are 1.0,
+    and with `how` None no weights are built.
     """
     if w is None:
         key.sort()
@@ -196,13 +204,20 @@ def _coalesce(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:
     key = key[loops:]
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    count = int(np.count_nonzero(first))
+    starts = np.flatnonzero(first)
+    count = starts.size
     if w is not None:
-        w = _aggregate(w[loops:], np.cumsum(first) - 1, count, "sum",
-                       "parallel edge weights sum beyond float64's range")
-    key[:count] = key[first]
-    del first  # the arcs below set the peak memory of a large build
-    return _assemble(key[:count], w, n)
+        w = _aggregate(w[loops:], np.cumsum(first) - 1, count, how, overflow)
+    del first
+    for a in range(0, count, ARC_BLOCK):  # by blocks: no count-sized temporary
+        block = starts[a:a + ARC_BLOCK]
+        key[a:a + block.size] = key[block]
+    if w is None and how is not None:
+        w = np.ones(count)
+        if how == "sum" and count:  # the run lengths
+            np.subtract(starts[1:], starts[:-1], out=w[:-1])
+            w[-1] = key.size - starts[-1]
+    return key[:count], w
 
 
 def _assemble(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:

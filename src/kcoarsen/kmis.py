@@ -15,9 +15,9 @@ rank within j hops.  A row of layer j can change only on the closed
 neighbourhood of the rows whose layer j-1 changed, so a round recomputes
 those rows alone, layer by layer up from the ranks the last round
 retired: a linear-work round in the sense of Blelloch, Fineman & Shun
-(SPAA 2012).  Each layer is a full sweep instead when its changed rows
-hold more than DENSE_EDGE_SHARE of the edge slots, `flood`'s rule
-(Ligra: Shun & Blelloch, PPoPP 2013).
+(SPAA 2012).  Each layer update is one `_propagate.advance`, the
+frontier step that `flood` repeats, so it is a full sweep instead when
+the changed rows hold more than its share of the edge slots.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._propagate import DENSE_EDGE_SHARE, flood, neighbor_reduce, next_to
+from ._propagate import advance, flood, neighbor_reduce
 from .graph import Graph
 from .ranking import Ranking
 
@@ -76,7 +76,7 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
     n = g.n
     rank = ranking.rank
     degrees = g.degrees
-    total_slots = active_slots = int(g.indptr[-1])
+    active_slots = int(g.indptr[-1])
     sentinel = np.iinfo(np.int64).max
     # layers[0] holds the rank of an active node, else the sentinel, so only
     # an active node can see its own rank as its label
@@ -88,16 +88,8 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
     while remaining:
         rounds += 1
         for j in range(1, k + 1):
-            old = layers[j]
-            if degrees[changed].sum() > DENSE_EDGE_SHARE * total_slots:
-                layers[j] = neighbor_reduce(g, layers[j - 1], "min")
-                changed = np.flatnonzero(layers[j] != old)
-            else:
-                rows = next_to(g, changed)
-                got = neighbor_reduce(g, layers[j - 1], "min", rows=rows)
-                moved = got != old[rows]
-                changed = rows[moved]
-                old[changed] = got[moved]
+            layers[j], changed = advance(g, layers[j - 1], layers[j], changed,
+                                         "min", neighbor_reduce)
         picks = changed[layers[k][changed] == rank[changed]]
         if not picks.size:
             raise RuntimeError(f"k_mis round {rounds} picked no node")

@@ -6,7 +6,8 @@ can show all witnesses at once.  The guarantees checked here:
 * every coarse edge joins centroids whose hop distance in the original
   graph lies in [k+1, 2k+1];
 * the coarse graph is the contraction of the input: two clusters share
-  a coarse edge exactly when an input edge crosses between them;
+  a coarse edge exactly when an input edge crosses between them, and a
+  coarse weight is the `--edge-agg` fold of the crossing edges' weights;
 * for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v) and
   d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, where c maps a node to
   its centroid's coarse index;
@@ -14,7 +15,7 @@ can show all witnesses at once.  The guarantees checked here:
 * coarsening preserves the number of connected components, mapping each
   input component onto exactly one coarse component;
 * a selection is k-independent (pairwise distance > k) and maximal
-  (every node within k hops of the set).
+  (every node within k hops of the set), and equals the centroids.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._propagate import concat_ranges, flood, neighbor_reduce, sorted_unique
-from .coarsen import CoarsenedGraph, _crossing_keys
-from .graph import Graph, _distinct, bfs, connected_components, table_text
+from .coarsen import EDGE_AGGREGATIONS, CoarsenedGraph, _crossing_keys
+from .graph import (Graph, _distinct, _fold, bfs, connected_components,
+                    table_text)
 from .kmis import KMisResult
 
 __all__ = [
@@ -102,9 +104,10 @@ class ValidityReport(_Checked):
     violations: list[Violation] = field(default_factory=list)
 
 
-def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
+def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
+                      edge_agg: str = "sum") -> DistortionReport:
     """Check k+1 <= d_G(a, b) <= 2k+1 for every coarse edge (a, b), and
-    that the coarse edges are the contraction of g.
+    that the coarse edges and their weights are the contraction of g.
 
     One depth-capped pair search covers every coarse edge, smaller
     coarse index first in key order; distances beyond 2k+2 hops read as
@@ -113,9 +116,13 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
     edge (a `missing_coarse_edge` per cluster pair that does not, its
     crossing input edges observed), and each coarse edge must be crossed
     by an input edge (an `extra_coarse_edge` otherwise), both in key
-    order.  A broken assignment skips that part: the distortion check
-    reports it.
+    order.  When h has weights, each crossed coarse edge's weight must
+    equal the `_fold` of its crossing edges' weights by `edge_agg`, as
+    `reduce` folds them (a `coarse_weight` otherwise).  A broken
+    assignment skips that part: the distortion check reports it.
     """
+    if edge_agg not in EDGE_AGGREGATIONS:
+        raise ValueError(f"unknown edge aggregation {edge_agg!r}")
     report = DistortionReport()
     lower, upper = k + 1, 2 * k + 1
     ci, cj, _ = h.edge_list()
@@ -129,16 +136,17 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
             observed=observed, bound=float(upper)))
     coarse_of = _coarse_of(h, h.provenance.assignment, DistortionReport())
     if coarse_of is not None:
-        _check_contraction(g, h, coarse_of, report)
+        _check_contraction(g, h, coarse_of, edge_agg, report)
     return report
 
 
 def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
-                       report: DistortionReport) -> None:
+                       edge_agg: str, report: DistortionReport) -> None:
     """Record the cluster pairs that input edges cross without a coarse
-    edge, then the coarse edges that no input edge crosses."""
+    edge, then the coarse edges that no input edge crosses, then the
+    crossed ones whose weight is not the fold of the crossing weights."""
     nc = h.centroids.size
-    crossing, _ = _crossing_keys(g, coarse_of, nc)
+    crossing, w = _crossing_keys(g, coarse_of, nc)
     at = np.searchsorted(h.keys, crossing)
     found = at < h.keys.size
     found[found] = h.keys[at[found]] == crossing[found]
@@ -156,6 +164,19 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
     for a, b in zip(h.centroids[ci].tolist(), h.centroids[cj].tolist()):
         report.violations.append(Violation(
             kind="extra_coarse_edge", nodes=(a, b), observed=0.0, bound=1.0))
+    if h.weights is None:
+        return
+    del at, found
+    keys, folded = _fold(crossing, w, edge_agg,
+                         "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
+    crossed = np.flatnonzero(crossed)
+    want = folded[np.searchsorted(keys, h.keys[crossed])]
+    wrong = h.weights[crossed] != want
+    ci, cj = np.divmod(h.keys[crossed[wrong]], nc)
+    for a, b, seen, fold in zip(h.centroids[ci].tolist(), h.centroids[cj].tolist(),
+                                h.weights[crossed[wrong]].tolist(), want[wrong].tolist()):
+        report.violations.append(Violation(
+            kind="coarse_weight", nodes=(a, b), observed=seen, bound=fold))
 
 
 def _coarse_of(h: CoarsenedGraph, assignment: np.ndarray,
@@ -430,20 +451,29 @@ def _int_rows(lines: list[str], width: int) -> np.ndarray:
 def verify_reduction(g: Graph, h: CoarsenedGraph, k: int,
                      result: KMisResult | None = None, pairs=None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                     seed: int = 0) -> VerificationReport:
+                     seed: int = 0, edge_agg: str = "sum") -> VerificationReport:
     """Run all four checks against one coarsening.
 
     When `result` is omitted the selected set is taken to be the
-    centroids of h.  k = 0 coarsenings check the degenerate bounds
-    (every coarse edge spans exactly one hop).
+    centroids of h; a given one must equal them (a `selection`
+    violation per node in one set only, observed 1.0 when selected,
+    bound 1.0 when a centroid).  k = 0 coarsenings check the degenerate
+    bounds (every coarse edge spans exactly one hop).
     """
     if result is None:
         result = KMisResult(selected=h.centroids.copy(), rounds=0, k=k)
-    return VerificationReport(
+    report = VerificationReport(
         k=k,
-        edge_bounds=check_edge_bounds(g, h, k),
+        edge_bounds=check_edge_bounds(g, h, k, edge_agg),
         distortion=check_distortion(g, h, k, pairs=pairs,
                                     sample_pairs=sample_pairs, seed=seed),
         components=check_components(g, h),
         validity=check_kmis_validity(g, k, result),
     )
+    if not np.array_equal(result.selected, h.centroids):
+        odd = np.setxor1d(result.selected, h.centroids)
+        for v, picked in zip(odd.tolist(), np.isin(odd, result.selected).tolist()):
+            report.validity.violations.append(Violation(
+                kind="selection", nodes=(v,), observed=float(picked),
+                bound=float(not picked)))
+    return report

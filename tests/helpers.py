@@ -241,25 +241,29 @@ def king_grid_edges(rows, cols):
     return edges
 
 
+def fold_reference(items, how):
+    """{key: weight} of (key, weight) items by a dict walk: each key's
+    weights fold left to right by `how` ("sum", "mean", "max" or "min")."""
+    fold = {"max": max, "min": min}.get(how, float.__add__)  # mean sums first
+    folded, counts = {}, {}
+    for key, w in items:
+        folded[key] = fold(folded[key], w) if key in folded else w
+        counts[key] = counts.get(key, 0) + 1
+    if how == "mean":
+        return {key: total / counts[key] for key, total in folded.items()}
+    return folded
+
+
 def contraction_reference(edges, cluster_of, how):
     """{(a, b): weight} of the coarse edges, a < b, by a dict walk.
 
     `edges` are (u, v, w) triples in the order their weights fold;
     `cluster_of[v]` is v's coarse node.  Edges inside one cluster are
     dropped; the crossing edges of a pair fold left to right by `how`
-    ("sum", "mean", "max" or "min").
+    (see `fold_reference`).
     """
-    fold = {"max": max, "min": min}.get(how, float.__add__)  # mean sums first
-    folded, counts = {}, {}
-    for u, v, w in edges:
-        pair = tuple(sorted((cluster_of[u], cluster_of[v])))
-        if pair[0] == pair[1]:
-            continue
-        folded[pair] = fold(folded[pair], w) if pair in folded else w
-        counts[pair] = counts.get(pair, 0) + 1
-    if how == "mean":
-        return {pair: total / counts[pair] for pair, total in folded.items()}
-    return folded
+    pairs = ((tuple(sorted((cluster_of[u], cluster_of[v]))), w) for u, v, w in edges)
+    return fold_reference(((pair, w) for pair, w in pairs if pair[0] != pair[1]), how)
 
 
 def contraction_violations_reference(edges, cluster_of, centroids, coarse_edges):
@@ -279,6 +283,24 @@ def contraction_violations_reference(edges, cluster_of, centroids, coarse_edges)
     extra = [("extra_coarse_edge", (centroids[i], centroids[j]), 0.0, 1.0)
              for i, j in sorted(coarse) if (i, j) not in crossing]
     return missing + extra
+
+
+def validity_reference(n, edges, selected, k):
+    """check_kmis_validity's violations: the independence pairs, then the
+    uncovered nodes, from BFS."""
+    adj = adjacency(n, edges)
+    out = []
+    for i, s in enumerate(selected):
+        dist = bfs_dists(adj, s)
+        for t in selected[i + 1:]:
+            if dist.get(t, k + 1) <= k:
+                out.append(("independence", (s, t), float(dist[t]), float(k)))
+    covered = set()
+    for s in selected:
+        covered |= ball(adj, s, k)
+    out += [("maximality", (v,), float("inf"), float(k))
+            for v in range(n) if v not in covered]
+    return out
 
 
 def dyadic_weights(rng, n, denom_bits=4):

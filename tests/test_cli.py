@@ -346,6 +346,51 @@ def test_verify_artifacts_reject_an_extra_coarse_edge_row_within_the_span_bounds
         f"{h.centroids[b]}) observed=0.0 bound=1.0\n")
 
 
+def test_verify_artifacts_reject_a_scaled_coarse_weight(tmp_path, capsys):
+    g, h, inp, out = grid_artifacts(tmp_path, 2)
+    i, j, crossing = h.edge_list()
+    scaled = float(crossing[7]) * 1000
+    _rewrite_rows(out / "coarse.edgelist", lambda rows: rows[:7] + [
+        f"{i[7]} {j[7]} {scaled!r}"] + rows[8:])
+    capsys.readouterr()
+    assert run(["verify", "-i", inp, "-k", 2, "--rank", "kdeg",
+                "--artifacts", out]) == 1
+    a, b = h.centroids[i[7]], h.centroids[j[7]]
+    assert capsys.readouterr().err == (
+        f"violation [edge_bounds] coarse_weight nodes=({a}, {b}) "
+        f"observed={scaled} bound={float(crossing[7])}\n")
+
+
+@pytest.mark.parametrize("agg", ["sum", "max", "min", "mean"])
+def test_verify_checks_coarse_weights_by_its_edge_agg(tmp_path, capsys, agg):
+    """Weighted artifacts pass under the --edge-agg that wrote them and
+    fail under any other, which folds some crossing weights apart."""
+    rng = helpers.make_rng("edge-agg", agg)
+    inp = tmp_path / "weighted.edgelist"
+    inp.write_text("".join(f"{u} {v} {rng.uniform(0.1, 10.0)!r}\n"
+                           for u, v in helpers.grid_edges(12, 12)))
+    out = tmp_path / "run"
+    assert run(["coarsen", "-i", inp, "-k", 1, "--rank", "kdeg", "--edge-agg", agg,
+                "-o", out]) == 0
+    for other in ("sum", "max", "min", "mean"):
+        capsys.readouterr()
+        code = run(["verify", "-i", inp, "-k", 1, "--rank", "kdeg",
+                    "--edge-agg", other, "--artifacts", out])
+        err = capsys.readouterr().err.splitlines()
+        assert code == (other != agg)
+        assert all(" coarse_weight " in line for line in err)
+
+
+def test_verify_leaves_unweighted_coarse_edges_unchecked(tmp_path):
+    """A coarse.edgelist without weights has no weight to check."""
+    inp = write_path5(tmp_path)
+    out = tmp_path / "run"
+    run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "-o", out])
+    _rewrite_rows(out / "coarse.edgelist",
+                  lambda rows: [" ".join(row.split()[:2]) for row in rows])
+    assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 0
+
+
 def test_verify_non_finite_coarse_weight_exits_2(tmp_path, capsys):
     inp = write_path5(tmp_path)
     out = tmp_path / "run"

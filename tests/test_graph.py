@@ -39,6 +39,33 @@ def test_build_rejects_parallel_weights_summing_past_float64():
         build([(0, 1, 1e308), (1, 0, 1e308)])
 
 
+def fold_cases():
+    """(keys, weights): empty, one long run, and random keys with the
+    self-loops' -1 and other negative keys among them; the weights span
+    sixteen orders of magnitude, so a sum depends on its order."""
+    rng = np.random.default_rng(11)
+    yield np.empty(0, dtype=np.int64), np.empty(0)
+    yield np.full(5000, 7), rng.random(5000) * 10.0 ** rng.integers(-8, 9, size=5000)
+    for size in (1, 30, 400):
+        keys = rng.integers(-3, 40, size=size)
+        yield keys, rng.random(size) * 10.0 ** rng.integers(-8, 9, size=size)
+
+
+@pytest.mark.parametrize("how", ["sum", "max", "min", "mean"])
+def test_fold_matches_a_pure_python_fold(how):
+    for keys, weights in fold_cases():
+        for w in (weights, None):
+            items = zip(keys.tolist(), weights.tolist() if w is not None
+                        else [1.0] * keys.size)
+            want = helpers.fold_reference(((key, x) for key, x in items if key >= 0), how)
+            got_keys, got = kcoarsen.graph._fold(
+                keys.copy(), None if w is None else w.copy(), how, "overflow")
+            assert got_keys.tolist() == sorted(want)
+            assert [x.hex() for x in got.tolist()] == [want[key].hex() for key in sorted(want)]
+            if w is None:
+                assert kcoarsen.graph._fold(keys.copy(), None, None, "")[1] is None
+
+
 def test_build_missing_weight_defaults_to_one():
     g = build([(0, 1, 2.5), (1, 2)])
     _, _, w = g.edge_list()

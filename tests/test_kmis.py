@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcoarsen._propagate
 import kcoarsen.kmis
 from kcoarsen import Ranking, build, k_mis, resolve_ranking
 from kcoarsen._propagate import neighbor_reduce
@@ -22,10 +23,11 @@ ROUND_RULES = {"all_local": 2.0, "all_full": -1.0}
 
 @contextlib.contextmanager
 def forced_rounds(rule):
-    """Run k_mis under ROUND_RULES[rule], or its own share for None."""
+    """Run k_mis under ROUND_RULES[rule], its cover floods included, or
+    under the package's own share for None."""
     with pytest.MonkeyPatch.context() as mp:
         if rule is not None:
-            mp.setattr(kcoarsen.kmis, "DENSE_EDGE_SHARE", ROUND_RULES[rule])
+            mp.setattr(kcoarsen._propagate, "DENSE_EDGE_SHARE", ROUND_RULES[rule])
         yield
 
 

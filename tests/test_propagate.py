@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import kcoarsen._propagate
 import kcoarsen.graph
-from kcoarsen import build
+from kcoarsen import KMisResult, Ranking, build, cluster, k_mis
 from kcoarsen._propagate import (ARC_BLOCK, concat_ranges, flood,
                                  neighbor_reduce, next_to, row_blocks,
                                  sorted_unique)
+from kcoarsen.graph import bfs
+from kcoarsen.verify import check_kmis_validity
 
 from . import helpers
 
@@ -296,3 +298,35 @@ def test_flood_on_the_empty_graph():
         for dtype in dtypes:
             states, _ = run_flood(g, np.empty(0, dtype=dtype), kind, None)
             assert len(states) == 1 and states[0].size == 0
+
+
+@pytest.mark.parametrize("share", [2.0, -1.0], ids=["all_local", "all_full"])
+def test_floods_match_the_bfs_oracle_under_either_frontier_rule(small_corpus,
+                                                                monkeypatch, share):
+    """bfs, cluster and check_kmis_validity, with every `advance` round a
+    row subset (2.0) or a full sweep (-1.0), against helpers' BFS."""
+    monkeypatch.setattr(kcoarsen._propagate, "DENSE_EDGE_SHARE", share)
+    for g, edges, n in small_corpus[::3]:
+        adj = helpers.adjacency(n, edges)
+        dist = [helpers.bfs_dists(adj, s) for s in range(n)]
+        src, dst = np.divmod(np.arange(n * n), n)
+        for cap in (None, 2):
+            want = [dist[s].get(t, n) for s, t in zip(src.tolist(), dst.tolist())]
+            if cap is not None:
+                want = [n if d > cap else d for d in want]
+            assert bfs(g, src, dst, max_depth=cap).tolist() == want
+        rng = helpers.make_rng("frontier", n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        ranking = Ranking(np.array(perm))
+        for k in (1, 2):
+            result = k_mis(g, k, ranking)
+            selected = result.selected.tolist()
+            assert cluster(g, k, ranking, result).assignment.tolist() == [
+                min((perm[s], s) for s in selected if dist[s].get(v, k + 1) <= k)[1]
+                for v in range(n)]
+            some = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+            report = check_kmis_validity(g, k, KMisResult(
+                selected=np.array(some, dtype=np.int64), rounds=0, k=k))
+            assert [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations] \
+                == helpers.validity_reference(n, edges, some, k)

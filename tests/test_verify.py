@@ -13,6 +13,7 @@ from kcoarsen import (
     CoarsenedGraph,
     KMisResult,
     Partition,
+    Ranking,
     VerificationReport,
     build,
     coarsen_pipeline,
@@ -115,6 +116,32 @@ def test_edge_bounds_report_an_extra_coarse_edge_within_the_span_bounds():
     # every other check passes: the distance bounds still hold over all pairs
     report = verify_reduction(g, extra, k, result=res)
     assert [section for section, _ in report.all_violations()] == ["edge_bounds"]
+
+
+@pytest.mark.parametrize("how", ["sum", "max", "min", "mean"])
+def test_edge_bounds_report_coarse_weights_one_ulp_off(how):
+    """Each coarse weight must equal, to the bit, helpers' left-to-right
+    fold of its crossing weights by the same edge_agg."""
+    rng = helpers.make_rng("coarse-weight", how)
+    g = build([(u, v, rng.uniform(0.1, 10.0)) for u, v in helpers.grid_edges(12, 12)])
+    h, part, _ = coarsen_pipeline(g, 1, ranking="kdeg", edge_agg=how)
+    cluster_of = np.searchsorted(h.centroids, part.assignment).tolist()
+    want = helpers.contraction_reference(
+        list(zip(*(col.tolist() for col in g.edge_list()))), cluster_of, how)
+    assert check_edge_bounds(g, h, 1, how).passed
+    bumped = h.weights.copy()
+    off = [0, 17, h.keys.size - 1]
+    bumped[off] = np.nextafter(bumped[off], np.inf)
+    nc = h.centroids.size
+    expect = []
+    for i in off:
+        a, b = divmod(int(h.keys[i]), nc)
+        expect.append(("coarse_weight", (int(h.centroids[a]), int(h.centroids[b])),
+                       float(bumped[i]), want[a, b]))
+    assert violations(check_edge_bounds(g, with_keys(h, h.keys, bumped), 1, how)) \
+        == expect
+    with pytest.raises(ValueError, match="unknown edge aggregation"):
+        check_edge_bounds(g, h, 1, "median")
 
 
 def test_distortion_clean_on_pipeline(small_corpus):
@@ -382,23 +409,6 @@ def test_validity_flags_uncovered_node():
     assert "maximality" in kinds
 
 
-def expected_validity(n, edges, selected, k):
-    """Independence pairs, then uncovered nodes, from helpers BFS."""
-    adj = helpers.adjacency(n, edges)
-    out = []
-    for i, s in enumerate(selected):
-        dist = helpers.bfs_dists(adj, s)
-        for t in selected[i + 1:]:
-            if dist.get(t, k + 1) <= k:
-                out.append(("independence", (s, t), float(dist[t]), float(k)))
-    covered = set()
-    for s in selected:
-        covered |= helpers.ball(adj, s, k)
-    out += [("maximality", (v,), float("inf"), float(k))
-            for v in range(n) if v not in covered]
-    return out
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_validity_matches_bfs_oracle(data):
@@ -411,7 +421,7 @@ def test_validity_matches_bfs_oracle(data):
     fake = KMisResult(selected=np.array(selected, dtype=np.int64), rounds=0, k=k)
     report = check_kmis_validity(g, k, fake)
     got = [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
-    assert got == expected_validity(n, edges, selected, k)
+    assert got == helpers.validity_reference(n, edges, selected, k)
 
 
 def test_verify_reduction_green_path(small_corpus):
@@ -436,6 +446,22 @@ def test_node_assigned_to_a_far_centroid_breaks_the_radius():
     report = verify_reduction(g, far, 1, result=res)
     assert violations(report.distortion) == [("radius", (2, 0), math.inf, 1.0)]
     assert [section for section, _ in report.all_violations()] == ["distortion"]
+
+
+def test_verify_reduction_reports_a_selection_other_than_the_centroids():
+    # on the 5-node path at k = 2, ids pick {0, 3} and reversed ids {1, 4}:
+    # both are valid, so only the selection check can object
+    g = build(helpers.path_edges(5))
+    h, _, res = coarsen_pipeline(g, 2, ranking="id")
+    other = k_mis(g, 2, Ranking(np.arange(5)[::-1].copy()))
+    assert res.selected.tolist() == [0, 3] and other.selected.tolist() == [1, 4]
+    assert check_kmis_validity(g, 2, other).passed
+    assert verify_reduction(g, h, 2, result=res).passed
+    report = verify_reduction(g, h, 2, result=other)
+    assert [section for section, _ in report.all_violations()] == ["validity"] * 4
+    assert violations(report.validity) == [
+        ("selection", (0,), 0.0, 1.0), ("selection", (1,), 1.0, 0.0),
+        ("selection", (3,), 0.0, 1.0), ("selection", (4,), 1.0, 0.0)]
 
 
 def test_verify_reduction_default_result_uses_centroids():
