@@ -24,8 +24,8 @@ from . import oracle
 from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
                       coarsen_pipeline)
 from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
-                    load, store, write_table, _distinct, _edge_table,
-                    _fast_edgelist, _id_pair)
+                    load, store, write_table, _edge_keys, _edge_table,
+                    _fast_edgelist, _fold, _id_pair)
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
 from .ranking import resolve_ranking as _resolve_rank_spec
@@ -57,6 +57,14 @@ class RunConfig:
     weight_range: str | None = None
     oracle_cap: int | None = None
     artifacts: str | None = None
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace, **override) -> "RunConfig":
+        """A command's config: its parsed arguments, the fields it lacks
+        at their defaults, then `override`."""
+        given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                 if hasattr(args, f.name)}
+        return cls(**{**given, **override})
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -93,6 +101,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "results do not depend on it")
 
 
+def _add_coarsening(parser: argparse.ArgumentParser) -> None:
+    """The coarsening arguments of coarsen and verify."""
+    parser.add_argument("-k", type=_at_least(0), required=True,
+                        help="independence radius; 0 is the identity coarsening")
+    parser.add_argument("--edge-agg", choices=list(EDGE_AGGREGATIONS), default="sum",
+                        help="crossing-edge weight aggregation")
+    parser.add_argument("--node-agg", choices=list(_NODE_AGG_FLAGS), default="centroid",
+                        help="node weight aggregation")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kcoarsen",
@@ -101,20 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coarsen", help="coarsen a graph and write artifacts")
     _add_common(p)
-    p.add_argument("-k", type=_at_least(0), required=True,
-                   help="independence radius; 0 is the identity coarsening")
-    p.add_argument("--edge-agg", choices=list(EDGE_AGGREGATIONS), default="sum",
-                   help="crossing-edge weight aggregation")
-    p.add_argument("--node-agg", choices=list(_NODE_AGG_FLAGS), default="centroid",
-                   help="node weight aggregation")
+    _add_coarsening(p)
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_coarsen)
 
     p = sub.add_parser("verify", help="coarsen (or load artifacts) and check guarantees")
     _add_common(p)
-    p.add_argument("-k", type=_at_least(0), required=True)
-    p.add_argument("--edge-agg", choices=list(EDGE_AGGREGATIONS), default="sum")
-    p.add_argument("--node-agg", choices=list(_NODE_AGG_FLAGS), default="centroid")
+    _add_coarsening(p)
     p.add_argument("--pairs", type=_at_least(1), default=10_000,
                    help="sampled node pairs for distance checks on large graphs")
     p.add_argument("--artifacts", default=None,
@@ -161,10 +172,7 @@ def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
 
 
 def cmd_coarsen(args) -> int:
-    config = RunConfig(command="coarsen", input=args.input, format=args.format,
-                       k=args.k, rank=args.rank, edge_agg=args.edge_agg,
-                       node_agg=args.node_agg, output=args.output,
-                       seed=args.seed, threads=args.threads)
+    config = RunConfig.from_args(args)
     t0 = perf_counter()
     g, original_ids = load(args.input, format=args.format)
     t_load = perf_counter() - t0
@@ -219,6 +227,7 @@ def _read_artifacts(artifacts: Path, g: Graph,
     centroid rows carry coarse indices 0..nc-1, each once, with centroid
     ids increasing by index (the writer's order), so the stored index is
     the one verified, and each coarse edge has one row, no self-loop.
+    `_edge_keys` and `_fold` key the rows in any order and orientation.
     """
     def dense_of(originals: np.ndarray, path: Path) -> np.ndarray:
         """Dense indices of original ids, by binary search of the sorted ids."""
@@ -255,25 +264,17 @@ def _read_artifacts(artifacts: Path, g: Graph,
     nc = centroids.size
     if ends.size and (ends.min() < 0 or ends.max() >= nc):
         raise ValueError("coarse edgelist references unknown coarse index")
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    keys, at = _distinct(lo * nc + hi)
-    if keys.size < lo.size or (lo == hi).any():  # the writer emits each edge once
+    keys, weights = _fold(_edge_keys(ends[:, 0], ends[:, 1], nc), w,
+                          None if w is None else "max", "")  # a lone max: the weight
+    if keys.size < ends.shape[0]:  # a repeated row folds, a self-loop's -1 drops
         raise ValueError("coarse edgelist repeats an edge or holds a self-loop")
-    weights = None
-    if w is not None:
-        weights = np.empty(keys.size)
-        weights[at] = w
     partition = Partition(assignment=assignment, cluster_count=nc)
     return CoarsenedGraph(keys=keys, weights=weights, centroids=centroids,
                           provenance=partition)
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(command="verify", input=args.input, format=args.format,
-                       k=args.k, rank=args.rank, edge_agg=args.edge_agg,
-                       node_agg=args.node_agg, output=args.output,
-                       seed=args.seed, threads=args.threads, pairs=args.pairs,
-                       artifacts=args.artifacts)
+    config = RunConfig.from_args(args)
     g, original_ids = load(args.input, format=args.format)
     result = None
     if args.artifacts:
@@ -320,12 +321,7 @@ def cmd_bench(args) -> int:
     if not k_values or min(k_values) < 1:
         print("bench needs k values >= 1", file=sys.stderr)
         return 2
-    config = RunConfig(command="bench", input=args.input, format=args.format,
-                       k_list=k_values, rank=args.rank, output=args.output,
-                       seed=args.seed, threads=args.threads, trials=args.trials,
-                       compare_greedy=args.compare_greedy,
-                       weight_range=args.weight_range,
-                       oracle_cap=args.oracle_cap)
+    config = RunConfig.from_args(args, k_list=k_values)
     g, _ = load(args.input, format=args.format)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

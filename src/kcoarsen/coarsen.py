@@ -15,7 +15,8 @@ from time import perf_counter
 import numpy as np
 
 from ._propagate import flood, neighbor_reduce, row_blocks, sorted_unique
-from .graph import Graph, _aggregate, _assemble, _fold, as_node_weights
+from .graph import (Graph, _aggregate, _assemble, _edge_keys, _fold,
+                    as_node_weights)
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
 
@@ -123,13 +124,11 @@ class CoarsenedGraph:
 
 def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The keys ``lo * nc + hi`` of the edges of g whose ends lie in two
-    clusters lo < hi, in `edge_list` order, and those edges' weights
-    (None when g is unweighted).
-
+    """The `_edge_keys` ``lo * nc + hi`` of the clusters lo < hi of the
+    ends of g's edges, in `edge_list` order, and those edges' weights (None
+    when g is unweighted); an edge inside one cluster keys -1 and drops.
     `cluster_of[v]` is v's cluster, one of 0..nc-1.  The CSR rows go by
-    `row_blocks`, so no array over all 2m arcs is built.
-    """
+    `row_blocks`, so no array over all 2m arcs is built."""
     key = np.empty(g.m, dtype=np.int64)
     w = None if g.weights is None else np.empty(g.m)
     count = 0
@@ -138,16 +137,13 @@ def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
         src = np.repeat(np.arange(first, last), g.degrees[first:last])
         dst = g.indices[arcs]
         keep = src < dst  # each edge once, from its smaller end
-        cu, cv = cluster_of[src[keep]], cluster_of[dst[keep]]
-        cross = cu != cv
-        cu, cv = cu[cross], cv[cross]
-        block = key[count:count + cu.size]
-        np.minimum(cu, cv, out=block)
-        block *= nc
-        block += np.maximum(cu, cv, out=cu)
+        block = _edge_keys(cluster_of[src[keep]], cluster_of[dst[keep]], nc)
+        cross = block >= 0  # an edge inside one cluster keys as a self-loop
+        block = block[cross]
+        key[count:count + block.size] = block
         if w is not None:
-            w[count:count + cu.size] = g.weights[arcs][keep][cross]
-        count += cu.size
+            w[count:count + block.size] = g.weights[arcs][keep][cross]
+        count += block.size
     return key[:count], None if w is None else w[:count]
 
 

@@ -4,6 +4,8 @@ A :class:`Graph` stores a normalized simple graph in compressed adjacency
 (CSR) form: no self-loops, no parallel edges, neighbor lists sorted
 ascending.  Graphs are immutable values; every algorithm in this package
 returns new objects instead of mutating inputs.
+Edges travel as keys ``min * n + max``: `_edge_keys` is their one
+encoder and `_fold` their one fold; `_distinct` is internal.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def _build_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray | None,
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """The key ``min * n + max`` of each edge (u, v), -1 for a self-loop,
-    formed ARC_BLOCK edges at a time into one array."""
+    formed ARC_BLOCK edges at a time into one array: the one encoder, of
+    input edges, crossing edges and coarse artifact rows alike."""
     if n > 3_037_000_499:
         raise ValueError(f"n={n} is too large: edge keys n*u + v overflow int64")
     key = np.empty(u.size, dtype=np.int64)
@@ -623,7 +626,8 @@ def _float_cells(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct values, each row's index into them) of a column.
+    """(sorted distinct values, each row's index into them) of a column;
+    internal to this module: other modules fold keys by `_fold`.
 
     An integer column whose value range is at most its length takes a
     presence array.  Any other one takes one unstable np.argsort: the

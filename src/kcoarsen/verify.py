@@ -11,7 +11,8 @@ can show all witnesses at once.  The guarantees checked here:
 * for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v) and
   d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, where c maps a node to
   its centroid's coarse index;
-* every node lies within k hops of its centroid;
+* every node maps to a centroid (else the distortion check alone
+  reports an `assignment_target`) and lies within k hops of it;
 * coarsening preserves the number of connected components, mapping each
   input component onto exactly one coarse component;
 * a selection is k-independent (pairwise distance > k) and maximal
@@ -28,8 +29,7 @@ import numpy as np
 
 from ._propagate import concat_ranges, flood, neighbor_reduce, sorted_unique
 from .coarsen import EDGE_AGGREGATIONS, CoarsenedGraph, _crossing_keys
-from .graph import (Graph, _distinct, _fold, bfs, connected_components,
-                    table_text)
+from .graph import Graph, _fold, bfs, connected_components, table_text
 from .kmis import KMisResult
 
 __all__ = [
@@ -134,7 +134,7 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
         report.violations.append(Violation(
             kind="edge_bound", nodes=(int(a[i]), int(b[i])),
             observed=observed, bound=float(upper)))
-    coarse_of = _coarse_of(h, h.provenance.assignment, DistortionReport())
+    coarse_of = _coarse_of(h, h.provenance.assignment, [])
     if coarse_of is not None:
         _check_contraction(g, h, coarse_of, edge_agg, report)
     return report
@@ -150,8 +150,7 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
     at = np.searchsorted(h.keys, crossing)
     found = at < h.keys.size
     found[found] = h.keys[at[found]] == crossing[found]
-    missing, count = _distinct(crossing[~found])
-    count = np.bincount(count, minlength=missing.size)
+    missing, count = _fold(crossing[~found], None, "sum", "")  # run lengths
     crossed = np.zeros(h.keys.size, dtype=bool)
     crossed[at[found]] = True
     ci, cj = np.divmod(missing, nc)
@@ -180,20 +179,21 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
 
 
 def _coarse_of(h: CoarsenedGraph, assignment: np.ndarray,
-               report) -> np.ndarray | None:
-    """Coarse index of each node's centroid; None when the map is broken."""
+               violations: list[Violation]) -> np.ndarray | None:
+    """Coarse index of each node's centroid; None when the map is broken,
+    each node assigned to a non-centroid then appended to `violations`."""
     if assignment.size == 0:
         return np.empty(0, dtype=np.int64)
     nc = h.centroids.size
     if nc == 0:
-        report.violations.append(Violation(
+        violations.append(Violation(
             kind="assignment_target", nodes=(), observed=float(assignment.size),
             bound=0.0))
         return None
     idx = np.clip(np.searchsorted(h.centroids, assignment), 0, nc - 1)
     bad = np.flatnonzero(h.centroids[idx] != assignment)
     for v in bad.tolist():
-        report.violations.append(Violation(
+        violations.append(Violation(
             kind="assignment_target", nodes=(v, int(assignment[v])),
             observed=float(assignment[v]), bound=float("nan")))
     if bad.size:
@@ -233,7 +233,8 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     sample_pairs // that many sources.  The draws come from the SplitMix64
     stream of `seed` (any int >= 0; it is taken mod 2**64): the sources
     first, then the targets source by source, each reduced mod n.
-    Explicit pairs are taken grouped by source.  One pair search on each
+    Explicit pairs are taken grouped by source.  A broken assignment
+    ends the check at its `assignment_target`s.  One pair search on each
     graph answers them all.  Pairs in different components of g are
     skipped (both sides are infinite).  `per_pair_sample` records at most
     MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
@@ -265,7 +266,7 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
         src = np.repeat(draws[:n_sources], group)
         dst = draws[n_sources:]
     assignment = h.provenance.assignment
-    coarse_of = _coarse_of(h, assignment, report)
+    coarse_of = _coarse_of(h, assignment, report.violations)
     if coarse_of is None:
         return report
     hg = h.graph
@@ -301,7 +302,8 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
 
 
 def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
-    """Component count must be preserved, one coarse component per input one."""
+    """Component count must be preserved, one coarse component per input
+    one; a broken assignment skips the latter, unrecorded."""
     g_count, g_labels = connected_components(g)
     h_count, h_labels = connected_components(h.graph)
     report = ComponentReport(graph_components=g_count, coarse_components=h_count)
@@ -309,8 +311,8 @@ def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
         report.violations.append(Violation(
             kind="component_count", nodes=(),
             observed=float(h_count), bound=float(g_count)))
-    coarse_of = _coarse_of(h, h.provenance.assignment, report)
-    if coarse_of is None:
+    coarse_of = _coarse_of(h, h.provenance.assignment, [])
+    if coarse_of is None:  # the distortion check reports a broken map
         return report
     if g.n:
         # one key per (input component, coarse component) pair

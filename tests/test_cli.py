@@ -15,8 +15,9 @@ import pytest
 import kcoarsen.cli
 import kcoarsen.coarsen
 import kcoarsen.graph
-from kcoarsen import build, coarsen_pipeline
-from kcoarsen.cli import RunConfig, _id_columns, _write_coarsen_artifacts, main
+from kcoarsen import build, coarsen_pipeline, load
+from kcoarsen.cli import (RunConfig, _id_columns, _read_artifacts,
+                          _write_coarsen_artifacts, main)
 
 from . import helpers
 
@@ -389,6 +390,86 @@ def test_verify_leaves_unweighted_coarse_edges_unchecked(tmp_path):
     _rewrite_rows(out / "coarse.edgelist",
                   lambda rows: [" ".join(row.split()[:2]) for row in rows])
     assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 0
+
+
+def test_artifact_rows_read_back_in_any_order_and_orientation(tmp_path, capsys):
+    """Shuffled coarse.edgelist rows, some reversed and those of weight 1.0
+    without a weight column, read back as the pipeline's keys and
+    weights to the bit, and verify passes them."""
+    rng = helpers.make_rng("artifact-rows")
+    inp = tmp_path / "weighted.edgelist"
+    inp.write_text("".join(
+        f"{u} {v} {1.0 if rng.random() < 0.5 else rng.uniform(1.0, 10.0)!r}\n"
+        for u, v in helpers.grid_edges(12, 12)))
+    out = tmp_path / "run"
+    assert run(["coarsen", "-i", inp, "-k", 1, "--rank", "kdeg", "--edge-agg", "min",
+                "-o", out]) == 0
+    g, ids = load(inp)
+    h, _, _ = coarsen_pipeline(g, 1, ranking="kdeg", edge_agg="min")
+
+    def edit(rows):
+        rows = rng.sample(rows, len(rows))
+        for i, row in enumerate(rows):
+            u, v, w = row.split()
+            ends = f"{v} {u}" if i % 3 == 0 else f"{u} {v}"
+            rows[i] = ends if w == "1.0" else f"{ends} {w}"
+        return rows
+
+    _rewrite_rows(out / "coarse.edgelist", edit)
+    widths = {len(row.split()) for row in
+              (out / "coarse.edgelist").read_text().splitlines() if row[0] != "#"}
+    assert widths == {2, 3}
+    read = _read_artifacts(out, g, ids)
+    assert np.array_equal(read.keys, h.keys)
+    assert read.weights.tobytes() == h.weights.tobytes()
+    assert run(["verify", "-i", inp, "-k", 1, "--rank", "kdeg", "--edge-agg", "min",
+                "--artifacts", out]) == 0
+
+
+def test_each_command_writes_its_arguments_as_its_config(tmp_path, monkeypatch,
+                                                         capsys):
+    """The run_config.json of coarsen, the `# config:` line of verify's
+    report and of bench.csv, for one command line each."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.edgelist").write_text(
+        "".join(f"{u} {u + 1} {1 + u % 3}.5\n" for u in range(9)))
+    assert run(["coarsen", "-i", "g.edgelist", "-k", 1, "--rank", "kdeg",
+                "--edge-agg", "max", "--node-agg", "sum", "--seed", 3,
+                "--threads", 1, "-o", "out"]) == 0
+    assert (tmp_path / "out" / "run_config.json").read_text() == (
+        '{"artifacts": null, "command": "coarsen", "compare_greedy": false, '
+        '"edge_agg": "max", "format": "edgelist", "input": "g.edgelist", "k": 1, '
+        '"k_list": null, "node_agg": "sum", "oracle_cap": null, "output": "out", '
+        '"pairs": null, "rank": "kdeg", "seed": 3, "threads": 1, "trials": null, '
+        '"weight_range": null}\n')
+    capsys.readouterr()
+    assert run(["verify", "-i", "g.edgelist", "-k", 1, "--rank", "kdeg",
+                "--edge-agg", "max", "--pairs", 50, "--seed", 2, "--threads", 1,
+                "--artifacts", "out", "-o", "rep"]) == 0
+    line = (
+        '# config: {"artifacts": "out", "command": "verify", "compare_greedy": '
+        'false, "edge_agg": "max", "format": "edgelist", "input": "g.edgelist", '
+        '"k": 1, "k_list": null, "node_agg": "centroid", "oracle_cap": null, '
+        '"output": "rep", "pairs": 50, "rank": "kdeg", "seed": 2, "threads": 1, '
+        '"trials": null, "weight_range": null}\n')
+    assert capsys.readouterr().out.startswith(line)
+    assert (tmp_path / "rep" / "report.txt").read_text().startswith(line)
+    assert run(["bench", "-i", "g.edgelist", "--k-list", "1,2", "--trials", 1,
+                "--seed", 4, "--threads", 1, "-o", "b"]) == 0
+    assert (tmp_path / "b" / "bench.csv").read_text().startswith(
+        '# config: {"artifacts": null, "command": "bench", "compare_greedy": '
+        'false, "edge_agg": "sum", "format": "edgelist", "input": "g.edgelist", '
+        '"k": null, "k_list": [1, 2], "node_agg": "centroid", "oracle_cap": '
+        '100000, "output": "b", "pairs": null, "rank": "kweight", "seed": 4, '
+        '"threads": 1, "trials": 1, "weight_range": "1:100"}\n')
+
+
+def test_verify_help_explains_the_coarsening_arguments(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "crossing-edge weight aggregation" in text
+    assert "node weight aggregation" in text
 
 
 def test_verify_non_finite_coarse_weight_exits_2(tmp_path, capsys):

@@ -470,6 +470,22 @@ def test_verify_reduction_default_result_uses_centroids():
     assert report.passed
 
 
+def test_a_broken_cluster_map_is_reported_once():
+    """Node 2 of a path 0-4, assigned to the non-centroid 1, is named by
+    the distortion section alone."""
+    g = build(helpers.path_edges(5))
+    h, partition, result = coarsen_pipeline(g, 1, ranking="id")
+    assignment = partition.assignment.copy()
+    assignment[2] = 1
+    broken = CoarsenedGraph(keys=h.keys.copy(), weights=h.weights,
+                            centroids=h.centroids, provenance=Partition(
+                                assignment=assignment, cluster_count=3))
+    report = verify_reduction(g, broken, 1, result=result)
+    targets = [(section, v.nodes) for section, v in report.all_violations()
+               if v.kind == "assignment_target"]
+    assert targets == [("distortion", (2, 1))]
+
+
 def test_report_round_trip_lossless():
     g, h, res = coarsened_path(9, 2)
     report = verify_reduction(g, h, 2, result=res)
@@ -500,7 +516,7 @@ def test_report_round_trip_with_violations():
 SECTION_KINDS = {
     "edge_bounds": ["edge_bound", "missing_coarse_edge", "extra_coarse_edge"],
     "distortion": ["assignment_target", "distortion_lower", "distortion_upper"],
-    "components": ["assignment_target", "component_count", "component_split"],
+    "components": ["component_count", "component_split"],
     "validity": ["independence", "maximality"],
 }
 
