@@ -11,8 +11,7 @@ else is imported from its own module (``kcoarsen.graph``,
 ``kcoarsen.ranking``, ``kcoarsen.oracle``, ``kcoarsen.verify``, ...).
 """
 
-from .coarsen import (CoarsenedGraph, Partition, cluster, coarsen_pipeline,
-                      reduce)
+from .coarsen import CoarsenedGraph, cluster, coarsen_pipeline, reduce
 from .graph import Graph, GraphFormatError, build, load, store
 from .kmis import KMisResult, k_mis
 from .ranking import Ranking, resolve_ranking
@@ -25,7 +24,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "KMisResult",
-    "Partition",
     "Ranking",
     "VerificationReport",
     "build",

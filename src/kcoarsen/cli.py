@@ -21,8 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from . import oracle
-from .coarsen import (CoarsenedGraph, EDGE_AGGREGATIONS, Partition,
-                      coarsen_pipeline)
+from .coarsen import CoarsenedGraph, EDGE_AGGREGATIONS, coarsen_pipeline
 from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
                     load, store, write_table, _edge_keys, _edge_table,
                     _fast_edgelist, _fold, _id_pair)
@@ -154,13 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
-                             original_ids: np.ndarray, h: CoarsenedGraph,
-                             partition: Partition) -> None:
+                             original_ids: np.ndarray, h: CoarsenedGraph) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     config_line = f"config: {config.to_json()}"
     store(h, outdir / "coarse.edgelist", header_lines=[config_line])
     write_table(outdir / "assignment.txt", [config_line, "original_id centroid_id"],
-                original_ids, original_ids[partition.assignment])
+                original_ids, original_ids[h.assignment])
     values = [] if h.node_values is None else [h.node_values]
     columns = "coarse_index centroid_id" + (" node_value" if values else "")
     write_table(outdir / "centroids.txt", [config_line, columns],
@@ -171,32 +169,40 @@ def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
         fh.write(config.to_json() + "\n")
 
 
+def _rank_and_coarsen(g: Graph, args, timings: dict[str, float]):
+    """`coarsen_pipeline` under the parsed coarsening arguments.  The
+    ranking is resolved here, by `_resolve_rank_spec` (const for k = 0),
+    and its time is added to ``timings["ranking"]``."""
+    t0 = perf_counter()
+    ranking = "const" if args.k == 0 else _resolve_rank_spec(
+        g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
+    t_rank = perf_counter() - t0
+    out = coarsen_pipeline(
+        g, args.k, ranking=ranking, edge_agg=args.edge_agg,
+        node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
+        workers=args.threads, timings=timings)
+    timings["ranking"] += t_rank
+    return out
+
+
 def cmd_coarsen(args) -> int:
     config = RunConfig.from_args(args)
     t0 = perf_counter()
     g, original_ids = load(args.input, format=args.format)
     t_load = perf_counter() - t0
     timings: dict[str, float] = {}
-    t0 = perf_counter()
-    ranking = "const" if args.k == 0 else _resolve_rank_spec(
-        g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
-    t_rank = perf_counter() - t0
-    h, partition, result = coarsen_pipeline(
-        g, args.k, ranking=ranking, edge_agg=args.edge_agg,
-        node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
-        workers=args.threads, timings=timings)
+    h, _, result = _rank_and_coarsen(g, args, timings)
     n, m = g.n, g.m
-    del g, ranking  # free the input CSR (the pipeline freed its layout)
+    del g  # free the input CSR (the pipeline freed its layout)
     t0 = perf_counter()
-    _write_coarsen_artifacts(Path(args.output), config, original_ids, h,
-                             partition)
+    _write_coarsen_artifacts(Path(args.output), config, original_ids, h)
     t_write = perf_counter() - t0
     ratio = result.selected.size / n if n else 0.0
     print(f"n={n} m={m} coarse_n={h.centroids.size} coarse_m={h.keys.size} "
           f"selected={result.selected.size} ratio={ratio:.4f} "
           f"rounds={result.rounds} "
           f"t_load={t_load:.4f}s "
-          f"t_rank={t_rank + timings['ranking']:.4f}s "
+          f"t_rank={timings['ranking']:.4f}s "
           f"t_select={timings.get('select', 0.0):.4f}s "
           f"t_cluster={timings.get('cluster', 0.0):.4f}s "
           f"t_reduce={timings.get('reduce', 0.0):.4f}s "
@@ -265,12 +271,11 @@ def _read_artifacts(artifacts: Path, g: Graph,
     if ends.size and (ends.min() < 0 or ends.max() >= nc):
         raise ValueError("coarse edgelist references unknown coarse index")
     keys, weights = _fold(_edge_keys(ends[:, 0], ends[:, 1], nc), w,
-                          None if w is None else "max", "")  # a lone max: the weight
+                          None if w is None else "max")  # a lone max: the weight
     if keys.size < ends.shape[0]:  # a repeated row folds, a self-loop's -1 drops
         raise ValueError("coarse edgelist repeats an edge or holds a self-loop")
-    partition = Partition(assignment=assignment, cluster_count=nc)
     return CoarsenedGraph(keys=keys, weights=weights, centroids=centroids,
-                          provenance=partition)
+                          assignment=assignment)
 
 
 def cmd_verify(args) -> int:
@@ -281,12 +286,7 @@ def cmd_verify(args) -> int:
         h = _read_artifacts(Path(args.artifacts), g, original_ids)
     else:
         g.jagged  # built before the pipeline, so that bfs below reuses it
-        ranking = "const" if args.k == 0 else _resolve_rank_spec(
-            g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
-        h, _, result = coarsen_pipeline(
-            g, args.k, ranking=ranking, edge_agg=args.edge_agg,
-            node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
-            workers=args.threads)
+        h, _, result = _rank_and_coarsen(g, args, {})
     report = verify_reduction(g, h, args.k, result=result,
                               sample_pairs=args.pairs, seed=args.seed,
                               edge_agg=args.edge_agg)

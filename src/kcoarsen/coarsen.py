@@ -1,9 +1,12 @@
 """Partition a graph around k-independent centroids and contract it.
 
 Clustering assigns every node to the minimum-rank centroid within k
-hops (ties cannot occur: ranks are injective).  Reduction keeps one
-coarse node per centroid, drops intra-cluster edges, and aggregates the
-crossing edges between two clusters into one weighted coarse edge.
+hops (ties cannot occur: ranks are injective).  The assignment is a
+plain read-only int64 array: node v belongs to centroid
+``assignment[v]``, an original node id, and every centroid is assigned
+to itself.  Reduction keeps one coarse node per centroid, drops
+intra-cluster edges, and aggregates the crossing edges between two
+clusters into one weighted coarse edge.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "CoarsenedGraph",
     "EDGE_AGGREGATIONS",
     "NODE_AGGREGATIONS",
-    "Partition",
     "cluster",
     "coarsen_pipeline",
     "reduce",
@@ -35,71 +37,35 @@ NODE_AGGREGATIONS = ("keep_centroid", "sum", "mean")
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Cluster assignment: node v belongs to centroid ``assignment[v]``.
-
-    Centroid ids live in the original node-id space and every centroid
-    is assigned to itself.
-    """
-
-    assignment: np.ndarray
-    cluster_count: int
-
-    def __post_init__(self):
-        self.assignment.setflags(write=False)
-
-    def validate(self) -> None:
-        """Reject assignments violating the partition invariants.
-
-        Construction stays permissive so that verification can inspect a
-        broken map and report witnesses instead of crashing.
-        """
-        targets = self.centroids
-        if targets.size != self.cluster_count:
-            raise ValueError(
-                f"assignment has {targets.size} clusters, expected "
-                f"{self.cluster_count}"
-            )
-        if targets.size:
-            if targets[0] < 0 or targets[-1] >= self.assignment.size:
-                raise ValueError("assignment target outside the node range")
-            if not np.array_equal(self.assignment[targets], targets):
-                raise ValueError("every centroid must be assigned to itself")
-
-    @cached_property
-    def centroids(self) -> np.ndarray:
-        """The sorted distinct assignment targets, computed once."""
-        targets = sorted_unique(self.assignment)
-        targets.setflags(write=False)
-        return targets
-
-
-@dataclass(frozen=True)
 class CoarsenedGraph:
-    """A contraction plus provenance.
+    """A contraction plus the cluster map it contracted.
 
     Coarse node i stands for the cluster of ``centroids[i]``, an original
-    node id.  `keys` are the coarse edges: the sorted distinct keys
+    node id, and `assignment` maps each input node to its centroid's id.
+    `keys` are the coarse edges: the sorted distinct keys
     ``i * nc + j`` (i < j, nc the cluster count) of the cluster pairs
     that input edges cross.  `weights` holds each key's float64 weight,
     or is None for an unweighted coarse graph.  `graph`, the CSR indexed
     0..nc-1, is assembled from them on first access.  `node_values`
-    carries the aggregated node weights when the input had any.
+    carries the aggregated node weights when the input had any.  Every
+    array is made read-only.  Construction does not check the
+    assignment, so that verification can report a broken map.
     """
 
     keys: np.ndarray
     weights: np.ndarray | None
     centroids: np.ndarray
-    provenance: Partition
+    assignment: np.ndarray
     node_values: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.keys, self.weights, self.centroids, self.node_values):
+        for arr in (self.keys, self.weights, self.centroids, self.assignment,
+                    self.node_values):
             if arr is not None:
                 arr.setflags(write=False)
 
     @classmethod
-    def from_graph(cls, graph: Graph, centroids, provenance: Partition,
+    def from_graph(cls, graph: Graph, centroids, assignment: np.ndarray,
                    node_values=None) -> "CoarsenedGraph":
         """The coarsening whose coarse CSR is `graph`, node i being
         ``centroids[i]``'s cluster."""
@@ -108,7 +74,7 @@ class CoarsenedGraph:
             raise ValueError("the coarse graph needs one node per centroid")
         keys, weights = _crossing_keys(graph, np.arange(graph.n), graph.n)
         return cls(keys=keys, weights=weights, centroids=centroids,
-                   provenance=provenance, node_values=node_values)
+                   assignment=assignment, node_values=node_values)
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The coarse edges as (u, v, w) arrays with u < v, ordered as
@@ -148,8 +114,9 @@ def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
 
 
 def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
-            workers: int = 1) -> Partition:
-    """Assign every node to the minimum-rank centroid within k hops.
+            workers: int = 1) -> np.ndarray:
+    """Assign every node to the minimum-rank centroid within k hops: the
+    read-only assignment array, ``assignment[v]`` v's centroid.
 
     `result.selected` must be a maximal k-independent set of g under
     `ranking`; mismatched inputs surface as uncovered nodes or centroids
@@ -161,8 +128,6 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
     ranking.validate(g.n)
     n = g.n
     selected = result.selected
-    if n == 0:
-        return Partition(assignment=np.empty(0, dtype=np.int64), cluster_count=0)
     rank = ranking.rank
     sentinel = np.iinfo(np.int64).max
     seeds = np.full(n, sentinel, dtype=np.int64)
@@ -176,30 +141,36 @@ def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
     assignment = owner[label]
     if not np.array_equal(assignment[selected], selected):
         raise ValueError("ranking does not match the selected set")
-    return Partition(assignment=assignment, cluster_count=selected.size)
+    assignment.setflags(write=False)
+    return assignment
 
 
-def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
+def reduce(g: Graph, assignment: np.ndarray, edge_agg: str = "sum",
            node_weights=None, node_agg: str = "keep_centroid") -> CoarsenedGraph:
-    """Contract each cluster to its centroid.
+    """Contract each cluster of `assignment` to its centroid.
 
-    The result holds the contraction, not a CSR: the sorted distinct keys
-    ``lo * nc + hi`` of the cluster pairs that g's edges cross, from
-    `_crossing_keys` in `edge_list` order, and each pair's weight, the
-    `_fold` of its crossing edges' weights by `edge_agg` in that order
-    (unweighted edges weigh 1 each).  `node_agg` aggregates optional
-    node weights: keep_centroid takes the centroid's own value, sum/mean
-    fold the whole fiber.
+    The centroids are the distinct targets, each a node assigned to
+    itself (else ValueError); the array, made read-only, is the result's
+    `assignment`.  The result holds the contraction, not a CSR: the
+    sorted distinct keys ``lo * nc + hi`` of the cluster pairs that g's
+    edges cross, from `_crossing_keys` in `edge_list` order, and each
+    pair's weight, the `_fold` of its crossing edges' weights by
+    `edge_agg` in that order (unweighted edges weigh 1 each).  `node_agg`
+    aggregates optional node weights: keep_centroid takes the centroid's
+    own value, sum/mean fold the whole fiber.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
     if node_agg not in NODE_AGGREGATIONS:
         raise ValueError(f"unknown node aggregation {node_agg!r}")
-    if partition.assignment.shape != (g.n,):
-        raise ValueError("partition does not match graph")
-    partition.validate()
-    centroids = partition.centroids
-    node_cluster = np.searchsorted(centroids, partition.assignment)
+    if assignment.shape != (g.n,):
+        raise ValueError("assignment does not match graph")
+    centroids = sorted_unique(assignment)
+    if ((centroids < 0) | (centroids >= g.n)).any():
+        raise ValueError("assignment target outside the node range")
+    if not np.array_equal(assignment[centroids], centroids):
+        raise ValueError("every centroid must be assigned to itself")
+    node_cluster = np.searchsorted(centroids, assignment)
     nc = centroids.size
 
     node_values = None
@@ -214,19 +185,21 @@ def reduce(g: Graph, partition: Partition, edge_agg: str = "sum",
 
     key, w = _crossing_keys(g, node_cluster, nc)
     del node_cluster
-    key, w = _fold(key, w, edge_agg,
-                   "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
+    key, w = _fold(key, w, edge_agg, overflow="edge_agg 'sum' gives a coarse "
+                   "edge weight beyond float64's range")
     key = key.copy()  # frees the crossing keys
 
     return CoarsenedGraph(keys=key, weights=w, centroids=centroids,
-                          provenance=partition, node_values=node_values)
+                          assignment=assignment, node_values=node_values)
 
 
 def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
                      edge_agg: str = "sum", node_agg: str = "keep_centroid",
                      seed=0, workers: int = 1, timings: dict | None = None
-                     ) -> tuple[CoarsenedGraph, Partition, KMisResult]:
-    """rank -> select -> cluster -> reduce, in one call.
+                     ) -> tuple[CoarsenedGraph, np.ndarray, KMisResult]:
+    """rank -> select -> cluster -> reduce, in one call: the coarsening,
+    its assignment (the same array as ``coarse.assignment``) and the
+    selection.
 
     `ranking` is a Ranking or one of the specs accepted by
     :func:`kcoarsen.ranking.resolve_ranking`.  k = 0 is the identity
@@ -241,14 +214,13 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
         raise ValueError("coarsen_pipeline requires k >= 0")
     if k == 0:
         identity = np.arange(g.n, dtype=np.int64)
-        partition = Partition(assignment=identity.copy(), cluster_count=g.n)
-        result = KMisResult(selected=identity.copy(), rounds=0, k=0)
+        result = KMisResult(selected=identity, rounds=0)
         node_values = None if weights is None else as_node_weights(weights, g.n)
-        coarse = CoarsenedGraph.from_graph(g, identity, partition, node_values)
+        coarse = CoarsenedGraph.from_graph(g, identity, identity, node_values)
         if timings is not None:
             timings.update({"ranking": 0.0, "select": 0.0, "cluster": 0.0,
                             "reduce": 0.0})
-        return coarse, partition, result
+        return coarse, identity, result
 
     laid_out = "jagged" in vars(g)
     t0 = perf_counter()
@@ -257,14 +229,14 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
     t1 = perf_counter()
     result = k_mis(g, k, ranking, workers=workers)
     t2 = perf_counter()
-    partition = cluster(g, k, ranking, result, workers=workers)
+    assignment = cluster(g, k, ranking, result, workers=workers)
     if not laid_out:
         vars(g).pop("jagged", None)
     t3 = perf_counter()
-    coarse = reduce(g, partition, edge_agg=edge_agg, node_weights=weights,
+    coarse = reduce(g, assignment, edge_agg=edge_agg, node_weights=weights,
                     node_agg=node_agg)
     t4 = perf_counter()
     if timings is not None:
         timings.update({"ranking": t1 - t0, "select": t2 - t1,
                         "cluster": t3 - t2, "reduce": t4 - t3})
-    return coarse, partition, result
+    return coarse, assignment, result

@@ -184,11 +184,12 @@ def _coalesce(key: np.ndarray, w: np.ndarray | None, n: int) -> Graph:
     """The Graph of `_edge_keys` and their weights, `key` overwritten:
     `_fold` drops the self-loops and sums parallel edges' weights."""
     return _assemble(*_fold(key, w, None if w is None else "sum",
-                            "parallel edge weights sum beyond float64's range"), n)
+                            overflow="parallel edge weights sum beyond float64's range"), n)
 
 
-def _fold(key: np.ndarray, w: np.ndarray | None, how: str | None,
-          overflow: str) -> tuple[np.ndarray, np.ndarray | None]:
+def _fold(key: np.ndarray, w: np.ndarray | None, how: str | None, *,
+          overflow: str = "weights sum beyond float64's range"
+          ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one fold of equal keys: the sorted distinct non-negative keys,
     a view of `key`, which is sorted in place (weighted keys by a stable
     argsort that carries the weights), and each one's weights folded in

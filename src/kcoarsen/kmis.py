@@ -43,7 +43,6 @@ class KMisResult:
 
     selected: np.ndarray
     rounds: int
-    k: int
 
     def __post_init__(self):
         self.selected.setflags(write=False)
@@ -115,4 +114,4 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
             for layer in layers[1:]:
                 layer.fill(sentinel)
             changed = np.flatnonzero(active < sentinel)
-    return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds, k=k)
+    return KMisResult(selected=np.flatnonzero(in_set), rounds=rounds)

@@ -134,7 +134,7 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
         report.violations.append(Violation(
             kind="edge_bound", nodes=(int(a[i]), int(b[i])),
             observed=observed, bound=float(upper)))
-    coarse_of = _coarse_of(h, h.provenance.assignment, [])
+    coarse_of = _coarse_of(h, h.assignment, [])
     if coarse_of is not None:
         _check_contraction(g, h, coarse_of, edge_agg, report)
     return report
@@ -150,7 +150,7 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
     at = np.searchsorted(h.keys, crossing)
     found = at < h.keys.size
     found[found] = h.keys[at[found]] == crossing[found]
-    missing, count = _fold(crossing[~found], None, "sum", "")  # run lengths
+    missing, count = _fold(crossing[~found], None, "sum")  # run lengths
     crossed = np.zeros(h.keys.size, dtype=bool)
     crossed[at[found]] = True
     ci, cj = np.divmod(missing, nc)
@@ -166,8 +166,8 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
     if h.weights is None:
         return
     del at, found
-    keys, folded = _fold(crossing, w, edge_agg,
-                         "edge_agg 'sum' gives a coarse edge weight beyond float64's range")
+    keys, folded = _fold(crossing, w, edge_agg, overflow="edge_agg 'sum' gives "
+                         "a coarse edge weight beyond float64's range")
     crossed = np.flatnonzero(crossed)
     want = folded[np.searchsorted(keys, h.keys[crossed])]
     wrong = h.weights[crossed] != want
@@ -265,7 +265,7 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
         draws = _draws(seed, n_sources * (group + 1), n)
         src = np.repeat(draws[:n_sources], group)
         dst = draws[n_sources:]
-    assignment = h.provenance.assignment
+    assignment = h.assignment
     coarse_of = _coarse_of(h, assignment, report.violations)
     if coarse_of is None:
         return report
@@ -311,7 +311,7 @@ def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
         report.violations.append(Violation(
             kind="component_count", nodes=(),
             observed=float(h_count), bound=float(g_count)))
-    coarse_of = _coarse_of(h, h.provenance.assignment, [])
+    coarse_of = _coarse_of(h, h.assignment, [])
     if coarse_of is None:  # the distortion check reports a broken map
         return report
     if g.n:
@@ -451,7 +451,7 @@ def _int_rows(lines: list[str], width: int) -> np.ndarray:
 
 
 def verify_reduction(g: Graph, h: CoarsenedGraph, k: int,
-                     result: KMisResult | None = None, pairs=None,
+                     result: KMisResult | None = None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
                      seed: int = 0, edge_agg: str = "sum") -> VerificationReport:
     """Run all four checks against one coarsening.
@@ -463,12 +463,12 @@ def verify_reduction(g: Graph, h: CoarsenedGraph, k: int,
     bounds (every coarse edge spans exactly one hop).
     """
     if result is None:
-        result = KMisResult(selected=h.centroids.copy(), rounds=0, k=k)
+        result = KMisResult(selected=h.centroids.copy(), rounds=0)
     report = VerificationReport(
         k=k,
         edge_bounds=check_edge_bounds(g, h, k, edge_agg),
-        distortion=check_distortion(g, h, k, pairs=pairs,
-                                    sample_pairs=sample_pairs, seed=seed),
+        distortion=check_distortion(g, h, k, sample_pairs=sample_pairs,
+                                    seed=seed),
         components=check_components(g, h),
         validity=check_kmis_validity(g, k, result),
     )

@@ -148,14 +148,14 @@ def test_criterion_3_determinism_and_relabeling(corpus):
     for gi, (g, edges, n) in enumerate(corpus[:50]):
         ranking = _random_rankings(n, 1, ("det", gi))[0]
         for k in (1, 2):
-            base_h, base_part, base_res = coarsen_pipeline(
+            base_h, base_assignment, base_res = coarsen_pipeline(
                 g, k, ranking=ranking, workers=1)
             for workers in (2, 8):
-                h, part, res = coarsen_pipeline(
+                h, assignment, res = coarsen_pipeline(
                     g, k, ranking=ranking, workers=workers)
                 if not (
                     np.array_equal(res.selected, base_res.selected)
-                    and np.array_equal(part.assignment, base_part.assignment)
+                    and np.array_equal(assignment, base_assignment)
                     and h.graph == base_h.graph
                 ):
                     mismatches += 1
@@ -237,7 +237,7 @@ def test_criterion_5_distortion_and_components(corpus, fixture_graphs):
     violations = runs = 0
     for gi, (g, edges, n) in enumerate(instances):
         for k in (1, 2):
-            h, part, res = coarsen_pipeline(g, k, ranking="random", seed=gi)
+            h, _, res = coarsen_pipeline(g, k, ranking="random", seed=gi)
             report = verify_reduction(g, h, k, result=res)
             runs += 1
             violations += len(report.all_violations())
@@ -315,9 +315,9 @@ def test_criterion_8_grid_pooling():
     rows = cols = 28
     g = build(helpers.king_grid_edges(rows, cols))
     ranking = resolve_ranking(g, "id")
-    h, part, res = coarsen_pipeline(g, 1, ranking=ranking)
+    h, assignment, res = coarsen_pipeline(g, 1, ranking=ranking)
 
-    fibers = helpers.fibers(part.assignment)
+    fibers = helpers.fibers(assignment)
     bad = 0
     interior = 0
     for centroid, members in fibers.items():

@@ -35,10 +35,10 @@ def run(argv):
 def test_centroids_file_carries_node_values(tmp_path):
     # the CLI passes no node weights; the library path still writes them
     g = build(helpers.path_edges(5))
-    h, partition, _ = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
-                                       weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
+    h, _, _ = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
+                               weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
     config = RunConfig(command="coarsen", input="in", format="edgelist")
-    _write_coarsen_artifacts(tmp_path, config, np.arange(5) * 10, h, partition)
+    _write_coarsen_artifacts(tmp_path, config, np.arange(5) * 10, h)
     lines = (tmp_path / "centroids.txt").read_text().splitlines()
     assert lines[1] == "# coarse_index centroid_id node_value"
     assert lines[2:] == [f"{i} {10 * c} {x!r}" for i, (c, x) in
@@ -236,16 +236,16 @@ def test_verify_malformed_artifact_rows(tmp_path, capsys, name, edit, message):
 
 def test_artifact_columns_read_alike_on_both_paths(tmp_path, monkeypatch):
     g = build(helpers.path_edges(5))
-    h, partition, _ = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
-                                       weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
+    h, assignment, _ = coarsen_pipeline(g, 1, ranking="id", node_agg="sum",
+                                        weights=[1.0, 0.1, 0.2, 4.0, 1 / 3])
     config = RunConfig(command="coarsen", input="in", format="edgelist")
     ids = np.array([-(2**62), -5, 0, 7, 2**62])
-    _write_coarsen_artifacts(tmp_path, config, ids, h, partition)
+    _write_coarsen_artifacts(tmp_path, config, ids, h)
     more = {"assignment.txt": False, "centroids.txt": True}
     fast = {name: _id_columns(tmp_path / name, more[name]) for name in more}
     monkeypatch.setattr(kcoarsen.cli, "_fast_edgelist", lambda data: None)
     assert fast["assignment.txt"].tolist() == [
-        [v, c] for v, c in zip(ids.tolist(), ids[partition.assignment].tolist())]
+        [v, c] for v, c in zip(ids.tolist(), ids[assignment].tolist())]
     assert fast["centroids.txt"].tolist() == [
         [i, c] for i, c in enumerate(ids[h.centroids].tolist())]
     for name, pairs in fast.items():
@@ -395,7 +395,8 @@ def test_verify_leaves_unweighted_coarse_edges_unchecked(tmp_path):
 def test_artifact_rows_read_back_in_any_order_and_orientation(tmp_path, capsys):
     """Shuffled coarse.edgelist rows, some reversed and those of weight 1.0
     without a weight column, read back as the pipeline's keys and
-    weights to the bit, and verify passes them."""
+    weights to the bit, beside its assignment and centroids, and verify
+    passes them."""
     rng = helpers.make_rng("artifact-rows")
     inp = tmp_path / "weighted.edgelist"
     inp.write_text("".join(
@@ -422,6 +423,8 @@ def test_artifact_rows_read_back_in_any_order_and_orientation(tmp_path, capsys):
     read = _read_artifacts(out, g, ids)
     assert np.array_equal(read.keys, h.keys)
     assert read.weights.tobytes() == h.weights.tobytes()
+    assert np.array_equal(read.assignment, h.assignment)
+    assert np.array_equal(read.centroids, h.centroids)
     assert run(["verify", "-i", inp, "-k", 1, "--rank", "kdeg", "--edge-agg", "min",
                 "--artifacts", out]) == 0
 

@@ -1,5 +1,6 @@
 """Cluster assignment, edge/node aggregation, and the full pipeline."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,6 @@ import kcoarsen.graph
 from kcoarsen import (
     CoarsenedGraph,
     KMisResult,
-    Partition,
     Ranking,
     build,
     cluster,
@@ -34,10 +34,20 @@ def path5_parts():
 
 def test_cluster_path5_frozen():
     g, rank, res = path5_parts()
-    part = cluster(g, 1, rank, res)
-    assert part.assignment.tolist() == [0, 0, 2, 2, 4]
-    assert part.cluster_count == 3
-    assert part.centroids.tolist() == [0, 2, 4]
+    assert cluster(g, 1, rank, res).tolist() == [0, 0, 2, 2, 4]
+
+
+def test_cluster_returns_a_read_only_array_the_pipeline_passes_on():
+    g, rank, res = path5_parts()
+    assignment = cluster(g, 1, rank, res)
+    assert type(assignment) is np.ndarray and assignment.dtype == np.int64
+    assert not assignment.flags.writeable
+    for k in (0, 1):
+        h, assignment, _ = coarsen_pipeline(g, k, ranking="id")
+        assert assignment is h.assignment and not assignment.flags.writeable
+    fields = [f.name for f in dataclasses.fields(CoarsenedGraph)]
+    assert fields == ["keys", "weights", "centroids", "assignment", "node_values"]
+    assert [f.name for f in dataclasses.fields(KMisResult)] == ["selected", "rounds"]
 
 
 def test_cluster_prefers_min_rank_over_nearest():
@@ -47,28 +57,26 @@ def test_cluster_prefers_min_rank_over_nearest():
     rank = resolve_ranking(g, "id")
     res = k_mis(g, 2, rank)
     assert res.selected.tolist() == [0, 3, 6]
-    part = cluster(g, 2, rank, res)
-    assert part.assignment.tolist() == [0, 0, 0, 3, 3, 3, 6]
+    assert cluster(g, 2, rank, res).tolist() == [0, 0, 0, 3, 3, 3, 6]
 
 
 def test_cluster_identity_when_everything_selected():
     g = build([], n=4)
     rank = resolve_ranking(g, "id")
     res = k_mis(g, 1, rank)
-    part = cluster(g, 1, rank, res)
-    assert part.assignment.tolist() == [0, 1, 2, 3]
+    assert cluster(g, 1, rank, res).tolist() == [0, 1, 2, 3]
 
 
 def test_cluster_rejects_non_covering_set():
     g, rank, _ = path5_parts()
-    fake = KMisResult(selected=np.array([0]), rounds=1, k=1)
+    fake = KMisResult(selected=np.array([0]), rounds=1)
     with pytest.raises(ValueError, match="cover"):
         cluster(g, 1, rank, fake)
 
 
 def test_cluster_rejects_non_independent_set():
     g, rank, _ = path5_parts()
-    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1, k=1)
+    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1)
     with pytest.raises(ValueError, match="ranking"):
         cluster(g, 1, rank, fake)
 
@@ -77,14 +85,12 @@ def test_cluster_follows_alternate_ranking():
     # same selected set, reversed priorities: ties now resolve rightward
     g, _, res = path5_parts()
     other = Ranking(np.array([4, 3, 2, 1, 0]))
-    part = cluster(g, 1, other, res)
-    assert part.assignment.tolist() == [0, 2, 2, 4, 4]
+    assert cluster(g, 1, other, res).tolist() == [0, 2, 2, 4, 4]
 
 
 def test_fibers_partition_the_nodes():
     g, rank, res = path5_parts()
-    part = cluster(g, 1, rank, res)
-    fib = helpers.fibers(part.assignment)
+    fib = helpers.fibers(cluster(g, 1, rank, res))
     assert sorted(fib) == [0, 2, 4]
     assert fib[0].tolist() == [0, 1]
     assert fib[2].tolist() == [2, 3]
@@ -93,19 +99,18 @@ def test_fibers_partition_the_nodes():
     assert everything == list(range(5))
 
 
-def square_partition():
+def square_clusters():
     # 4-cycle 0-1-2-3-0 with distinct weights; clusters {0,1} and {2,3}
     g = build([(0, 1, 10.0), (1, 2, 2.0), (2, 3, 20.0), (3, 0, 5.0)])
-    part = Partition(assignment=np.array([0, 0, 2, 2]), cluster_count=2)
-    return g, part
+    return g, np.array([0, 0, 2, 2])
 
 
 @pytest.mark.parametrize(
     "agg, expect", [("sum", 7.0), ("max", 5.0), ("min", 2.0), ("mean", 3.5)]
 )
 def test_reduce_edge_aggregations(agg, expect):
-    g, part = square_partition()
-    h = reduce(g, part, edge_agg=agg)
+    g, assignment = square_clusters()
+    h = reduce(g, assignment, edge_agg=agg)
     assert h.graph.n == 2 and h.graph.m == 1
     assert h.graph.weights.tolist() == [expect, expect]
     assert h.centroids.tolist() == [0, 2]
@@ -116,16 +121,15 @@ def test_reduce_edge_aggregations(agg, expect):
     [("keep_centroid", [1.0, 3.0]), ("sum", [3.0, 7.0]), ("mean", [1.5, 3.5])],
 )
 def test_reduce_node_aggregations(agg, expect):
-    g, part = square_partition()
-    h = reduce(g, part, node_weights=[1.0, 2.0, 3.0, 4.0], node_agg=agg)
+    g, assignment = square_clusters()
+    h = reduce(g, assignment, node_weights=[1.0, 2.0, 3.0, 4.0], node_agg=agg)
     assert h.node_values.tolist() == expect
 
 
 def test_reduce_unweighted_counts_multiplicity():
     # two crossing edges between the clusters, no input weights
     g = build([(0, 1), (1, 2), (2, 3), (3, 0)])
-    part = Partition(assignment=np.array([0, 0, 2, 2]), cluster_count=2)
-    h = reduce(g, part)
+    h = reduce(g, np.array([0, 0, 2, 2]))
     assert h.graph.weights.tolist() == [2.0, 2.0]
 
 
@@ -157,10 +161,10 @@ def test_node_sum_beyond_float64_names_the_aggregation():
 
 
 def test_node_mean_of_weights_past_float64_is_finite():
-    h, part, _ = coarsen_pipeline(build(helpers.path_edges(5)), 1, ranking="id",
-                                  weights=[1e308, 1.5e308, 1.7e308, 0.5, 1e308],
-                                  node_agg="mean")
-    assert part.assignment.tolist() == [0, 0, 2, 2, 4]
+    h, assignment, _ = coarsen_pipeline(build(helpers.path_edges(5)), 1, ranking="id",
+                                        weights=[1e308, 1.5e308, 1.7e308, 0.5, 1e308],
+                                        node_agg="mean")
+    assert assignment.tolist() == [0, 0, 2, 2, 4]
     assert h.node_values.tolist() == pytest.approx(
         [1e308 / 2 + 1.5e308 / 2, 1.7e308 / 2 + 0.25, 1e308], rel=1e-15)
 
@@ -175,8 +179,8 @@ def test_reduce_matches_pure_python_contraction(small_corpus, how):
             continue
         rng = helpers.make_rng("contraction", i)
         g = build([(u, v, rng.uniform(0.1, 10.0)) for u, v in edges], n=n)
-        h, part, _ = coarsen_pipeline(g, 1, ranking="random", seed=i, edge_agg=how)
-        cluster_of = np.searchsorted(h.centroids, part.assignment).tolist()
+        h, assignment, _ = coarsen_pipeline(g, 1, ranking="random", seed=i, edge_agg=how)
+        cluster_of = np.searchsorted(h.centroids, assignment).tolist()
         triples = list(zip(*(col.tolist() for col in g.edge_list())))
         want = helpers.contraction_reference(triples, cluster_of, how)
         cu, cv, cw = h.graph.edge_list()
@@ -195,9 +199,9 @@ def test_reduce_without_crossing_edges(edges, how):
     # k = 5 puts the whole path in one cluster
     g = build(edges, n=3)
     with np.errstate(all="raise"):
-        h, part, _ = coarsen_pipeline(g, 5, ranking="kdeg", edge_agg=how,
-                                      weights=[1.0, 2.0, 4.0], node_agg="sum")
-    assert part.cluster_count == 1 and h.graph.m == 0
+        h, assignment, _ = coarsen_pipeline(g, 5, ranking="kdeg", edge_agg=how,
+                                            weights=[1.0, 2.0, 4.0], node_agg="sum")
+    assert len(set(assignment.tolist())) == 1 and h.graph.m == 0
     assert h.graph.indptr.tolist() == [0, 0] and h.graph.indices.size == 0
     assert h.graph.weights.dtype == np.float64 and h.graph.weights.size == 0
     assert h.node_values.tolist() == [7.0]
@@ -217,8 +221,8 @@ def test_reduce_peak_memory_per_edge():
     `ones` through the grouping about 90."""
     _, _, g = uniform_graph()
     ranking = resolve_ranking(g, "kdeg", k=2)
-    part = cluster(g, 2, ranking, k_mis(g, 2, ranking))
-    h, peak = helpers.traced_peak(lambda: reduce(g, part))
+    assignment = cluster(g, 2, ranking, k_mis(g, 2, ranking))
+    h, peak = helpers.traced_peak(lambda: reduce(g, assignment))
     assert h.keys.size > g.m // 2  # most edges cross, as on the benchmark's graph
     assert peak / g.m < 45
 
@@ -287,53 +291,53 @@ def test_lazy_coarse_graph_equals_the_built_one(how, weighted, k):
 
 
 def test_reduce_rejects_unknown_aggregation():
-    g, part = square_partition()
+    g, assignment = square_clusters()
     with pytest.raises(ValueError):
-        reduce(g, part, edge_agg="median")
+        reduce(g, assignment, edge_agg="median")
     with pytest.raises(ValueError):
-        reduce(g, part, node_weights=[1.0] * 4, node_agg="median")
+        reduce(g, assignment, node_weights=[1.0] * 4, node_agg="median")
 
 
 def test_pipeline_path5():
     g = build(helpers.path_edges(5))
-    h, part, res = coarsen_pipeline(g, 1, ranking="id")
+    h, assignment, res = coarsen_pipeline(g, 1, ranking="id")
     assert res.selected.tolist() == [0, 2, 4]
-    assert part.assignment.tolist() == [0, 0, 2, 2, 4]
+    assert assignment.tolist() == [0, 0, 2, 2, 4]
     u, v, w = h.graph.edge_list()
     assert list(zip(u.tolist(), v.tolist())) == [(0, 1), (1, 2)]
     assert w.tolist() == [1.0, 1.0]
     assert h.centroids.tolist() == [0, 2, 4]
-    assert h.provenance.assignment.tolist() == part.assignment.tolist()
+    assert h.assignment is assignment
 
 
 def test_pipeline_k0_is_identity():
     g = build([(0, 1, 3.0), (1, 2, 4.0)])
-    h, part, res = coarsen_pipeline(g, 0)
+    h, assignment, res = coarsen_pipeline(g, 0)
     assert h.graph == g
-    assert part.assignment.tolist() == [0, 1, 2]
+    assert assignment.tolist() == [0, 1, 2]
     assert res.selected.tolist() == [0, 1, 2]
-    assert res.k == 0
+    assert res.rounds == 0
 
 
 def test_pipeline_large_k_collapses_each_component():
     g = build(helpers.path_edges(6))
-    h, part, res = coarsen_pipeline(g, 6, ranking="id")
+    h, assignment, res = coarsen_pipeline(g, 6, ranking="id")
     assert h.graph.n == 1 and h.graph.m == 0
-    assert part.assignment.tolist() == [0] * 6
+    assert assignment.tolist() == [0] * 6
 
 
 def test_pipeline_preserves_component_structure():
     g = build([(0, 1), (1, 2), (3, 4), (4, 5)])
-    h, part, res = coarsen_pipeline(g, 1, ranking="id")
+    h, _, res = coarsen_pipeline(g, 1, ranking="id")
     assert connected_components(h.graph)[0] == connected_components(g)[0]
 
 
-def test_pipeline_cluster_count_matches_selection(small_corpus):
+def test_pipeline_clusters_match_selection(small_corpus):
     for g, edges, n in small_corpus[:8]:
-        h, part, res = coarsen_pipeline(g, 2, ranking="random", seed=n)
-        assert part.cluster_count == res.selected.size == h.graph.n
+        h, assignment, res = coarsen_pipeline(g, 2, ranking="random", seed=n)
+        assert res.selected.size == h.graph.n
         assert np.array_equal(h.centroids, res.selected)
-        assert np.array_equal(part.centroids, res.selected)
+        assert np.array_equal(np.unique(assignment), res.selected)
 
 
 def test_pipeline_timings_dict():
@@ -346,28 +350,31 @@ def test_pipeline_timings_dict():
 
 def test_pipeline_weight_rule_uses_weights():
     g = build(helpers.star_edges(4))
-    h, part, res = coarsen_pipeline(g, 1, ranking="kweight",
-                                    weights=[10.0, 1.0, 1.0, 1.0])
+    h, assignment, res = coarsen_pipeline(g, 1, ranking="kweight",
+                                          weights=[10.0, 1.0, 1.0, 1.0])
     assert res.selected.tolist() == [0]
-    assert part.assignment.tolist() == [0, 0, 0, 0]
+    assert assignment.tolist() == [0, 0, 0, 0]
 
 
-def test_partition_validate_rejects_bad_assignment():
-    with pytest.raises(ValueError):
-        Partition(assignment=np.array([0, 9]), cluster_count=2).validate()
-    with pytest.raises(ValueError):
-        Partition(assignment=np.array([1, 0]), cluster_count=2).validate()
-    with pytest.raises(ValueError):
-        Partition(assignment=np.array([0, 0]), cluster_count=2).validate()
-    Partition(assignment=np.array([1, 1]), cluster_count=1).validate()
-    Partition(assignment=np.array([0, 0, 2, 2]), cluster_count=2).validate()
+def test_reduce_rejects_a_broken_assignment():
+    g = build(helpers.path_edges(2))
+    with pytest.raises(ValueError, match="outside the node range"):
+        reduce(g, np.array([0, 9]))
+    with pytest.raises(ValueError, match="outside the node range"):
+        reduce(g, np.array([-1, 1]))
+    with pytest.raises(ValueError, match="assigned to itself"):
+        reduce(g, np.array([1, 0]))
+    with pytest.raises(ValueError, match="does not match graph"):
+        reduce(g, np.array([0, 0, 0]))
+    assert reduce(g, np.array([1, 1])).centroids.tolist() == [1]
+    square = reduce(build(helpers.path_edges(4)), np.array([0, 0, 2, 2]))
+    assert square.centroids.tolist() == [0, 2]
 
 
-def test_reduce_rejects_invalid_partition():
+def test_reduce_rejects_a_centroid_assigned_away():
     g = build(helpers.path_edges(4))
-    bad = Partition(assignment=np.array([0, 0, 3, 2]), cluster_count=2)
-    with pytest.raises(ValueError):
-        reduce(g, bad)
+    with pytest.raises(ValueError, match="every centroid must be assigned to itself"):
+        reduce(g, np.array([0, 0, 3, 2]))
 
 
 def test_coarsened_graph_no_self_loops(small_corpus):

@@ -59,11 +59,11 @@ def test_fold_matches_a_pure_python_fold(how):
                         else [1.0] * keys.size)
             want = helpers.fold_reference(((key, x) for key, x in items if key >= 0), how)
             got_keys, got = kcoarsen.graph._fold(
-                keys.copy(), None if w is None else w.copy(), how, "overflow")
+                keys.copy(), None if w is None else w.copy(), how, overflow="overflow")
             assert got_keys.tolist() == sorted(want)
             assert [x.hex() for x in got.tolist()] == [want[key].hex() for key in sorted(want)]
             if w is None:
-                assert kcoarsen.graph._fold(keys.copy(), None, None, "")[1] is None
+                assert kcoarsen.graph._fold(keys.copy(), None, None)[1] is None
 
 
 def test_build_missing_weight_defaults_to_one():

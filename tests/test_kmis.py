@@ -41,7 +41,6 @@ def test_path5_k1_frozen():
     _, res = path5_setup(1)
     assert res.selected.tolist() == [0, 2, 4]
     assert res.rounds == 3
-    assert res.k == 1
 
 
 def test_path5_k2_frozen():

@@ -322,11 +322,11 @@ def test_floods_match_the_bfs_oracle_under_either_frontier_rule(small_corpus,
         for k in (1, 2):
             result = k_mis(g, k, ranking)
             selected = result.selected.tolist()
-            assert cluster(g, k, ranking, result).assignment.tolist() == [
+            assert cluster(g, k, ranking, result).tolist() == [
                 min((perm[s], s) for s in selected if dist[s].get(v, k + 1) <= k)[1]
                 for v in range(n)]
             some = sorted(rng.sample(range(n), rng.randrange(n + 1)))
             report = check_kmis_validity(g, k, KMisResult(
-                selected=np.array(some, dtype=np.int64), rounds=0, k=k))
+                selected=np.array(some, dtype=np.int64), rounds=0))
             assert [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations] \
                 == helpers.validity_reference(n, edges, some, k)

@@ -12,7 +12,6 @@ import kcoarsen.verify
 from kcoarsen import (
     CoarsenedGraph,
     KMisResult,
-    Partition,
     Ranking,
     VerificationReport,
     build,
@@ -38,7 +37,7 @@ from . import helpers
 
 def coarsened_path(n=5, k=1):
     g = build(helpers.path_edges(n))
-    h, part, res = coarsen_pipeline(g, k, ranking="id")
+    h, _, res = coarsen_pipeline(g, k, ranking="id")
     return g, h, res
 
 
@@ -52,9 +51,8 @@ def test_edge_bounds_path5():
 def test_edge_bounds_detect_fabricated_edge():
     # hand-built coarse graph joining the two path endpoints: span 4 > 3
     g = build(helpers.path_edges(5))
-    part = Partition(assignment=np.array([0, 0, 0, 4, 4]), cluster_count=2)
     h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 4]),
-                                  provenance=part)
+                                  assignment=np.array([0, 0, 0, 4, 4]))
     report = check_edge_bounds(g, h, 1)
     assert not report.passed
     assert report.violations[0].kind == "edge_bound"
@@ -64,9 +62,8 @@ def test_edge_bounds_detect_fabricated_edge():
 
 def test_edge_bounds_detect_disconnected_endpoints():
     g = build([(0, 1), (2, 3)])
-    part = Partition(assignment=np.array([0, 0, 2, 2]), cluster_count=2)
     h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 2]),
-                                  provenance=part)
+                                  assignment=np.array([0, 0, 2, 2]))
     report = check_edge_bounds(g, h, 1)
     assert not report.passed
     assert report.violations[0].observed == float("inf")
@@ -80,7 +77,7 @@ def grid_coarsening(k=1):
 
 def with_keys(h, keys, weights):
     return CoarsenedGraph(keys=keys, weights=weights, centroids=h.centroids,
-                          provenance=h.provenance)
+                          assignment=h.assignment)
 
 
 def test_edge_bounds_report_a_dropped_coarse_edge():
@@ -124,8 +121,8 @@ def test_edge_bounds_report_coarse_weights_one_ulp_off(how):
     fold of its crossing weights by the same edge_agg."""
     rng = helpers.make_rng("coarse-weight", how)
     g = build([(u, v, rng.uniform(0.1, 10.0)) for u, v in helpers.grid_edges(12, 12)])
-    h, part, _ = coarsen_pipeline(g, 1, ranking="kdeg", edge_agg=how)
-    cluster_of = np.searchsorted(h.centroids, part.assignment).tolist()
+    h, assignment, _ = coarsen_pipeline(g, 1, ranking="kdeg", edge_agg=how)
+    cluster_of = np.searchsorted(h.centroids, assignment).tolist()
     want = helpers.contraction_reference(
         list(zip(*(col.tolist() for col in g.edge_list()))), cluster_of, how)
     assert check_edge_bounds(g, h, 1, how).passed
@@ -147,7 +144,7 @@ def test_edge_bounds_report_coarse_weights_one_ulp_off(how):
 def test_distortion_clean_on_pipeline(small_corpus):
     for g, edges, n in small_corpus[:8]:
         for k in (1, 2):
-            h, part, res = coarsen_pipeline(g, k, ranking="random", seed=n)
+            h, _, res = coarsen_pipeline(g, k, ranking="random", seed=n)
             report = check_distortion(g, h, k)
             assert report.passed
 
@@ -215,7 +212,7 @@ def assert_checks_match_reference(g, h, k, work, **kwargs):
     coarse_edges = list(zip(*(a.tolist() for a in hg.edge_list()[:2])))
     coarse_adj = helpers.adjacency(hg.n, coarse_edges)
     index = {c: i for i, c in enumerate(h.centroids.tolist())}
-    coarse_of = [index[a] for a in h.provenance.assignment.tolist()]
+    coarse_of = [index[a] for a in h.assignment.tolist()]
     edges = check_edge_bounds(g, h, k)
     records, spans = helpers.edge_bounds_reference(adj, h.centroids.tolist(),
                                                    coarse_adj, k)
@@ -225,7 +222,7 @@ def assert_checks_match_reference(g, h, k, work, **kwargs):
         (records, spans + contraction)
     pairs = check_distortion(g, h, k, **kwargs)
     records, far = helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
-    radius = helpers.radius_reference(adj, h.provenance.assignment.tolist(), k)
+    radius = helpers.radius_reference(adj, h.assignment.tolist(), k)
     assert (list(map(tuple, pairs.per_pair_sample.tolist())), violations(pairs)) == \
         (records, far + radius)
 
@@ -236,10 +233,9 @@ def fabricated(g, seed):
     centroids = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
     assignment = np.array([rng.choice(centroids) for _ in range(g.n)])
     nc = len(centroids)
-    part = Partition(assignment=assignment, cluster_count=nc)
     coarse = build(helpers.random_edges(rng, nc, 0.3), n=nc)
     return CoarsenedGraph.from_graph(coarse, centroids=np.array(centroids),
-                                     provenance=part)
+                                     assignment=assignment)
 
 
 def test_checks_match_reference_on_pipeline_coarsenings(corpus):
@@ -332,9 +328,8 @@ def test_verify_makes_one_search_per_distance_question(monkeypatch):
 def test_distortion_flags_merged_far_pair():
     # nodes 0 and 4 forced into one cluster: dh = 0 but dg = 4 > 2k
     g = build(helpers.path_edges(5))
-    part = Partition(assignment=np.array([0, 0, 0, 0, 0]), cluster_count=1)
     h = CoarsenedGraph.from_graph(build([], n=1), centroids=np.array([0]),
-                                  provenance=part)
+                                  assignment=np.array([0, 0, 0, 0, 0]))
     report = check_distortion(g, h, 1, pairs=[(0, 4)])
     assert not report.passed
     assert report.violations[0].kind == "distortion_upper"
@@ -344,9 +339,8 @@ def test_distortion_flags_lower_bound_break():
     # identity partition but a coarse graph missing the only edge:
     # dh = unreachable while dg = 1 breaks dh <= dg
     g = build([(0, 1)])
-    part = Partition(assignment=np.array([0, 1]), cluster_count=2)
     h = CoarsenedGraph.from_graph(build([], n=2), centroids=np.array([0, 1]),
-                                  provenance=part)
+                                  assignment=np.array([0, 1]))
     report = check_distortion(g, h, 1, pairs=[(0, 1)])
     assert not report.passed
     assert report.violations[0].kind == "distortion_lower"
@@ -354,7 +348,7 @@ def test_distortion_flags_lower_bound_break():
 
 def test_distortion_skips_cross_component_pairs():
     g = build([(0, 1), (2, 3)])
-    h, part, res = coarsen_pipeline(g, 1, ranking="id")
+    h, _, res = coarsen_pipeline(g, 1, ranking="id")
     report = check_distortion(g, h, 1, pairs=[(0, 2)])
     assert report.passed
     assert report.per_pair_sample.size == 0
@@ -362,7 +356,7 @@ def test_distortion_skips_cross_component_pairs():
 
 def test_distortion_sampling_is_seeded():
     g = build(helpers.king_grid_edges(8, 8))
-    h, part, res = coarsen_pipeline(g, 1, ranking="id")
+    h, _, res = coarsen_pipeline(g, 1, ranking="id")
     a = check_distortion(g, h, 1, sample_pairs=40, seed=5)
     b = check_distortion(g, h, 1, sample_pairs=40, seed=5)
     assert np.array_equal(a.per_pair_sample, b.per_pair_sample)
@@ -370,7 +364,7 @@ def test_distortion_sampling_is_seeded():
 
 def test_components_preserved():
     g = build([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    h, part, res = coarsen_pipeline(g, 1, ranking="id")
+    h, _, res = coarsen_pipeline(g, 1, ranking="id")
     report = check_components(g, h)
     assert report.passed
     assert (report.graph_components, report.coarse_components) == (2, 2)
@@ -378,9 +372,8 @@ def test_components_preserved():
 
 def test_components_detect_cross_component_merge():
     g = build([(0, 1), (2, 3)])
-    part = Partition(assignment=np.array([0, 0, 0, 0]), cluster_count=1)
     h = CoarsenedGraph.from_graph(build([], n=1), centroids=np.array([0]),
-                                  provenance=part)
+                                  assignment=np.array([0, 0, 0, 0]))
     report = check_components(g, h)
     assert not report.passed
     kinds = {v.kind for v in report.violations}
@@ -395,7 +388,7 @@ def test_validity_accepts_real_result():
 
 def test_validity_flags_adjacent_selection():
     g = build(helpers.path_edges(5))
-    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1, k=1)
+    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1)
     report = check_kmis_validity(g, 1, fake)
     kinds = [v.kind for v in report.violations]
     assert "independence" in kinds
@@ -403,7 +396,7 @@ def test_validity_flags_adjacent_selection():
 
 def test_validity_flags_uncovered_node():
     g = build(helpers.path_edges(7))
-    fake = KMisResult(selected=np.array([0]), rounds=1, k=1)
+    fake = KMisResult(selected=np.array([0]), rounds=1)
     report = check_kmis_validity(g, 1, fake)
     kinds = [v.kind for v in report.violations]
     assert "maximality" in kinds
@@ -418,7 +411,7 @@ def test_validity_matches_bfs_oracle(data):
     selected = sorted(data.draw(st.sets(st.integers(0, n - 1))))
     k = data.draw(st.integers(1, 5))  # k >= n on the smallest graphs
     g = build(edges, n=n)
-    fake = KMisResult(selected=np.array(selected, dtype=np.int64), rounds=0, k=k)
+    fake = KMisResult(selected=np.array(selected, dtype=np.int64), rounds=0)
     report = check_kmis_validity(g, k, fake)
     got = [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
     assert got == helpers.validity_reference(n, edges, selected, k)
@@ -426,7 +419,7 @@ def test_validity_matches_bfs_oracle(data):
 
 def test_verify_reduction_green_path(small_corpus):
     for g, edges, n in small_corpus[:5]:
-        h, part, res = coarsen_pipeline(g, 2, ranking="random", seed=n)
+        h, _, res = coarsen_pipeline(g, 2, ranking="random", seed=n)
         report = verify_reduction(g, h, 2, result=res)
         assert report.passed
         assert report.all_violations() == []
@@ -436,13 +429,12 @@ def test_node_assigned_to_a_far_centroid_breaks_the_radius():
     # on the 12-node path under kdeg, centroid 2 is pointed at centroid 0,
     # 2 hops away; every pair bound still holds, the radius does not
     g = build(helpers.path_edges(12))
-    h, part, res = coarsen_pipeline(g, 1, ranking="kdeg")
-    assignment = part.assignment.copy()
+    h, assignment, res = coarsen_pipeline(g, 1, ranking="kdeg")
+    assignment = assignment.copy()
     assert assignment[2] == 2 and 0 in h.centroids
     assignment[2] = 0
-    moved = Partition(assignment=assignment, cluster_count=part.cluster_count)
     far = CoarsenedGraph.from_graph(h.graph, centroids=h.centroids,
-                                    provenance=moved)
+                                    assignment=assignment)
     report = verify_reduction(g, far, 1, result=res)
     assert violations(report.distortion) == [("radius", (2, 0), math.inf, 1.0)]
     assert [section for section, _ in report.all_violations()] == ["distortion"]
@@ -474,12 +466,11 @@ def test_a_broken_cluster_map_is_reported_once():
     """Node 2 of a path 0-4, assigned to the non-centroid 1, is named by
     the distortion section alone."""
     g = build(helpers.path_edges(5))
-    h, partition, result = coarsen_pipeline(g, 1, ranking="id")
-    assignment = partition.assignment.copy()
+    h, assignment, result = coarsen_pipeline(g, 1, ranking="id")
+    assignment = assignment.copy()
     assignment[2] = 1
     broken = CoarsenedGraph(keys=h.keys.copy(), weights=h.weights,
-                            centroids=h.centroids, provenance=Partition(
-                                assignment=assignment, cluster_count=3))
+                            centroids=h.centroids, assignment=assignment)
     report = verify_reduction(g, broken, 1, result=result)
     targets = [(section, v.nodes) for section, v in report.all_violations()
                if v.kind == "assignment_target"]
@@ -498,10 +489,9 @@ def test_report_round_trip_lossless():
 
 def test_report_round_trip_with_violations():
     g = build(helpers.path_edges(5))
-    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1, k=1)
-    part = Partition(assignment=np.array([0, 0, 0, 3, 3]), cluster_count=2)
+    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1)
     h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 3]),
-                                  provenance=part)
+                                  assignment=np.array([0, 0, 0, 3, 3]))
     report = verify_reduction(g, h, 1, result=fake)
     assert not report.passed
     back = VerificationReport.from_text(report.to_text())
