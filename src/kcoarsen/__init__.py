@@ -14,7 +14,7 @@ else is imported from its own module (``kcoarsen.graph``,
 from .coarsen import CoarsenedGraph, cluster, coarsen_pipeline, reduce
 from .graph import Graph, GraphFormatError, build, load, store
 from .kmis import KMisResult, k_mis
-from .ranking import Ranking, resolve_ranking
+from .ranking import resolve_ranking
 from .verify import VerificationReport, verify_reduction
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "KMisResult",
-    "Ranking",
     "VerificationReport",
     "build",
     "cluster",

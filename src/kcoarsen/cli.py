@@ -169,18 +169,20 @@ def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
         fh.write(config.to_json() + "\n")
 
 
-def _rank_and_coarsen(g: Graph, args, timings: dict[str, float]):
-    """`coarsen_pipeline` under the parsed coarsening arguments.  The
-    ranking is resolved here, by `_resolve_rank_spec` (const for k = 0),
-    and its time is added to ``timings["ranking"]``."""
+def _rank_and_coarsen(g: Graph, config: RunConfig, k: int, seed: int,
+                      timings: dict[str, float]):
+    """`coarsen_pipeline` at k under `config`'s ranking, aggregations and
+    threads, a random ranking drawn from `seed`.  The ranking is resolved
+    here, by `_resolve_rank_spec` (const for k = 0), and its time is
+    added to ``timings["ranking"]``."""
     t0 = perf_counter()
-    ranking = "const" if args.k == 0 else _resolve_rank_spec(
-        g, args.rank, k=args.k, seed=args.seed, workers=args.threads)
+    rank = "const" if k == 0 else _resolve_rank_spec(
+        g, config.rank, k=k, seed=seed, workers=config.threads)
     t_rank = perf_counter() - t0
     out = coarsen_pipeline(
-        g, args.k, ranking=ranking, edge_agg=args.edge_agg,
-        node_agg=_NODE_AGG_FLAGS[args.node_agg], seed=args.seed,
-        workers=args.threads, timings=timings)
+        g, k, ranking=rank, edge_agg=config.edge_agg,
+        node_agg=_NODE_AGG_FLAGS[config.node_agg], seed=seed,
+        workers=config.threads, timings=timings)
     timings["ranking"] += t_rank
     return out
 
@@ -191,7 +193,7 @@ def cmd_coarsen(args) -> int:
     g, original_ids = load(args.input, format=args.format)
     t_load = perf_counter() - t0
     timings: dict[str, float] = {}
-    h, _, result = _rank_and_coarsen(g, args, timings)
+    h, _, result = _rank_and_coarsen(g, config, args.k, args.seed, timings)
     n, m = g.n, g.m
     del g  # free the input CSR (the pipeline freed its layout)
     t0 = perf_counter()
@@ -281,13 +283,14 @@ def _read_artifacts(artifacts: Path, g: Graph,
 def cmd_verify(args) -> int:
     config = RunConfig.from_args(args)
     g, original_ids = load(args.input, format=args.format)
-    result = None
+    selected = None
     if args.artifacts:
         h = _read_artifacts(Path(args.artifacts), g, original_ids)
     else:
         g.jagged  # built before the pipeline, so that bfs below reuses it
-        h, _, result = _rank_and_coarsen(g, args, {})
-    report = verify_reduction(g, h, args.k, result=result,
+        h, _, result = _rank_and_coarsen(g, config, args.k, args.seed, {})
+        selected = result.selected
+    report = verify_reduction(g, h, args.k, selected=selected,
                               sample_pairs=args.pairs, seed=args.seed,
                               edge_agg=args.edge_agg)
     text = report.to_text()
@@ -306,6 +309,15 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
         return 1
     return 0
+
+
+def _write_csv(path: Path, config: RunConfig, rows: list[dict]) -> None:
+    """`rows` as a CSV table under the run's `# config:` line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config: {config.to_json()}\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def cmd_bench(args) -> int:
@@ -332,27 +344,17 @@ def cmd_bench(args) -> int:
         for trial in range(args.trials):
             timings: dict[str, float] = {}
             t0 = perf_counter()
-            ranking = _resolve_rank_spec(g, args.rank, k=k,
-                                         seed=args.seed + trial,
-                                         workers=args.threads)
-            t_rank = perf_counter() - t0
-            h, _, result = coarsen_pipeline(g, k, ranking=ranking,
-                                            workers=args.threads,
-                                            timings=timings)
+            h, _, _ = _rank_and_coarsen(g, config, k, args.seed + trial, timings)
             total = perf_counter() - t0
             rows.append({
                 "k": k, "trial": trial, "n": g.n, "m": g.m,
                 "coarse_n": h.centroids.size, "coarse_m": h.keys.size,
                 "ratio": h.centroids.size / g.n if g.n else 0.0,
-                "t_rank": t_rank + timings["ranking"], "t_select": timings["select"],
+                "t_rank": timings["ranking"], "t_select": timings["select"],
                 "t_cluster": timings["cluster"],
                 "t_reduce": timings["reduce"], "t_total": total,
             })
-    with open(outdir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config: {config.to_json()}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(outdir / "bench.csv", config, rows)
     for k in k_values:
         k_rows = [r for r in rows if r["k"] == k]
         mean_total = float(np.mean([r["t_total"] for r in k_rows]))
@@ -388,12 +390,7 @@ def cmd_bench(args) -> int:
                     print(f"k={k} rule={rule}: BOUND VIOLATION {violation}",
                           file=sys.stderr)
         if compare_rows:
-            with open(outdir / "compare.csv", "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write(f"# config: {config.to_json()}\n")
-                writer = csv.DictWriter(fh, fieldnames=list(compare_rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(compare_rows)
+            _write_csv(outdir / "compare.csv", config, compare_rows)
     return 0
 
 

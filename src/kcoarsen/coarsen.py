@@ -21,7 +21,7 @@ from ._propagate import flood, neighbor_reduce, row_blocks, sorted_unique
 from .graph import (Graph, _aggregate, _assemble, _edge_keys, _fold,
                     as_node_weights)
 from .kmis import KMisResult, k_mis
-from .ranking import Ranking, resolve_ranking
+from .ranking import as_ranking, resolve_ranking
 
 __all__ = [
     "CoarsenedGraph",
@@ -113,22 +113,19 @@ def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
     return key[:count], None if w is None else w[:count]
 
 
-def cluster(g: Graph, k: int, ranking: Ranking, result: KMisResult,
-            workers: int = 1) -> np.ndarray:
+def cluster(g: Graph, k: int, rank, selected, workers: int = 1) -> np.ndarray:
     """Assign every node to the minimum-rank centroid within k hops: the
     read-only assignment array, ``assignment[v]`` v's centroid.
 
-    `result.selected` must be a maximal k-independent set of g under
-    `ranking`; mismatched inputs surface as uncovered nodes or centroids
-    assigned away from themselves, both rejected here.  `workers` is
-    accepted and unused: every sweep runs on the calling thread.
+    `selected` must hold the ids of a maximal k-independent set of g under
+    the ranking `rank`, which `as_ranking` checks; mismatched inputs surface
+    as uncovered nodes or centroids assigned away from themselves, both
+    rejected here.  `workers` is accepted and unused.
     """
     if k < 0:
         raise ValueError("cluster requires k >= 0")
-    ranking.validate(g.n)
+    rank = as_ranking(rank, g.n)
     n = g.n
-    selected = result.selected
-    rank = ranking.rank
     sentinel = np.iinfo(np.int64).max
     seeds = np.full(n, sentinel, dtype=np.int64)
     seeds[selected] = rank[selected]
@@ -201,7 +198,7 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
     its assignment (the same array as ``coarse.assignment``) and the
     selection.
 
-    `ranking` is a Ranking or one of the specs accepted by
+    `ranking` is a rank array or one of the specs accepted by
     :func:`kcoarsen.ranking.resolve_ranking`.  k = 0 is the identity
     coarsening: the coarse graph equals the input under an identity
     assignment.  When `timings` is a dict it receives per-phase wall
@@ -224,12 +221,12 @@ def coarsen_pipeline(g: Graph, k: int, ranking="kweight", weights=None,
 
     laid_out = "jagged" in vars(g)
     t0 = perf_counter()
-    ranking = resolve_ranking(g, ranking, k=k, weights=weights, seed=seed,
-                              workers=workers)
+    rank = resolve_ranking(g, ranking, k=k, weights=weights, seed=seed,
+                           workers=workers)
     t1 = perf_counter()
-    result = k_mis(g, k, ranking, workers=workers)
+    result = k_mis(g, k, rank, workers=workers)
     t2 = perf_counter()
-    assignment = cluster(g, k, ranking, result, workers=workers)
+    assignment = cluster(g, k, rank, result.selected, workers=workers)
     if not laid_out:
         vars(g).pop("jagged", None)
     t3 = perf_counter()

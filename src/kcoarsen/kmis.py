@@ -28,7 +28,7 @@ import numpy as np
 
 from ._propagate import advance, flood, neighbor_reduce
 from .graph import Graph
-from .ranking import Ranking
+from .ranking import as_ranking
 
 __all__ = ["KMisResult", "k_mis"]
 
@@ -48,9 +48,10 @@ class KMisResult:
         self.selected.setflags(write=False)
 
 
-def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
+def k_mis(g: Graph, k: int, rank, workers: int = 1,
           trace: list | None = None) -> KMisResult:
-    """Deterministic maximal k-independent set for a given ranking.
+    """Deterministic maximal k-independent set for the ranking `rank`, which
+    `as_ranking` checks.
 
     Each round brings the k label layers up to date, one min round per
     layer on the closed neighbourhood of the rows whose layer below
@@ -71,9 +72,8 @@ def k_mis(g: Graph, k: int, ranking: Ranking, workers: int = 1,
     """
     if k < 1:
         raise ValueError("k_mis requires k >= 1")
-    ranking.validate(g.n)
+    rank = as_ranking(rank, g.n)
     n = g.n
-    rank = ranking.rank
     degrees = g.degrees
     active_slots = int(g.indptr[-1])
     sentinel = np.iinfo(np.int64).max

@@ -13,7 +13,6 @@ float perturbation, so rankings are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,37 +20,33 @@ import numpy as np
 from ._propagate import neighbor_reduce
 from .graph import Graph, as_node_weights, data_lines
 
-__all__ = ["Ranking", "load_scores", "resolve_ranking", "walk_counts"]
+__all__ = ["as_ranking", "load_scores", "resolve_ranking", "walk_counts"]
 
 RANKING_SPECS = ("kdeg", "kweight", "id", "random", "const")
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Injective node priorities: `rank` is a permutation of 0..n-1."""
+def as_ranking(rank, n: int) -> np.ndarray:
+    """`rank` checked to be integers permuting 0..n-1 (else ValueError), as
+    int64: a valid int64 array comes back itself, uncopied and unchanged."""
+    rank = np.asarray(rank)
+    if rank.dtype.kind not in "iu":
+        raise ValueError(f"ranking must hold integers, got dtype {rank.dtype}")
+    rank = rank.astype(np.int64, copy=False)
+    if rank.shape != (n,):
+        raise ValueError(f"ranking covers {rank.size} nodes, graph has {n}")
+    if n and (rank.min() < 0 or rank.max() >= n
+              or (np.bincount(rank, minlength=n) != 1).any()):
+        raise ValueError("ranking must be a permutation of 0..n-1")
+    return rank
 
-    rank: np.ndarray
 
-    def __post_init__(self):
-        rank = np.asarray(self.rank, dtype=np.int64)
-        rank.setflags(write=False)
-        object.__setattr__(self, "rank", rank)
-
-    def validate(self, n: int) -> None:
-        if self.rank.shape != (n,):
-            raise ValueError(f"ranking covers {self.rank.size} nodes, graph has {n}")
-        if n and not np.array_equal(np.bincount(self.rank, minlength=n),
-                                    np.ones(n, dtype=np.int64)):
-            raise ValueError("ranking must be a permutation of 0..n-1")
-
-    @classmethod
-    def from_scores(cls, scores) -> "Ranking":
-        """Rank ascending by (score, node id); smaller key selected first."""
-        scores = np.asarray(scores, dtype=np.float64)
-        order = np.lexsort((np.arange(scores.size), scores))
-        rank = np.empty(scores.size, dtype=np.int64)
-        rank[order] = np.arange(scores.size)
-        return cls(rank)
+def _from_scores(scores) -> np.ndarray:
+    """Rank ascending by (score, node id); smaller key selected first."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.lexsort((np.arange(scores.size), scores))
+    rank = np.empty(scores.size, dtype=np.int64)
+    rank[order] = np.arange(scores.size)
+    return rank
 
 
 def walk_counts(g: Graph, weights, k: int, workers: int = 1) -> np.ndarray:
@@ -96,33 +91,36 @@ def load_scores(path) -> np.ndarray:
 
 
 def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
-                    seed=0, workers: int = 1) -> Ranking:
-    """Turn a ranking spec into a Ranking.
+                    seed=0, workers: int = 1) -> np.ndarray:
+    """Turn a ranking spec into a ranking: an int64 permutation of 0..n-1.
 
-    `spec` may already be a Ranking (validated and returned), one of
-    'kdeg', 'kweight', 'id', 'random', 'const', or 'file:PATH' naming a
-    score file for :func:`load_scores` (higher score first, ids break
-    ties).  'kdeg' and 'kweight' are the degree and weight rules above;
-    they need k >= 1, and `weights` (x) defaults to all-ones.  'const'
-    degenerates to the id tie-break.
+    `spec` may already be a rank array (checked by :func:`as_ranking` and
+    returned), else one of 'kdeg', 'kweight', 'id', 'random', 'const', or
+    'file:PATH' naming a score file for :func:`load_scores` (higher score
+    first, ids break ties).  'kdeg' and 'kweight' are the degree and
+    weight rules above; they need k >= 1, and `weights` (x) defaults to
+    all-ones.  'const' degenerates to the id tie-break.  A ranking built
+    from a spec is read-only.
     """
-    if isinstance(spec, Ranking):
-        spec.validate(g.n)
-        return spec
-    if isinstance(spec, str) and spec.startswith("file:"):
+    if not isinstance(spec, str):
+        return as_ranking(spec, g.n)
+    if spec.startswith("file:"):
         scores = load_scores(spec[len("file:"):])
         if scores.size != g.n:
             raise ValueError(
                 f"score file has {scores.size} entries, graph has {g.n} nodes")
-        return Ranking.from_scores(-scores)
-    if spec not in RANKING_SPECS:
+        rank = _from_scores(-scores)
+    elif spec not in RANKING_SPECS:
         raise ValueError(f"unknown ranking spec {spec!r}")
-    if spec in ("kdeg", "kweight"):
+    elif spec in ("kdeg", "kweight"):
         if k is None or k < 1:
             raise ValueError(f"ranking {spec!r} requires k >= 1")
         x = np.ones(g.n) if weights is None else as_node_weights(weights, g.n)
         walk = walk_counts(g, np.ones(g.n) if spec == "kdeg" else x, k, workers)
-        return Ranking.from_scores(-(x / walk))
-    if spec == "random":
-        return Ranking(np.random.default_rng(seed).permutation(g.n))
-    return Ranking(np.arange(g.n, dtype=np.int64))
+        rank = _from_scores(-(x / walk))
+    elif spec == "random":
+        rank = np.random.default_rng(seed).permutation(g.n)
+    else:
+        rank = np.arange(g.n, dtype=np.int64)
+    rank.setflags(write=False)
+    return rank

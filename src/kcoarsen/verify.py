@@ -30,7 +30,6 @@ import numpy as np
 from ._propagate import concat_ranges, flood, neighbor_reduce, sorted_unique
 from .coarsen import EDGE_AGGREGATIONS, CoarsenedGraph, _crossing_keys
 from .graph import Graph, _fold, bfs, connected_components, table_text
-from .kmis import KMisResult
 
 __all__ = [
     "ComponentReport",
@@ -134,7 +133,7 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
         report.violations.append(Violation(
             kind="edge_bound", nodes=(int(a[i]), int(b[i])),
             observed=observed, bound=float(upper)))
-    coarse_of = _coarse_of(h, h.assignment, [])
+    coarse_of = _coarse_of(h, [])
     if coarse_of is not None:
         _check_contraction(g, h, coarse_of, edge_agg, report)
     return report
@@ -178,10 +177,11 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
             kind="coarse_weight", nodes=(a, b), observed=seen, bound=fold))
 
 
-def _coarse_of(h: CoarsenedGraph, assignment: np.ndarray,
+def _coarse_of(h: CoarsenedGraph,
                violations: list[Violation]) -> np.ndarray | None:
-    """Coarse index of each node's centroid; None when the map is broken,
+    """Coarse index of each node's centroid; None when h's map is broken,
     each node assigned to a non-centroid then appended to `violations`."""
+    assignment = h.assignment
     if assignment.size == 0:
         return np.empty(0, dtype=np.int64)
     nc = h.centroids.size
@@ -266,7 +266,7 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
         src = np.repeat(draws[:n_sources], group)
         dst = draws[n_sources:]
     assignment = h.assignment
-    coarse_of = _coarse_of(h, assignment, report.violations)
+    coarse_of = _coarse_of(h, report.violations)
     if coarse_of is None:
         return report
     hg = h.graph
@@ -311,7 +311,7 @@ def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
         report.violations.append(Violation(
             kind="component_count", nodes=(),
             observed=float(h_count), bound=float(g_count)))
-    coarse_of = _coarse_of(h, h.assignment, [])
+    coarse_of = _coarse_of(h, [])
     if coarse_of is None:  # the distortion check reports a broken map
         return report
     if g.n:
@@ -325,17 +325,17 @@ def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
     return report
 
 
-def check_kmis_validity(g: Graph, k: int, result: KMisResult) -> ValidityReport:
-    """Check pairwise distance > k within the set and k-hop coverage of V.
+def check_kmis_validity(g: Graph, k: int, selected) -> ValidityReport:
+    """Check distance > k between the ids `selected` and k-hop coverage of V.
 
     A k-step max-flood labels each node with the largest selected id
     within k hops (below 0: uncovered).  Only selected nodes s labelled above
     their own id are suspects; one depth-capped pair search from them to
     the selected ids in s+1..label[s] names the pairs.
     """
-    report = ValidityReport(selected_count=int(result.selected.size))
+    report = ValidityReport(selected_count=int(np.size(selected)))
     mask = np.zeros(g.n, dtype=bool)
-    mask[result.selected] = True
+    mask[selected] = True
     selected = np.flatnonzero(mask)
     seeds = np.where(mask, np.arange(g.n), np.iinfo(np.int64).min)
     for label in flood(g, seeds, "max", k, neighbor_reduce):
@@ -450,31 +450,30 @@ def _int_rows(lines: list[str], width: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(lines), width)
 
 
-def verify_reduction(g: Graph, h: CoarsenedGraph, k: int,
-                     result: KMisResult | None = None,
+def verify_reduction(g: Graph, h: CoarsenedGraph, k: int, selected=None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
                      seed: int = 0, edge_agg: str = "sum") -> VerificationReport:
     """Run all four checks against one coarsening.
 
-    When `result` is omitted the selected set is taken to be the
-    centroids of h; a given one must equal them (a `selection`
-    violation per node in one set only, observed 1.0 when selected,
-    bound 1.0 when a centroid).  k = 0 coarsenings check the degenerate
-    bounds (every coarse edge spans exactly one hop).
+    `selected`, the node ids of a selection, defaults to the centroids of
+    h; given ids must equal them (a `selection` violation per node in one
+    set only, observed 1.0 when selected, bound 1.0 when a centroid).
+    k = 0 coarsenings check the degenerate bounds (every coarse edge spans
+    exactly one hop).
     """
-    if result is None:
-        result = KMisResult(selected=h.centroids.copy(), rounds=0)
+    if selected is None:
+        selected = h.centroids
     report = VerificationReport(
         k=k,
         edge_bounds=check_edge_bounds(g, h, k, edge_agg),
         distortion=check_distortion(g, h, k, sample_pairs=sample_pairs,
                                     seed=seed),
         components=check_components(g, h),
-        validity=check_kmis_validity(g, k, result),
+        validity=check_kmis_validity(g, k, selected),
     )
-    if not np.array_equal(result.selected, h.centroids):
-        odd = np.setxor1d(result.selected, h.centroids)
-        for v, picked in zip(odd.tolist(), np.isin(odd, result.selected).tolist()):
+    if not np.array_equal(selected, h.centroids):
+        odd = np.setxor1d(selected, h.centroids)
+        for v, picked in zip(odd.tolist(), np.isin(odd, selected).tolist()):
             report.validity.violations.append(Violation(
                 kind="selection", nodes=(v,), observed=float(picked),
                 bound=float(not picked)))

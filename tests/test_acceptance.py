@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from kcoarsen import (
-    Ranking,
     build,
     coarsen_pipeline,
     k_mis,
@@ -93,7 +92,7 @@ def _random_rankings(n: int, count: int, tag):
         rng = helpers.make_rng("accept-rank", tag, i)
         perm = list(range(n))
         rng.shuffle(perm)
-        out.append(Ranking(np.array(perm, dtype=np.int64)))
+        out.append(np.array(perm, dtype=np.int64))
     return out
 
 
@@ -108,7 +107,7 @@ def test_criterion_1_oracle_equivalence(corpus):
             adj_k = helpers.adjacency(n, zip(u.tolist(), v.tolist()))
             for ranking in rankings:
                 ours = k_mis(g, k, ranking).selected.tolist()
-                ref = helpers.sequential_kmis(adj_k, n, 1, ranking.rank.tolist())
+                ref = helpers.sequential_kmis(adj_k, n, 1, ranking.tolist())
                 checked += 1
                 if ours != ref:
                     mismatches += 1
@@ -130,7 +129,7 @@ def test_criterion_2_validity(corpus, fixture_graphs):
         for k in (1, 2, 3, 4):
             ranking = _random_rankings(n, 1, ("validity", gi, k))[0]
             result = k_mis(g, k, ranking)
-            report = check_kmis_validity(g, k, result)
+            report = check_kmis_validity(g, k, result.selected)
             checked += 1
             violations += len(report.violations)
     ok = violations == 0
@@ -166,7 +165,7 @@ def test_criterion_3_determinism_and_relabeling(corpus):
             relabeled = build(
                 [(sigma[u], sigma[v]) for u, v in edges], n=n)
             inverse = np.argsort(np.array(sigma))
-            new_rank = Ranking(ranking.rank[inverse])
+            new_rank = ranking[inverse]
             sel_new = k_mis(relabeled, k, new_rank).selected
             expected = np.sort(np.array([sigma[v] for v in base_res.selected]))
             if not np.array_equal(sel_new, expected):
@@ -238,7 +237,7 @@ def test_criterion_5_distortion_and_components(corpus, fixture_graphs):
     for gi, (g, edges, n) in enumerate(instances):
         for k in (1, 2):
             h, _, res = coarsen_pipeline(g, k, ranking="random", seed=gi)
-            report = verify_reduction(g, h, k, result=res)
+            report = verify_reduction(g, h, k, selected=res.selected)
             runs += 1
             violations += len(report.all_violations())
     ok = violations == 0

@@ -10,7 +10,6 @@ import kcoarsen.graph
 from kcoarsen import (
     CoarsenedGraph,
     KMisResult,
-    Ranking,
     build,
     cluster,
     coarsen_pipeline,
@@ -34,12 +33,12 @@ def path5_parts():
 
 def test_cluster_path5_frozen():
     g, rank, res = path5_parts()
-    assert cluster(g, 1, rank, res).tolist() == [0, 0, 2, 2, 4]
+    assert cluster(g, 1, rank, res.selected).tolist() == [0, 0, 2, 2, 4]
 
 
 def test_cluster_returns_a_read_only_array_the_pipeline_passes_on():
     g, rank, res = path5_parts()
-    assignment = cluster(g, 1, rank, res)
+    assignment = cluster(g, 1, rank, res.selected)
     assert type(assignment) is np.ndarray and assignment.dtype == np.int64
     assert not assignment.flags.writeable
     for k in (0, 1):
@@ -57,40 +56,48 @@ def test_cluster_prefers_min_rank_over_nearest():
     rank = resolve_ranking(g, "id")
     res = k_mis(g, 2, rank)
     assert res.selected.tolist() == [0, 3, 6]
-    assert cluster(g, 2, rank, res).tolist() == [0, 0, 0, 3, 3, 3, 6]
+    assert cluster(g, 2, rank, res.selected).tolist() == [0, 0, 0, 3, 3, 3, 6]
 
 
 def test_cluster_identity_when_everything_selected():
     g = build([], n=4)
     rank = resolve_ranking(g, "id")
     res = k_mis(g, 1, rank)
-    assert cluster(g, 1, rank, res).tolist() == [0, 1, 2, 3]
+    assert cluster(g, 1, rank, res.selected).tolist() == [0, 1, 2, 3]
 
 
 def test_cluster_rejects_non_covering_set():
     g, rank, _ = path5_parts()
-    fake = KMisResult(selected=np.array([0]), rounds=1)
     with pytest.raises(ValueError, match="cover"):
-        cluster(g, 1, rank, fake)
+        cluster(g, 1, rank, np.array([0]))
 
 
 def test_cluster_rejects_non_independent_set():
     g, rank, _ = path5_parts()
-    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1)
     with pytest.raises(ValueError, match="ranking"):
-        cluster(g, 1, rank, fake)
+        cluster(g, 1, rank, np.array([0, 1, 3]))
+
+
+def test_cluster_uses_the_selection_as_given():
+    """Selected ids are indices, not values to cast: a list works, and a
+    float selection that an int64 cast would truncate to [0, 2, 4] is
+    refused by numpy's indexing."""
+    g, rank, _ = path5_parts()
+    assert cluster(g, 1, rank, [0, 2, 4]).tolist() == [0, 0, 2, 2, 4]
+    with pytest.raises(IndexError):
+        cluster(g, 1, rank, np.array([0.4, 2.2, 4.9]))
 
 
 def test_cluster_follows_alternate_ranking():
     # same selected set, reversed priorities: ties now resolve rightward
     g, _, res = path5_parts()
-    other = Ranking(np.array([4, 3, 2, 1, 0]))
-    assert cluster(g, 1, other, res).tolist() == [0, 2, 2, 4, 4]
+    other = np.array([4, 3, 2, 1, 0])
+    assert cluster(g, 1, other, res.selected).tolist() == [0, 2, 2, 4, 4]
 
 
 def test_fibers_partition_the_nodes():
     g, rank, res = path5_parts()
-    fib = helpers.fibers(cluster(g, 1, rank, res))
+    fib = helpers.fibers(cluster(g, 1, rank, res.selected))
     assert sorted(fib) == [0, 2, 4]
     assert fib[0].tolist() == [0, 1]
     assert fib[2].tolist() == [2, 3]
@@ -221,7 +228,7 @@ def test_reduce_peak_memory_per_edge():
     `ones` through the grouping about 90."""
     _, _, g = uniform_graph()
     ranking = resolve_ranking(g, "kdeg", k=2)
-    assignment = cluster(g, 2, ranking, k_mis(g, 2, ranking))
+    assignment = cluster(g, 2, ranking, k_mis(g, 2, ranking).selected)
     h, peak = helpers.traced_peak(lambda: reduce(g, assignment))
     assert h.keys.size > g.m // 2  # most edges cross, as on the benchmark's graph
     assert peak / g.m < 45

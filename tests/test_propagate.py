@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import kcoarsen._propagate
 import kcoarsen.graph
-from kcoarsen import KMisResult, Ranking, build, cluster, k_mis
+from kcoarsen import build, cluster, k_mis
 from kcoarsen._propagate import (ARC_BLOCK, concat_ranges, flood,
                                  neighbor_reduce, next_to, row_blocks,
                                  sorted_unique)
@@ -318,15 +318,14 @@ def test_floods_match_the_bfs_oracle_under_either_frontier_rule(small_corpus,
         rng = helpers.make_rng("frontier", n)
         perm = list(range(n))
         rng.shuffle(perm)
-        ranking = Ranking(np.array(perm))
+        ranking = np.array(perm)
         for k in (1, 2):
             result = k_mis(g, k, ranking)
             selected = result.selected.tolist()
-            assert cluster(g, k, ranking, result).tolist() == [
+            assert cluster(g, k, ranking, result.selected).tolist() == [
                 min((perm[s], s) for s in selected if dist[s].get(v, k + 1) <= k)[1]
                 for v in range(n)]
             some = sorted(rng.sample(range(n), rng.randrange(n + 1)))
-            report = check_kmis_validity(g, k, KMisResult(
-                selected=np.array(some, dtype=np.int64), rounds=0))
+            report = check_kmis_validity(g, k, np.array(some, dtype=np.int64))
             assert [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations] \
                 == helpers.validity_reference(n, edges, some, k)

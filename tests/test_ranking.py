@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcoarsen.ranking
-from kcoarsen import Ranking, build, resolve_ranking
+from kcoarsen import build, cluster, coarsen_pipeline, k_mis, resolve_ranking
 from kcoarsen._propagate import neighbor_reduce
-from kcoarsen.ranking import load_scores, walk_counts
+from kcoarsen.ranking import (_from_scores, as_ranking, load_scores,
+                               walk_counts)
 
 from . import helpers
 
@@ -77,45 +78,43 @@ def test_walk_monotone_in_k(small_corpus):
 
 def test_degree_rule_star_picks_leaves_first():
     g = build(helpers.star_edges(4))
-    rank = resolve_ranking(g, "kdeg", k=1, weights=[1.0] * 4).rank
+    rank = resolve_ranking(g, "kdeg", k=1, weights=[1.0] * 4)
     assert rank.tolist() == [3, 0, 1, 2]
 
 
 def test_degree_rule_path_frozen():
     g = build(helpers.path_edges(3))
-    rank = resolve_ranking(g, "kdeg", k=1, weights=[9.0, 1.0, 9.0]).rank
+    rank = resolve_ranking(g, "kdeg", k=1, weights=[9.0, 1.0, 9.0])
     assert rank.tolist() == [0, 2, 1]
 
 
 def test_weight_rule_heavy_center_first():
     g = build(helpers.star_edges(4))
     rank = resolve_ranking(g, "kweight", k=1,
-                           weights=[10.0, 1.0, 1.0, 1.0]).rank
+                           weights=[10.0, 1.0, 1.0, 1.0])
     assert rank.tolist() == [0, 1, 2, 3]
 
 
 def test_degree_rule_on_regular_graph_is_id_order():
     g = build(helpers.cycle_edges(7))
-    rank = resolve_ranking(g, "kdeg", k=2, weights=[1.0] * 7).rank
+    rank = resolve_ranking(g, "kdeg", k=2, weights=[1.0] * 7)
     assert rank.tolist() == list(range(7))
 
 
 def test_from_scores_frozen():
-    r = Ranking.from_scores([3.0, 1.0, 2.0, 1.0])
-    assert r.rank.tolist() == [3, 0, 2, 1]
+    assert _from_scores([3.0, 1.0, 2.0, 1.0]).tolist() == [3, 0, 2, 1]
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 @settings(max_examples=80)
 def test_from_scores_is_permutation(scores):
-    r = Ranking.from_scores(scores)
-    assert sorted(r.rank.tolist()) == list(range(len(scores)))
+    assert sorted(_from_scores(scores).tolist()) == list(range(len(scores)))
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=20))
 @settings(max_examples=60)
 def test_from_scores_respects_score_order(scores):
-    r = Ranking.from_scores(scores).rank
+    r = _from_scores(scores)
     n = len(scores)
     for u in range(n):
         for v in range(u + 1, n):
@@ -126,31 +125,83 @@ def test_from_scores_respects_score_order(scores):
 
 
 def test_ranking_validate():
-    Ranking(np.array([2, 0, 1])).validate(3)
-    with pytest.raises(ValueError):
-        Ranking(np.array([0, 0, 1])).validate(3)
-    with pytest.raises(ValueError):
-        Ranking(np.array([0, 1])).validate(3)
+    assert as_ranking(np.array([2, 0, 1]), 3).tolist() == [2, 0, 1]
+    with pytest.raises(ValueError, match="permutation of 0..n-1"):
+        as_ranking(np.array([0, 0, 1]), 3)
+    with pytest.raises(ValueError, match="covers 2 nodes, graph has 3"):
+        as_ranking(np.array([0, 1]), 3)
+
+
+def test_a_rank_array_that_is_not_integer_is_rejected():
+    """A float ranking is not truncated to integers: [0.5, 1.7, 2.2] read
+    as [0, 1, 2] and selected as the id ranking would."""
+    g = build(helpers.path_edges(3))
+    scores = np.array([0.5, 1.7, 2.2])
+    for rank in (scores, np.array([0.0, 1.0, 2.0]), np.array([True, False, True])):
+        with pytest.raises(ValueError, match="integers"):
+            as_ranking(rank, 3)
+        with pytest.raises(ValueError, match="integers"):
+            resolve_ranking(g, rank)
+        with pytest.raises(ValueError, match="integers"):
+            k_mis(g, 1, rank)
+        with pytest.raises(ValueError, match="integers"):
+            cluster(g, 1, rank, [1])
+
+
+@pytest.mark.parametrize("rank", [[-1, 0, 1], [0, 1, 3], [1, 2, 3],
+                                  [-3, -2, -1]])
+def test_an_out_of_range_rank_names_the_permutation(rank):
+    g = build(helpers.path_edges(3))
+    for call in (lambda r: as_ranking(r, 3), lambda r: k_mis(g, 1, r)):
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            call(np.array(rank))
+
+
+def test_a_callers_rank_array_keeps_its_values_and_flag():
+    """as_ranking hands back a valid int64 array itself, uncopied and
+    writeable; resolve_ranking, k_mis, cluster and the pipeline leave it
+    as it was.  Other integer dtypes come back as int64 copies."""
+    g = build(helpers.path_edges(5))
+    rank = np.array([4, 3, 2, 1, 0], dtype=np.int64)
+    assert as_ranking(rank, 5) is rank
+    assert resolve_ranking(g, rank, k=1) is rank
+    selected = k_mis(g, 1, rank).selected
+    assert cluster(g, 1, rank, selected).tolist() == [0, 2, 2, 4, 4]
+    coarsen_pipeline(g, 1, ranking=rank)
+    assert rank.flags.writeable and rank.tolist() == [4, 3, 2, 1, 0]
+    small = rank.astype(np.int32)
+    converted = as_ranking(small, 5)
+    assert converted.dtype == np.int64 and converted.tolist() == small.tolist()
+    assert small.flags.writeable
+    assert as_ranking([2, 0, 1], 3).tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("spec", ["kdeg", "kweight", "id", "random", "const"])
+def test_rankings_built_from_a_spec_are_read_only(spec):
+    g = build(helpers.path_edges(5))
+    rank = resolve_ranking(g, spec, k=1)
+    assert rank.dtype == np.int64 and not rank.flags.writeable
+    assert sorted(rank.tolist()) == list(range(5))
 
 
 def test_rank_static_kinds():
     g4 = build(helpers.path_edges(4))
-    assert resolve_ranking(g4, "id").rank.tolist() == [0, 1, 2, 3]
-    assert resolve_ranking(g4, "const").rank.tolist() == [0, 1, 2, 3]
+    assert resolve_ranking(g4, "id").tolist() == [0, 1, 2, 3]
+    assert resolve_ranking(g4, "const").tolist() == [0, 1, 2, 3]
     g6 = build(helpers.cycle_edges(6))
-    a = resolve_ranking(g6, "random", seed=3).rank
-    b = resolve_ranking(g6, "random", seed=3).rank
+    a = resolve_ranking(g6, "random", seed=3)
+    b = resolve_ranking(g6, "random", seed=3)
     assert a.tolist() == b.tolist()
     assert a.tolist() == np.random.default_rng(3).permutation(6).tolist()
     assert sorted(a.tolist()) == list(range(6))
-    assert resolve_ranking(g6, "random", seed=4).rank.tolist() != a.tolist()
+    assert resolve_ranking(g6, "random", seed=4).tolist() != a.tolist()
 
 
 def test_rank_static_external_prefers_high_scores(tmp_path):
     p = tmp_path / "scores.txt"
     p.write_text("1.0\n5.0\n5.0\n0.0\n")
     r = resolve_ranking(build(helpers.path_edges(4)), f"file:{p}")
-    assert r.rank.tolist() == [2, 0, 1, 3]
+    assert r.tolist() == [2, 0, 1, 3]
 
 
 def test_rank_static_rejects(tmp_path):
@@ -229,11 +280,11 @@ def test_walk_counts_overflow_on_worker_threads_raises_only_value_error():
 
 def test_resolve_ranking_specs():
     g = build(helpers.star_edges(4))
-    assert resolve_ranking(g, "id").rank.tolist() == [0, 1, 2, 3]
-    assert resolve_ranking(g, "kdeg", k=1).rank.tolist() == [3, 0, 1, 2]
+    assert resolve_ranking(g, "id").tolist() == [0, 1, 2, 3]
+    assert resolve_ranking(g, "kdeg", k=1).tolist() == [3, 0, 1, 2]
     kw = resolve_ranking(g, "kweight", k=1, weights=[10.0, 1.0, 1.0, 1.0])
-    assert kw.rank.tolist() == [0, 1, 2, 3]
-    passthrough = Ranking(np.array([1, 0, 2, 3]))
+    assert kw.tolist() == [0, 1, 2, 3]
+    passthrough = np.array([1, 0, 2, 3])
     assert resolve_ranking(g, passthrough) is passthrough
     with pytest.raises(ValueError):
         resolve_ranking(g, "kdeg")  # k missing
@@ -243,6 +294,6 @@ def test_resolve_ranking_specs():
 
 def test_resolve_ranking_random_seeded():
     g = build(helpers.cycle_edges(8))
-    a = resolve_ranking(g, "random", seed=11).rank
-    b = resolve_ranking(g, "random", seed=11).rank
+    a = resolve_ranking(g, "random", seed=11)
+    b = resolve_ranking(g, "random", seed=11)
     assert a.tolist() == b.tolist()

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 import kcoarsen.verify
 from kcoarsen import (
     CoarsenedGraph,
-    KMisResult,
-    Ranking,
     VerificationReport,
     build,
     coarsen_pipeline,
@@ -111,7 +109,7 @@ def test_edge_bounds_report_an_extra_coarse_edge_within_the_span_bounds():
     assert violations(check_edge_bounds(g, extra, k)) == [
         ("extra_coarse_edge", (a, b), 0.0, 1.0)]
     # every other check passes: the distance bounds still hold over all pairs
-    report = verify_reduction(g, extra, k, result=res)
+    report = verify_reduction(g, extra, k, selected=res.selected)
     assert [section for section, _ in report.all_violations()] == ["edge_bounds"]
 
 
@@ -319,7 +317,7 @@ def test_verify_makes_one_search_per_distance_question(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
-    assert verify_reduction(g, h, 2, result=res).passed
+    assert verify_reduction(g, h, 2, selected=res.selected).passed
     # edge bounds, distortion on g and on the coarse graph, then the radius;
     # a valid selection needs no search to name independence pairs
     assert depths == [6, None, None, 2]
@@ -383,21 +381,30 @@ def test_components_detect_cross_component_merge():
 def test_validity_accepts_real_result():
     g = build(helpers.path_edges(5))
     res = k_mis(g, 1, resolve_ranking(g, "id"))
-    assert check_kmis_validity(g, 1, res).passed
+    assert check_kmis_validity(g, 1, res.selected).passed
 
 
 def test_validity_flags_adjacent_selection():
     g = build(helpers.path_edges(5))
-    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1)
-    report = check_kmis_validity(g, 1, fake)
+    report = check_kmis_validity(g, 1, np.array([0, 1, 3]))
     kinds = [v.kind for v in report.violations]
     assert "independence" in kinds
 
 
+def test_validity_takes_the_selection_as_given():
+    """A list of ids works; a float selection that an int64 cast would
+    truncate to the valid [0, 2, 4] is refused by numpy's indexing."""
+    g = build(helpers.path_edges(5))
+    assert check_kmis_validity(g, 1, [0, 2, 4]).passed
+    assert verify_reduction(g, coarsen_pipeline(g, 1, ranking="id")[0], 1,
+                            selected=[0, 2, 4]).passed
+    with pytest.raises(IndexError):
+        check_kmis_validity(g, 1, np.array([0.4, 2.2, 4.9]))
+
+
 def test_validity_flags_uncovered_node():
     g = build(helpers.path_edges(7))
-    fake = KMisResult(selected=np.array([0]), rounds=1)
-    report = check_kmis_validity(g, 1, fake)
+    report = check_kmis_validity(g, 1, np.array([0]))
     kinds = [v.kind for v in report.violations]
     assert "maximality" in kinds
 
@@ -411,8 +418,7 @@ def test_validity_matches_bfs_oracle(data):
     selected = sorted(data.draw(st.sets(st.integers(0, n - 1))))
     k = data.draw(st.integers(1, 5))  # k >= n on the smallest graphs
     g = build(edges, n=n)
-    fake = KMisResult(selected=np.array(selected, dtype=np.int64), rounds=0)
-    report = check_kmis_validity(g, k, fake)
+    report = check_kmis_validity(g, k, np.array(selected, dtype=np.int64))
     got = [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
     assert got == helpers.validity_reference(n, edges, selected, k)
 
@@ -420,7 +426,7 @@ def test_validity_matches_bfs_oracle(data):
 def test_verify_reduction_green_path(small_corpus):
     for g, edges, n in small_corpus[:5]:
         h, _, res = coarsen_pipeline(g, 2, ranking="random", seed=n)
-        report = verify_reduction(g, h, 2, result=res)
+        report = verify_reduction(g, h, 2, selected=res.selected)
         assert report.passed
         assert report.all_violations() == []
 
@@ -435,7 +441,7 @@ def test_node_assigned_to_a_far_centroid_breaks_the_radius():
     assignment[2] = 0
     far = CoarsenedGraph.from_graph(h.graph, centroids=h.centroids,
                                     assignment=assignment)
-    report = verify_reduction(g, far, 1, result=res)
+    report = verify_reduction(g, far, 1, selected=res.selected)
     assert violations(report.distortion) == [("radius", (2, 0), math.inf, 1.0)]
     assert [section for section, _ in report.all_violations()] == ["distortion"]
 
@@ -445,11 +451,11 @@ def test_verify_reduction_reports_a_selection_other_than_the_centroids():
     # both are valid, so only the selection check can object
     g = build(helpers.path_edges(5))
     h, _, res = coarsen_pipeline(g, 2, ranking="id")
-    other = k_mis(g, 2, Ranking(np.arange(5)[::-1].copy()))
+    other = k_mis(g, 2, np.arange(5)[::-1].copy())
     assert res.selected.tolist() == [0, 3] and other.selected.tolist() == [1, 4]
-    assert check_kmis_validity(g, 2, other).passed
-    assert verify_reduction(g, h, 2, result=res).passed
-    report = verify_reduction(g, h, 2, result=other)
+    assert check_kmis_validity(g, 2, other.selected).passed
+    assert verify_reduction(g, h, 2, selected=res.selected).passed
+    report = verify_reduction(g, h, 2, selected=other.selected)
     assert [section for section, _ in report.all_violations()] == ["validity"] * 4
     assert violations(report.validity) == [
         ("selection", (0,), 0.0, 1.0), ("selection", (1,), 1.0, 0.0),
@@ -471,7 +477,7 @@ def test_a_broken_cluster_map_is_reported_once():
     assignment[2] = 1
     broken = CoarsenedGraph(keys=h.keys.copy(), weights=h.weights,
                             centroids=h.centroids, assignment=assignment)
-    report = verify_reduction(g, broken, 1, result=result)
+    report = verify_reduction(g, broken, 1, selected=result.selected)
     targets = [(section, v.nodes) for section, v in report.all_violations()
                if v.kind == "assignment_target"]
     assert targets == [("distortion", (2, 1))]
@@ -479,7 +485,7 @@ def test_a_broken_cluster_map_is_reported_once():
 
 def test_report_round_trip_lossless():
     g, h, res = coarsened_path(9, 2)
-    report = verify_reduction(g, h, 2, result=res)
+    report = verify_reduction(g, h, 2, selected=res.selected)
     text = report.to_text()
     back = VerificationReport.from_text(text)
     assert back.to_text() == text
@@ -489,10 +495,9 @@ def test_report_round_trip_lossless():
 
 def test_report_round_trip_with_violations():
     g = build(helpers.path_edges(5))
-    fake = KMisResult(selected=np.array([0, 1, 3]), rounds=1)
     h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 3]),
                                   assignment=np.array([0, 0, 0, 3, 3]))
-    report = verify_reduction(g, h, 1, result=fake)
+    report = verify_reduction(g, h, 1, selected=np.array([0, 1, 3]))
     assert not report.passed
     back = VerificationReport.from_text(report.to_text())
     assert back.to_text() == report.to_text()
@@ -558,7 +563,7 @@ def test_report_text_round_trip_property(report):
 
 def test_report_evidence_is_int64_rows():
     g, h, res = coarsened_path(9, 2)
-    report = verify_reduction(g, h, 2, result=res)
+    report = verify_reduction(g, h, 2, selected=res.selected)
     back = VerificationReport.from_text(report.to_text())
     for r in (report, back):
         assert r.edge_bounds.per_coarse_edge.dtype == np.int64
