@@ -28,7 +28,7 @@ from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
 from .ranking import resolve_ranking as _resolve_rank_spec
-from .verify import verify_reduction
+from .verify import DEFAULT_SAMPLE_PAIRS, verify_reduction
 
 __all__ = ["RunConfig", "main"]
 
@@ -50,7 +50,7 @@ class RunConfig:
     output: str | None = None
     seed: int = 0
     threads: int = 1
-    pairs: int | None = None
+    pairs: int | None = None  # verify's pair sample, drawn only with --evidence
     trials: int | None = None
     compare_greedy: bool = False
     weight_range: str | None = None
@@ -125,8 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="coarsen (or load artifacts) and check guarantees")
     _add_common(p)
     _add_coarsening(p)
-    p.add_argument("--pairs", type=_at_least(1), default=10_000,
-                   help="sampled node pairs for distance checks on large graphs")
+    p.add_argument("--evidence", action="store_true",
+                   help="also run the pair searches that the certificate "
+                        "implies, and print every coarse edge's span and "
+                        "the checked pairs' distances")
+    p.add_argument("--pairs", type=_at_least(1), default=None,
+                   help="with --evidence: sampled node pairs for distance "
+                        f"checks on large graphs (default {DEFAULT_SAMPLE_PAIRS:,})")
     p.add_argument("--artifacts", default=None,
                    help="verify a previously written output directory instead "
                         "of re-coarsening")
@@ -281,7 +286,11 @@ def _read_artifacts(artifacts: Path, g: Graph,
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig.from_args(args)
+    if args.pairs is not None and not args.evidence:
+        raise ValueError("--pairs applies only with --evidence")
+    pairs = args.pairs or DEFAULT_SAMPLE_PAIRS
+    # the config records a pair sample only when the run draws one
+    config = RunConfig.from_args(args, pairs=pairs if args.evidence else None)
     g, original_ids = load(args.input, format=args.format)
     selected = None
     if args.artifacts:
@@ -291,8 +300,8 @@ def cmd_verify(args) -> int:
         h, _, result = _rank_and_coarsen(g, config, args.k, args.seed, {})
         selected = result.selected
     report = verify_reduction(g, h, args.k, selected=selected,
-                              sample_pairs=args.pairs, seed=args.seed,
-                              edge_agg=args.edge_agg)
+                              sample_pairs=pairs, seed=args.seed,
+                              edge_agg=args.edge_agg, evidence=args.evidence)
     text = report.to_text()
     sys.stdout.write(f"# config: {config.to_json()}\n")
     sys.stdout.write(text)

@@ -677,10 +677,14 @@ def bfs(g: Graph, sources, targets, max_depth: int | None = None) -> np.ndarray:
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     dist = np.full(sources.size, g.n, dtype=np.int64)
-    distinct, slot = _distinct(sources)
+    _, slot = _distinct(sources)
     bit = np.uint64(1) << (slot % BFS_BATCH).astype(np.uint64)
-    for first in range(0, distinct.size, BFS_BATCH):
-        pending = np.flatnonzero(slot // BFS_BATCH == first // BFS_BATCH)
+    # each batch's pairs in pair order, by one stable sort on the batch
+    batch = slot // BFS_BATCH
+    by_batch = np.argsort(batch, kind="stable")
+    ends = np.cumsum(np.bincount(batch)).tolist()
+    for first, end in zip([0] + ends, ends):
+        pending = by_batch[first:end]
         start = np.zeros(g.n, dtype=np.uint64)
         start[sources[pending]] = bit[pending]
         levels = flood(g, start, "or", max_depth, neighbor_reduce)

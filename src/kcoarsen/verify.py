@@ -1,22 +1,38 @@
 """Structural checks for a coarsening: distances, components, validity.
 
 Every check collects violations as data instead of raising, so a report
-can show all witnesses at once.  The guarantees checked here:
+can show all witnesses at once.  The guarantees checked here, each with
+the check and violation kinds that enforce it; c maps a node to its
+centroid's coarse index:
 
+* (C) the coarse graph is the contraction of the input: two clusters
+  share a coarse edge exactly when an input edge crosses between them,
+  and a coarse weight is the `--edge-agg` fold of the crossing edges'
+  weights (`check_edge_bounds`: `missing_coarse_edge`,
+  `extra_coarse_edge`, `coarse_weight`);
+* (R) every node maps to a centroid and lies within k hops of it
+  (`check_distortion`: `assignment_target`, `radius`);
+* (V) a selection is k-independent (pairwise distance > k) and maximal
+  (every node within k hops of the set), and equals the centroids
+  (`check_kmis_validity`: `independence`, `maximality`;
+  `verify_reduction`: `selection`);
 * every coarse edge joins centroids whose hop distance in the original
-  graph lies in [k+1, 2k+1];
-* the coarse graph is the contraction of the input: two clusters share
-  a coarse edge exactly when an input edge crosses between them, and a
-  coarse weight is the `--edge-agg` fold of the crossing edges' weights;
-* for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v) and
-  d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, where c maps a node to
-  its centroid's coarse index;
-* every node maps to a centroid (else the distortion check alone
-  reports an `assignment_target`) and lies within k hops of it;
+  graph lies in [k+1, 2k+1]: at most 2k+1 by C and R, at least k+1 by V
+  (evidence: `check_edge_bounds`'s pair search, `edge_bound`);
+* for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v), by C, and
+  d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, by R and the spans
+  (evidence: `check_distortion`'s pair sample, `distortion_lower`,
+  `distortion_upper`);
 * coarsening preserves the number of connected components, mapping each
-  input component onto exactly one coarse component;
-* a selection is k-independent (pairwise distance > k) and maximal
-  (every node within k hops of the set), and equals the centroids.
+  input component onto exactly one coarse component, by R and C
+  (`check_components`: `component_count`, `component_split`).
+
+C, R and V are a certificate in the sense of certifying algorithms
+(McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 2011):
+they imply the other guarantees.  So `verify_reduction` checks them and
+the components by default, and runs the two pair searches, which record
+each coarse edge's span and the sampled pairs' distances, only with
+`evidence=True`.
 """
 
 from __future__ import annotations
@@ -104,13 +120,16 @@ class ValidityReport(_Checked):
 
 
 def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
-                      edge_agg: str = "sum") -> DistortionReport:
-    """Check k+1 <= d_G(a, b) <= 2k+1 for every coarse edge (a, b), and
-    that the coarse edges and their weights are the contraction of g.
+                      edge_agg: str = "sum", *,
+                      evidence: bool = True) -> DistortionReport:
+    """Check that the coarse edges and their weights are the contraction
+    of g and, with `evidence`, k+1 <= d_G(a, b) <= 2k+1 for every coarse
+    edge (a, b).
 
-    One depth-capped pair search covers every coarse edge, smaller
-    coarse index first in key order; distances beyond 2k+2 hops read as
-    the unreachable sentinel ``g.n`` and are reported as violations.
+    The evidence is one depth-capped pair search over every coarse edge,
+    smaller coarse index first in key order, recorded in
+    `per_coarse_edge`; distances beyond 2k+2 hops read as the
+    unreachable sentinel ``g.n`` and are reported as violations.
     Then each input edge between two clusters must find their coarse
     edge (a `missing_coarse_edge` per cluster pair that does not, its
     crossing input edges observed), and each coarse edge must be crossed
@@ -123,16 +142,17 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
     report = DistortionReport()
-    lower, upper = k + 1, 2 * k + 1
-    ci, cj, _ = h.edge_list()
-    a, b = h.centroids[ci], h.centroids[cj]
-    d = bfs(g, a, b, max_depth=upper + 1)
-    report.per_coarse_edge = np.stack([a, b, d], axis=1)
-    for i in np.flatnonzero((d == g.n) | (d < lower) | (d > upper)).tolist():
-        observed = float("inf") if d[i] == g.n else float(d[i])
-        report.violations.append(Violation(
-            kind="edge_bound", nodes=(int(a[i]), int(b[i])),
-            observed=observed, bound=float(upper)))
+    if evidence:
+        lower, upper = k + 1, 2 * k + 1
+        ci, cj, _ = h.edge_list()
+        a, b = h.centroids[ci], h.centroids[cj]
+        d = bfs(g, a, b, max_depth=upper + 1)
+        report.per_coarse_edge = np.stack([a, b, d], axis=1)
+        for i in np.flatnonzero((d == g.n) | (d < lower) | (d > upper)).tolist():
+            observed = float("inf") if d[i] == g.n else float(d[i])
+            report.violations.append(Violation(
+                kind="edge_bound", nodes=(int(a[i]), int(b[i])),
+                observed=observed, bound=float(upper)))
     coarse_of = _coarse_of(h, [])
     if coarse_of is not None:
         _check_contraction(g, h, coarse_of, edge_agg, report)
@@ -224,31 +244,54 @@ def _draws(seed: int, count: int, n: int) -> np.ndarray:
 
 def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                     seed: int = 0) -> DistortionReport:
-    """Check the two-sided distance bounds over node pairs.
+                     seed: int = 0, *, evidence: bool = True) -> DistortionReport:
+    """Check that every node maps to a centroid within k hops and, with
+    `evidence`, the two-sided distance bounds over node pairs.
 
-    With `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
+    A broken assignment ends the check at its `assignment_target`s.
+    One depth-k pair search from each node's centroid to the node checks
+    the radius, d_G(u, c(u)) <= k, for every node.  The evidence pairs:
+    with `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
     are checked over all pairs; larger graphs sample about `sample_pairs`
     pairs: floor(sqrt(sample_pairs)) targets for each of
     sample_pairs // that many sources.  The draws come from the SplitMix64
     stream of `seed` (any int >= 0; it is taken mod 2**64): the sources
     first, then the targets source by source, each reduced mod n.
-    Explicit pairs are taken grouped by source.  A broken assignment
-    ends the check at its `assignment_target`s.  One pair search on each
+    Explicit pairs are taken grouped by source.  One pair search on each
     graph answers them all.  Pairs in different components of g are
     skipped (both sides are infinite).  `per_pair_sample` records at most
     MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
-    full.  One depth-k pair search from each node's centroid to the node
-    checks the radius, d_G(u, c(u)) <= k, for every node.  Raises
-    ValueError for `sample_pairs` below 1, a negative `seed`, a row that
-    is not a (u, v) pair or a pair with a node outside 0..n-1.
+    full.  Raises ValueError for `sample_pairs` below 1, a negative
+    `seed`, `pairs` without `evidence`, a row that is not a (u, v) pair
+    or a pair with a node outside 0..n-1.
     """
     if sample_pairs < 1:
         raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
+    if pairs is not None and not evidence:
+        raise ValueError("pairs are checked only with evidence")
     report = DistortionReport()
     n = g.n
+    sample = _pair_sample(n, pairs, sample_pairs, seed) if evidence else None
+    assignment = h.assignment
+    coarse_of = _coarse_of(h, report.violations)
+    if coarse_of is None:
+        return report
+    if sample is not None:
+        _check_pairs(g, h.graph, k, coarse_of, *sample, report)
+    # both bounds rest on every node lying within k hops of its centroid
+    radius = bfs(g, assignment, np.arange(n), max_depth=k)
+    for u in np.flatnonzero(radius == n).tolist():
+        report.violations.append(Violation(
+            kind="radius", nodes=(u, int(assignment[u])),
+            observed=float("inf"), bound=float(k)))
+    return report
+
+
+def _pair_sample(n: int, pairs, sample_pairs: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, targets) of `check_distortion`'s evidence pairs."""
     if pairs is not None:
         pair_arr = np.asarray(list(pairs), dtype=np.int64)
         if pair_arr.shape[1:] != (2,) and pair_arr.shape != (0,):
@@ -257,19 +300,21 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
         for u, v in pair_arr[((pair_arr < 0) | (pair_arr >= n)).any(axis=1)]:
             raise ValueError(f"pair ({u}, {v}) has a node outside 0..{n - 1}")
         src, dst = pair_arr[np.argsort(pair_arr[:, 0], kind="stable")].T
-    elif n <= EXHAUSTIVE_PAIR_LIMIT:
-        src, dst = np.triu_indices(n, 1)
-    else:
-        group = max(1, math.isqrt(sample_pairs))
-        n_sources = max(1, sample_pairs // group)
-        draws = _draws(seed, n_sources * (group + 1), n)
-        src = np.repeat(draws[:n_sources], group)
-        dst = draws[n_sources:]
-    assignment = h.assignment
-    coarse_of = _coarse_of(h, report.violations)
-    if coarse_of is None:
-        return report
-    hg = h.graph
+        return src, dst
+    if n <= EXHAUSTIVE_PAIR_LIMIT:
+        return np.triu_indices(n, 1)
+    group = max(1, math.isqrt(sample_pairs))
+    n_sources = max(1, sample_pairs // group)
+    draws = _draws(seed, n_sources * (group + 1), n)
+    return np.repeat(draws[:n_sources], group), draws[n_sources:]
+
+
+def _check_pairs(g: Graph, hg: Graph, k: int, coarse_of: np.ndarray,
+                 src: np.ndarray, dst: np.ndarray,
+                 report: DistortionReport) -> None:
+    """Record the pairs (src[i], dst[i]) and their distance-bound
+    violations: one pair search on g, one on the coarse graph hg."""
+    n = g.n
     src, dst = src[src != dst], dst[src != dst]
     dg = bfs(g, src, dst)
     src, dst, dg = src[dg < n], dst[dg < n], dg[dg < n]
@@ -292,13 +337,6 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
             report.violations.append(Violation(
                 kind="distortion_upper", nodes=(u, v),
                 observed=float(dg[i]), bound=float(limit[i])))
-    # both bounds rest on every node lying within k hops of its centroid
-    radius = bfs(g, assignment, np.arange(n), max_depth=k)
-    for u in np.flatnonzero(radius == n).tolist():
-        report.violations.append(Violation(
-            kind="radius", nodes=(u, int(assignment[u])),
-            observed=float("inf"), bound=float(k)))
-    return report
 
 
 def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
@@ -452,9 +490,15 @@ def _int_rows(lines: list[str], width: int) -> np.ndarray:
 
 def verify_reduction(g: Graph, h: CoarsenedGraph, k: int, selected=None,
                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                     seed: int = 0, edge_agg: str = "sum") -> VerificationReport:
+                     seed: int = 0, edge_agg: str = "sum", *,
+                     evidence: bool = False) -> VerificationReport:
     """Run all four checks against one coarsening.
 
+    By default they check the certificate (contraction, radius and
+    validity) and the components, which imply the distance bounds; with
+    `evidence` the edge-bound and distortion checks also run their pair
+    searches, recording `per_coarse_edge` and `per_pair_sample`
+    (`sample_pairs` and `seed` shape the latter).
     `selected`, the node ids of a selection, defaults to the centroids of
     h; given ids must equal them (a `selection` violation per node in one
     set only, observed 1.0 when selected, bound 1.0 when a centroid).
@@ -465,9 +509,9 @@ def verify_reduction(g: Graph, h: CoarsenedGraph, k: int, selected=None,
         selected = h.centroids
     report = VerificationReport(
         k=k,
-        edge_bounds=check_edge_bounds(g, h, k, edge_agg),
+        edge_bounds=check_edge_bounds(g, h, k, edge_agg, evidence=evidence),
         distortion=check_distortion(g, h, k, sample_pairs=sample_pairs,
-                                    seed=seed),
+                                    seed=seed, evidence=evidence),
         components=check_components(g, h),
         validity=check_kmis_validity(g, k, selected),
     )

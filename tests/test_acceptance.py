@@ -231,20 +231,25 @@ def test_criterion_4_weight_bounds():
 
 
 def test_criterion_5_distortion_and_components(corpus, fixture_graphs):
-    """Edge spans, pair distortion, and component counts all within bounds."""
+    """Edge spans, pair distortion, and component counts all within bounds,
+    and the certificate alone reaches the same verdict."""
     instances = list(corpus) + list(fixture_graphs.values())
-    violations = runs = 0
+    violations = runs = disagreements = 0
     for gi, (g, edges, n) in enumerate(instances):
         for k in (1, 2):
             h, _, res = coarsen_pipeline(g, k, ranking="random", seed=gi)
-            report = verify_reduction(g, h, k, selected=res.selected)
+            report = verify_reduction(g, h, k, selected=res.selected,
+                                      evidence=True)
+            certified = verify_reduction(g, h, k, selected=res.selected)
             runs += 1
             violations += len(report.all_violations())
-    ok = violations == 0
+            disagreements += certified.passed != report.passed
+    ok = violations == 0 and disagreements == 0
     verdict(
         "criterion 5 (distortion + components)", ok,
         f"{runs} verified reductions, {violations} violations "
-        f"(pairs exhaustive at these sizes)",
+        f"(pairs exhaustive at these sizes), {disagreements} certificate "
+        f"verdicts that differ",
     )
     assert ok
 

@@ -15,7 +15,7 @@ import pytest
 import kcoarsen.cli
 import kcoarsen.coarsen
 import kcoarsen.graph
-from kcoarsen import build, coarsen_pipeline, load
+from kcoarsen import VerificationReport, build, coarsen_pipeline, load
 from kcoarsen.cli import (RunConfig, _id_columns, _read_artifacts,
                           _write_coarsen_artifacts, main)
 
@@ -392,6 +392,86 @@ def test_verify_leaves_unweighted_coarse_edges_unchecked(tmp_path):
     assert run(["verify", "-i", inp, "-k", "1", "--artifacts", out]) == 0
 
 
+PATH12 = helpers.path_edges(12)
+TWO_PATH5 = helpers.path_edges(5) + [(u + 5, v + 5) for u, v in helpers.path_edges(5)]
+PATH12_CLUSTERS = [0, 0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10]
+
+
+def _scale_a_weight(keys, weights, nc):
+    weights = weights.copy()
+    weights[2] *= 2
+    return keys, weights
+
+
+def _drop_an_edge(keys, weights, nc):
+    return np.delete(keys, 2), np.delete(weights, 2)
+
+
+def _join_the_ends(keys, weights, nc):
+    return np.append(keys, nc - 1), np.append(weights, 1.0)
+
+
+def _bridge_the_components(keys, weights, nc):
+    # coarse nodes 2 and 3, the clusters of 4 and 5, lie in different
+    # input components
+    at = np.searchsorted(keys, 2 * nc + 3)
+    return np.insert(keys, at, 2 * nc + 3), np.insert(weights, at, 1.0)
+
+
+# guarantee -> (input edges, assignment, coarse-key edit, the violation
+# kinds of the default run, the kinds that --evidence adds): every
+# guarantee in the verify module's docstring, broken at k = 1 in
+# artifacts that `reduce` contracts from the assignment and the edit
+# then alters
+BROKEN_GUARANTEES = {
+    "contraction": (PATH12, PATH12_CLUSTERS, _scale_a_weight,
+                    {"coarse_weight"}, set()),
+    # nodes 2, 5, 8 and 11 lie two hops from their centroids
+    "radius": (PATH12, [0, 0, 0, 4, 4, 4, 7, 7, 7, 10, 10, 10], None,
+               {"radius", "maximality"}, {"edge_bound"}),
+    # centroids 0, 1 and 2 are adjacent
+    "validity": (PATH12, [0, 1, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10], None,
+                 {"independence"}, {"edge_bound"}),
+    "edge_spans": (PATH12, PATH12_CLUSTERS, _join_the_ends,
+                   {"extra_coarse_edge"}, {"edge_bound", "distortion_upper"}),
+    "pair_distances": (PATH12, PATH12_CLUSTERS, _drop_an_edge,
+                       {"missing_coarse_edge", "component_count",
+                        "component_split"}, {"distortion_lower"}),
+    "components": (TWO_PATH5, [0, 0, 2, 2, 4, 5, 5, 7, 7, 9],
+                   _bridge_the_components,
+                   {"extra_coarse_edge", "component_count"}, {"edge_bound"}),
+}
+
+
+@pytest.mark.parametrize("guarantee", sorted(BROKEN_GUARANTEES))
+def test_each_broken_guarantee_fails_the_default_verify(tmp_path, capsys,
+                                                        guarantee):
+    """Fabricated artifacts that break one guarantee make the default run
+    (the certificate) exit 1; --evidence finds the same violations and
+    those of its pair searches."""
+    edges, assignment, edit, kinds, added = BROKEN_GUARANTEES[guarantee]
+    n = 1 + max(max(e) for e in edges)
+    h = kcoarsen.coarsen.reduce(build(edges, n=n), np.array(assignment))
+    keys, weights = h.keys, h.weights
+    if edit is not None:
+        keys, weights = edit(keys, weights, h.centroids.size)
+    fabricated = kcoarsen.coarsen.CoarsenedGraph(
+        keys=keys, weights=weights, centroids=h.centroids, assignment=h.assignment)
+    out = tmp_path / "run"
+    _write_coarsen_artifacts(out, RunConfig(command="coarsen", input="in",
+                                            format="edgelist"),
+                             np.arange(n), fabricated)
+    inp = tmp_path / "in.edgelist"
+    inp.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    found = []
+    for flags in ([], ["--evidence"]):
+        capsys.readouterr()
+        assert run(["verify", "-i", inp, "-k", 1, "--artifacts", out, *flags]) == 1
+        report = VerificationReport.from_text(capsys.readouterr().out.split("\n", 1)[1])
+        found.append({v.kind for _, v in report.all_violations()})
+    assert found == [kinds, kinds | added]
+
+
 def test_artifact_rows_read_back_in_any_order_and_orientation(tmp_path, capsys):
     """Shuffled coarse.edgelist rows, some reversed and those of weight 1.0
     without a weight column, read back as the pipeline's keys and
@@ -447,8 +527,8 @@ def test_each_command_writes_its_arguments_as_its_config(tmp_path, monkeypatch,
         '"weight_range": null}\n')
     capsys.readouterr()
     assert run(["verify", "-i", "g.edgelist", "-k", 1, "--rank", "kdeg",
-                "--edge-agg", "max", "--pairs", 50, "--seed", 2, "--threads", 1,
-                "--artifacts", "out", "-o", "rep"]) == 0
+                "--edge-agg", "max", "--evidence", "--pairs", 50, "--seed", 2,
+                "--threads", 1, "--artifacts", "out", "-o", "rep"]) == 0
     line = (
         '# config: {"artifacts": "out", "command": "verify", "compare_greedy": '
         'false, "edge_agg": "max", "format": "edgelist", "input": "g.edgelist", '
@@ -589,10 +669,36 @@ def test_out_of_range_pairs_and_seed_are_usage_errors(tmp_path, capsys, command,
 
 def test_smallest_pairs_and_seed_are_accepted(tmp_path, capsys):
     inp = write_path5(tmp_path)
-    assert run(["verify", "-i", inp, "-k", "1", "--pairs", "1", "--seed", "0"]) == 0
+    assert run(["verify", "-i", inp, "-k", "1", "--evidence", "--pairs", "1",
+                "--seed", "0"]) == 0
     assert '"pairs": 1' in capsys.readouterr().out
     assert run(["verify", "-i", inp, "-k", "1", "--seed", 2**64]) == 0
     assert f'"seed": {2**64}' in capsys.readouterr().out
+
+
+def test_pairs_without_evidence_is_a_usage_error(tmp_path, capsys):
+    inp = write_path5(tmp_path)
+    assert run(["verify", "-i", inp, "-k", "1", "--pairs", "50",
+                "-o", tmp_path / "x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --pairs applies only with --evidence\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_verify_prints_the_evidence_tables_only_with_evidence(tmp_path, capsys):
+    """The default run checks the certificate and prints every section
+    with empty span and pair tables; --evidence fills them."""
+    inp = write_path5(tmp_path)
+    assert run(["verify", "-i", inp, "-k", "1", "--rank", "id"]) == 0
+    config, report = capsys.readouterr().out.split("\n", 1)
+    assert '"pairs": null' in config
+    assert report == ("[meta]\nk,1\nstatus,pass\n[edge_bounds]\n[pairs]\n"
+                      "[components]\n1,1\n[validity]\nselected,3\n[violations]\n")
+    assert run(["verify", "-i", inp, "-k", "1", "--rank", "id", "--evidence"]) == 0
+    config, report = capsys.readouterr().out.split("\n", 1)
+    assert '"pairs": 10000' in config
+    assert report.startswith("[meta]\nk,1\nstatus,pass\n[edge_bounds]\n0,2,2\n"
+                             "2,4,2\n[pairs]\n0,1,1,0\n")
 
 
 def write_path600(tmp_path):
@@ -605,7 +711,7 @@ def write_path600(tmp_path):
 def test_sampled_verify_leaves_numpy_random_unloaded(tmp_path):
     # pytest's own process already holds numpy.random, so a child runs verify
     argv = ["verify", "-i", str(write_path600(tmp_path)), "-k", "1",
-            "--rank", "kdeg", "--seed", str(2**64)]
+            "--rank", "kdeg", "--evidence", "--seed", str(2**64)]
     code = ("import sys; from kcoarsen.cli import main; "
             f"code = main({argv!r}); "
             "print('numpy.random' in sys.modules, code, file=sys.stderr)")
@@ -626,7 +732,7 @@ def test_sample_larger_than_memory_is_an_error_not_a_failed_check(tmp_path, caps
     if not overcommit.exists() or overcommit.read_text().strip() not in ("0", "2"):
         pytest.skip("only a Linux kernel that refuses 8 TB is known to be safe")
     inp = write_path600(tmp_path)
-    assert run(["verify", "-i", inp, "-k", "1", "--rank", "kdeg",
+    assert run(["verify", "-i", inp, "-k", "1", "--rank", "kdeg", "--evidence",
                 "--pairs", 10**12]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and "Traceback" not in err

@@ -7,7 +7,8 @@ at seed 0 with the benchmark's generator, coarsens them with the
 benchmark's flags and compares digests, so a change to the artifact
 bytes fails here and not only in a benchmark run.  Full ``uniform``'s
 184k coarse edges span three write blocks.  It also pins the
-stdout of ``kcoarsen verify --artifacts`` on the same runs, and the
+stdout of ``kcoarsen verify --artifacts``, with and without
+``--evidence``, on the same runs, and the
 artifacts of a weighted graph built here under every --edge-agg.  It
 writes nothing under perfbench/.
 """
@@ -50,17 +51,25 @@ def test_coarsen_artifacts_match_reference_digest(tmp_path, monkeypatch, name):
     assert run.artifact_digest(out) == reference["artifacts_sha256"]
 
 
-# SHA-256 of `kcoarsen verify --artifacts` stdout without its `# config:`
-# line, for the benchmark's flags on the seed-0 inputs.
+# SHA-256 of `kcoarsen verify --artifacts --evidence` stdout without its
+# `# config:` line, for the benchmark's flags on the seed-0 inputs.
 VERIFY_STDOUT_SHA256 = {
     "mesh": "6de9ef8a01029dccd5561ee87bbf2e602dc9b5c57c033ad65051a8f28cbe4cac",
     "social": "407bc0081f1ab946cf67e9227aaa024a4de458f2c4f9bfa3d49d5ddb4c4c64d9",
     "uniform_small": "dc08d7231fffc2f525ba4dbeb7d1c4dc16b303e1591fb9a11df414abccb15a65",
 }
+# The same without --evidence: the certificate run, its span and pair
+# tables empty.
+CERTIFICATE_STDOUT_SHA256 = {
+    "mesh": "35c801b0ddb2131c14889104001d130748a5ec9b44b7e18e4193ddf0a5dd1826",
+    "social": "65d527340d83eecc265b41d0419422d2c9f135eac3abeee5104333a459c6be27",
+    "uniform_small": "2600d91c5e0c5602e41c0d30a00585fad380d9c33aaf93a6f971c04b2024c067",
+}
 
 
-@pytest.mark.parametrize("name", sorted(VERIFY_STDOUT_SHA256))
-def test_verify_stdout_matches_reference_digest(tmp_path, monkeypatch, capsys, name):
+def verify_stdout_digest(tmp_path, monkeypatch, capsys, name, *flags):
+    """SHA-256 of the benchmark's verify stdout on the seed-0 input `name`,
+    its `# config:` line dropped, with `flags` added."""
     generate = load_perfbench("generate", monkeypatch)
     run = load_perfbench("run", monkeypatch)
     graph = tmp_path / f"{name}.edgelist"
@@ -68,10 +77,23 @@ def test_verify_stdout_matches_reference_digest(tmp_path, monkeypatch, capsys, n
     out = tmp_path / "out"
     assert main(run.coarsen_argv(graph, out)) == 0
     capsys.readouterr()
-    assert main(run.verify_argv(graph, out)) == 0
+    assert main([*run.verify_argv(graph, out), *flags]) == 0
     lines = capsys.readouterr().out.splitlines(keepends=True)
     report = "".join(line for line in lines if not line.startswith("# config:"))
-    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_STDOUT_SHA256[name]
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_matches_reference_digest(tmp_path, monkeypatch, capsys, name):
+    assert verify_stdout_digest(tmp_path, monkeypatch, capsys, name,
+                                "--evidence") == VERIFY_STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_STDOUT_SHA256))
+def test_certificate_stdout_matches_reference_digest(tmp_path, monkeypatch,
+                                                     capsys, name):
+    assert verify_stdout_digest(tmp_path, monkeypatch, capsys, name) \
+        == CERTIFICATE_STDOUT_SHA256[name]
 
 
 def write_weighted_graph(path):

@@ -317,10 +317,100 @@ def test_verify_makes_one_search_per_distance_question(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
-    assert verify_reduction(g, h, 2, selected=res.selected).passed
+    assert verify_reduction(g, h, 2, selected=res.selected, evidence=True).passed
     # edge bounds, distortion on g and on the coarse graph, then the radius;
     # a valid selection needs no search to name independence pairs
     assert depths == [6, None, None, 2]
+
+
+def test_certificate_makes_the_radius_search_alone(monkeypatch):
+    g = build(helpers.grid_edges(30, 30))
+    h, _, res = coarsen_pipeline(g, 2, ranking="kdeg")
+    depths = []
+    real = kcoarsen.verify.bfs
+
+    def counted(*args, **kwargs):
+        depths.append(kwargs.get("max_depth"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
+    report = verify_reduction(g, h, 2, selected=res.selected)
+    assert report.passed
+    assert depths == [2]
+    assert report.edge_bounds.per_coarse_edge.shape == (0, 3)
+    assert report.distortion.per_pair_sample.shape == (0, 4)
+
+
+# the violation kinds that only the pair searches of evidence=True find
+EVIDENCE_KINDS = {"edge_bound", "distortion_lower", "distortion_upper"}
+
+
+def component_count(adj):
+    """Connected components of a dict-of-sets adjacency, by BFS."""
+    seen, count = set(), 0
+    for v in adj:
+        if v not in seen:
+            seen |= set(helpers.bfs_dists(adj, v))
+            count += 1
+    return count
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_certificate_verdict_matches_the_evidence_and_the_oracles(data):
+    """On a coarsening of a small graph, unedited or with one assignment
+    target moved or one coarse edge dropped or added: the default run
+    reaches the evidence run's verdict, its violations are the evidence
+    run's without the pair-search kinds, and a pass means the BFS oracles
+    find every span, pair and component count within its bound."""
+    n = data.draw(st.integers(1, 12))
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+    k = data.draw(st.sampled_from([0, 1, 2]))
+    g = build(edges, n=n)
+    rank = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    h, assignment, res = coarsen_pipeline(g, k, ranking=rank)
+    keys = h.keys
+    weights = np.ones(keys.size) if h.weights is None else h.weights
+    assignment = assignment.copy()
+    nc = h.centroids.size
+    edit = data.draw(st.sampled_from(["none", "move", "drop", "add"]))
+    if edit == "move" and n > 1:
+        u = data.draw(st.integers(0, n - 1))
+        assignment[u] = data.draw(st.sampled_from(
+            [v for v in range(n) if v != assignment[u]]))
+    elif edit == "drop" and keys.size:
+        at = data.draw(st.integers(0, keys.size - 1))
+        keys, weights = np.delete(keys, at), np.delete(weights, at)
+    elif edit == "add":
+        fresh = [i * nc + j for i in range(nc) for j in range(i + 1, nc)
+                 if i * nc + j not in set(keys.tolist())]
+        if fresh:
+            key = data.draw(st.sampled_from(fresh))
+            at = np.searchsorted(keys, key)
+            keys, weights = np.insert(keys, at, key), np.insert(weights, at, 1.0)
+    h = CoarsenedGraph(keys=keys, weights=weights, centroids=h.centroids,
+                       assignment=assignment)
+
+    certified = verify_reduction(g, h, k, selected=res.selected)
+    full = verify_reduction(g, h, k, selected=res.selected, evidence=True)
+    assert certified.passed == full.passed
+    # by repr: an assignment_target's bound is nan
+    assert [repr(pair) for pair in certified.all_violations()] == [
+        repr((section, v)) for section, v in full.all_violations()
+        if v.kind not in EVIDENCE_KINDS]
+    if not certified.passed:
+        return
+    adj = helpers.adjacency(n, list(zip(*(a.tolist() for a in g.edge_list()[:2]))))
+    coarse_adj = helpers.adjacency(nc, [divmod(key, nc) for key in keys.tolist()])
+    _, spans = helpers.edge_bounds_reference(adj, h.centroids.tolist(),
+                                             coarse_adj, k)
+    assert spans == []
+    coarse_of = np.searchsorted(h.centroids, assignment).tolist()
+    _, far = helpers.distortion_reference(adj, coarse_adj, coarse_of, k,
+                                          helpers.pair_work(n))
+    assert far == []
+    assert component_count(adj) == component_count(coarse_adj)
 
 
 def test_distortion_flags_merged_far_pair():
@@ -563,7 +653,7 @@ def test_report_text_round_trip_property(report):
 
 def test_report_evidence_is_int64_rows():
     g, h, res = coarsened_path(9, 2)
-    report = verify_reduction(g, h, 2, selected=res.selected)
+    report = verify_reduction(g, h, 2, selected=res.selected, evidence=True)
     back = VerificationReport.from_text(report.to_text())
     for r in (report, back):
         assert r.edge_bounds.per_coarse_edge.dtype == np.int64
