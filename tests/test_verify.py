@@ -306,36 +306,32 @@ def test_sampled_distortion_takes_seeds_mod_2_64_and_rejects_negative_ones():
         check_distortion(g, h, 1, seed=-1)
 
 
-def test_verify_makes_one_search_per_distance_question(monkeypatch):
+def searched_depths(monkeypatch, **kwargs):
+    """The max_depth of each pair search that verify_reduction makes on a
+    valid k = 2 coarsening of the 30x30 grid, and its report."""
     g = build(helpers.grid_edges(30, 30))
     h, _, res = coarsen_pipeline(g, 2, ranking="kdeg")
     depths = []
     real = kcoarsen.verify.bfs
 
-    def counted(*args, **kwargs):
-        depths.append(kwargs.get("max_depth"))
-        return real(*args, **kwargs)
+    def counted(*args, **kw):
+        depths.append(kw.get("max_depth"))
+        return real(*args, **kw)
 
     monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
-    assert verify_reduction(g, h, 2, selected=res.selected, evidence=True).passed
+    report = verify_reduction(g, h, 2, selected=res.selected, **kwargs)
+    assert report.passed
+    return depths, report
+
+
+def test_verify_makes_one_search_per_distance_question(monkeypatch):
     # edge bounds, distortion on g and on the coarse graph, then the radius;
     # a valid selection needs no search to name independence pairs
-    assert depths == [6, None, None, 2]
+    assert searched_depths(monkeypatch, evidence=True)[0] == [6, None, None, 2]
 
 
 def test_certificate_makes_the_radius_search_alone(monkeypatch):
-    g = build(helpers.grid_edges(30, 30))
-    h, _, res = coarsen_pipeline(g, 2, ranking="kdeg")
-    depths = []
-    real = kcoarsen.verify.bfs
-
-    def counted(*args, **kwargs):
-        depths.append(kwargs.get("max_depth"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(kcoarsen.verify, "bfs", counted)
-    report = verify_reduction(g, h, 2, selected=res.selected)
-    assert report.passed
+    depths, report = searched_depths(monkeypatch)
     assert depths == [2]
     assert report.edge_bounds.per_coarse_edge.shape == (0, 3)
     assert report.distortion.per_pair_sample.shape == (0, 4)
@@ -383,8 +379,9 @@ def test_certificate_verdict_matches_the_evidence_and_the_oracles(data):
         at = data.draw(st.integers(0, keys.size - 1))
         keys, weights = np.delete(keys, at), np.delete(weights, at)
     elif edit == "add":
+        taken = set(keys.tolist())
         fresh = [i * nc + j for i in range(nc) for j in range(i + 1, nc)
-                 if i * nc + j not in set(keys.tolist())]
+                 if i * nc + j not in taken]
         if fresh:
             key = data.draw(st.sampled_from(fresh))
             at = np.searchsorted(keys, key)
