@@ -27,7 +27,7 @@ from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
                     _fast_edgelist, _fold, _id_pair)
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
-from .ranking import resolve_ranking as _resolve_rank_spec
+from .ranking import check_spec, resolve_ranking as _resolve_rank_spec
 from .verify import DEFAULT_SAMPLE_PAIRS, verify_reduction
 
 __all__ = ["RunConfig", "main"]
@@ -407,6 +407,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        check_spec(args.rank)  # before any input is read
         return args.func(args)
     except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -87,6 +87,18 @@ class CoarsenedGraph:
         """The coarse CSR, assembled from `keys` and `weights` once."""
         return _assemble(self.keys.copy(), self.weights, self.centroids.size)
 
+    @cached_property
+    def _cluster_of(self) -> np.ndarray:
+        """Each node's coarse index, its target's index in `centroids`, or
+        -1 for a target that is not a centroid: verify's cluster map,
+        computed once and read-only."""
+        at = np.searchsorted(self.centroids, self.assignment)
+        known = at < self.centroids.size
+        known[known] = self.centroids[at[known]] == self.assignment[known]
+        at[~known] = -1
+        at.setflags(write=False)
+        return at
+
 
 def _crossing_keys(g: Graph, cluster_of: np.ndarray, nc: int
                    ) -> tuple[np.ndarray, np.ndarray | None]:

@@ -10,6 +10,7 @@ encoder and `_fold` their one fold; `_distinct` is internal.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -298,19 +299,21 @@ def build(edges, n: int | None = None) -> Graph:
     return _build_arrays(ends[:, 0], ends[:, 1], w, n)
 
 
-def data_lines(fh):
-    """Yield (lineno, stripped line), skipping blanks and '#'/'%' comments."""
-    for lineno, raw in enumerate(fh, start=1):
+def data_lines(fh, start: int = 1):
+    """Yield (lineno, stripped line), the lines numbered from `start`,
+    skipping blanks and '#'/'%' comments."""
+    for lineno, raw in enumerate(fh, start=start):
         line = raw.strip()
         if line and line[0] not in "#%":
             yield lineno, line
 
 
-def _fast_edgelist(path):
+def _fast_edgelist(path, skip: int = 0):
     """An edgelist's (ends, weights) from numpy's C text loader, or None;
     a two-column file's ends are a view of the loader's rows.
 
-    Skips the blank and '#'/'%' lines before the first data line, then
+    Skips the first `skip` lines, and the blank and '#'/'%' lines before
+    the first data line after them, then
     takes rows that all hold that line's column count: two integer ids,
     or those and a weight.  Whatever the loader refuses (a bad token, an
     id beyond int64, mixed column counts, a later comment, a warning),
@@ -321,8 +324,8 @@ def _fast_edgelist(path):
     # loop, also ends lines at '\r', so a skipped line with a '\r' inside
     # may hide a data line: the line loop reads that file.
     with open(path, "rb") as fh:
-        for skip, line in enumerate(fh):
-            if line.strip() and not line.startswith((b"#", b"%")):
+        for at, line in enumerate(fh):
+            if at >= skip and line.strip() and not line.startswith((b"#", b"%")):
                 break
             if b"\r" in line.rstrip(b"\r\n"):
                 return None
@@ -336,7 +339,7 @@ def _fast_edgelist(path):
             # say, "input contained no data" when the data line is blank
             # to str.split, or numpy 1.x's warning as it reads '1.0' as 1
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8",
+            rows = np.loadtxt(path, comments=None, skiprows=at, encoding="utf-8",
                               ndmin=1, dtype=[("u", np.int64), ("v", np.int64),
                                               ("w", np.float64)][:cols])
     except (ValueError, Warning):
@@ -349,10 +352,12 @@ def _fast_edgelist(path):
     return None
 
 
-def _edge_table(path):
-    """(ends, weights) of an edgelist: the fast path, else the line loop."""
-    parsed = _fast_edgelist(path)
-    return parsed if parsed is not None else _line_edgelist(path)
+def _edge_table(path, skip: int = 0, fill: float = 1.0):
+    """(ends, weights) of an edgelist after its first `skip` lines: the
+    fast path, else the line loop, which gives a row without a weight
+    `fill` when others have one."""
+    parsed = _fast_edgelist(path, skip)
+    return parsed if parsed is not None else _line_edgelist(path, skip, fill)
 
 
 def _parse_edgelist(path: Path):
@@ -401,12 +406,13 @@ def _id_pair(path, lineno: int, line: str) -> tuple[int, int]:
     return u, v
 
 
-def _line_edgelist(path: Path):
-    """The line loop: (ends, weights) of any edgelist, or GraphFormatError."""
+def _line_edgelist(path: Path, skip: int = 0, fill: float = 1.0):
+    """The line loop: (ends, weights) of any edgelist after its first
+    `skip` lines, or GraphFormatError."""
     us, vs, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in data_lines(fh):
+        for lineno, line in data_lines(itertools.islice(fh, skip, None), skip + 1):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise GraphFormatError(path, lineno,
@@ -426,18 +432,22 @@ def _line_edgelist(path: Path):
             us.append(u)
             vs.append(v)
             ws.append(w)
-    w = np.array([1.0 if x is None else x for x in ws]) if any_weight else None
+    w = np.array([fill if x is None else x for x in ws]) if any_weight else None
     return np.array([us, vs], dtype=np.int64).T, w
 
 
 def _parse_matrix_market(path: Path):
+    """A coordinate file's graph and ids 1..n: the header and size line
+    here, the entries by `_edge_table` after them (NaN for a missing
+    value), checked as arrays and folded by `_fold`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].lower().startswith("%%matrixmarket"):
+        head = fh.readline()
+        skip, line = next(data_lines(fh, start=2), (1, None))  # the size line
+    if not head.lower().startswith("%%matrixmarket"):
         raise GraphFormatError(path, 1, "missing %%MatrixMarket header")
-    header = lines[0].split()
+    header = head.split()
     if len(header) != 5:
-        raise GraphFormatError(path, 1, f"malformed header: {lines[0].strip()!r}")
+        raise GraphFormatError(path, 1, f"malformed header: {head.strip()!r}")
     _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
     if obj != "matrix" or fmt != "coordinate":
         raise GraphFormatError(path, 1, "only coordinate matrices are supported")
@@ -447,76 +457,54 @@ def _parse_matrix_market(path: Path):
         raise GraphFormatError(path, 1, f"unsupported symmetry {symmetry!r}")
     pattern = field == "pattern"
 
-    lineno = 1
-    size = None
-    entries: dict[tuple[int, int], float | None] = {}
-    seen = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if size is None:
-            if len(parts) != 3:
-                raise GraphFormatError(path, lineno,
-                                       f"expected 'rows cols nnz', got {line!r}")
-            try:
-                rows, cols, nnz = (int(p) for p in parts)
-            except ValueError:
-                raise GraphFormatError(path, lineno,
-                                       f"size line must be integers: {line!r}") from None
-            if rows != cols:
-                raise GraphFormatError(path, lineno,
-                                       f"adjacency matrix must be square, got {rows}x{cols}")
-            if min(rows, nnz) < 0:
-                raise GraphFormatError(path, lineno,
-                                       f"size line must be non-negative: {line!r}")
-            size = (rows, nnz)
-            continue
-        expected = 2 if pattern else 3
-        if len(parts) != expected:
-            raise GraphFormatError(path, lineno,
-                                   f"expected {expected} fields per entry, got {line!r}")
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-        except ValueError:
-            raise GraphFormatError(path, lineno,
-                                   f"entry indices must be integers: {line!r}") from None
-        if not (1 <= i <= size[0] and 1 <= j <= size[0]):
-            raise GraphFormatError(path, lineno, f"entry out of bounds: {line!r}")
-        value = None
-        if not pattern:
-            try:
-                value = float(parts[2])
-            except ValueError:
-                raise GraphFormatError(path, lineno,
-                                       f"entry value must be a real number: {line!r}") from None
-            if not 0 < value < np.inf:
-                raise GraphFormatError(path, lineno,
-                                       f"entry value must be finite and positive: {line!r}")
-        seen += 1
-        # Store one canonical entry per unordered pair.  A symmetric value
-        # stored in both triangles must agree; summing it would double the
-        # edge weight.
-        key = (min(i, j), max(i, j))
-        if key in entries:
-            if entries[key] != value:
-                raise GraphFormatError(path, lineno,
-                                       f"conflicting duplicate entry: {line!r}")
-        else:
-            entries[key] = value
-        if seen > size[1]:
-            raise GraphFormatError(path, lineno, "more entries than declared nnz")
-    if size is None:
-        raise GraphFormatError(path, lineno, "missing size line")
-    if seen < size[1]:
-        raise GraphFormatError(path, lineno,
-                               f"expected {size[1]} entries, found {seen}")
-    n = size[0]
-    u, v = (np.array(list(entries), dtype=np.int64).reshape(-1, 2) - 1).T
-    w = None if pattern else np.array(list(entries.values()), dtype=np.float64)
-    return _build_arrays(u, v, w, n), np.arange(1, n + 1, dtype=np.int64)
+    if line is None:
+        raise GraphFormatError(path, skip, "missing size line")
+    parts = line.split()
+    if len(parts) != 3:
+        raise GraphFormatError(path, skip, f"expected 'rows cols nnz', got {line!r}")
+    try:
+        n, cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise GraphFormatError(path, skip, f"size line must be integers: {line!r}") from None
+    if n != cols:
+        raise GraphFormatError(path, skip, f"adjacency matrix must be square, got {n}x{cols}")
+    if min(n, nnz) < 0:
+        raise GraphFormatError(path, skip, f"size line must be non-negative: {line!r}")
+
+    ends, w = _edge_table(path, skip, fill=np.nan)
+    if len(ends) != nnz:
+        raise GraphFormatError(path, skip, f"expected {nnz} entries, found {len(ends)}")
+    odd = (np.zeros(nnz, dtype=bool) if w is None else ~np.isnan(w)) == pattern
+    if odd.any():  # a value in a pattern file, or none in another
+        raise _entry_error(path, skip, odd.argmax(),
+                           f"expected {2 if pattern else 3} fields per entry")
+    if nnz and (int(ends.min()) < 1 or int(ends.max()) > n):
+        raise _entry_error(path, skip, np.argmax(((ends < 1) | (ends > n)).any(axis=1)),
+                           "entry out of bounds")
+    ends -= 1
+    key = _edge_keys(ends[:, 0], ends[:, 1], n)
+    if not pattern:  # a diagonal entry keys as lo * n + hi too: its values are checked
+        loops = np.flatnonzero(key < 0)
+        key[loops] = ends[loops, 0] * (n + 1)
+    del ends  # the keys replace the table
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    if pattern:  # `_coalesce` sorts the keys in place and drops the diagonal
+        return _coalesce(key, None, n), ids
+    keys, low = _fold(key.copy(), w, "min")
+    clash = low != _fold(key.copy(), w, "max")[1]  # stored values must agree
+    if clash.any():
+        raise _entry_error(path, skip, np.isin(key, keys[clash]).argmax(),
+                           "conflicting duplicate entry")
+    off = keys % (n + 1) != 0  # lo * n + hi with lo < hi
+    return _assemble(keys[off], low[off], n), ids
+
+
+def _entry_error(path, skip: int, entry, message: str) -> GraphFormatError:
+    """`message` at data line `entry` (from 0) after line `skip`, quoted."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = data_lines(itertools.islice(fh, skip, None), start=skip + 1)
+        lineno, line = next(itertools.islice(lines, int(entry), None))
+    return GraphFormatError(path, lineno, f"{message}: {line!r}")
 
 
 _FORMAT_ALIASES = {

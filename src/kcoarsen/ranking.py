@@ -90,6 +90,13 @@ def load_scores(path) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def check_spec(spec: str) -> None:
+    """ValueError unless `spec` names a ranking: 'file:PATH' or one of
+    RANKING_SPECS."""
+    if not spec.startswith("file:") and spec not in RANKING_SPECS:
+        raise ValueError(f"unknown ranking spec {spec!r}")
+
+
 def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
                     seed=0, workers: int = 1) -> np.ndarray:
     """Turn a ranking spec into a ranking: an int64 permutation of 0..n-1.
@@ -104,14 +111,13 @@ def resolve_ranking(g: Graph, spec, k: int | None = None, weights=None,
     """
     if not isinstance(spec, str):
         return as_ranking(spec, g.n)
+    check_spec(spec)
     if spec.startswith("file:"):
         scores = load_scores(spec[len("file:"):])
         if scores.size != g.n:
             raise ValueError(
                 f"score file has {scores.size} entries, graph has {g.n} nodes")
         rank = _from_scores(-scores)
-    elif spec not in RANKING_SPECS:
-        raise ValueError(f"unknown ranking spec {spec!r}")
     elif spec in ("kdeg", "kweight"):
         if k is None or k < 1:
             raise ValueError(f"ranking {spec!r} requires k >= 1")

@@ -153,8 +153,8 @@ def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
             report.violations.append(Violation(
                 kind="edge_bound", nodes=(int(a[i]), int(b[i])),
                 observed=observed, bound=float(upper)))
-    coarse_of = _coarse_of(h, [])
-    if coarse_of is not None:
+    coarse_of = h._cluster_of
+    if not (coarse_of < 0).any():  # the distortion check reports a broken map
         _check_contraction(g, h, coarse_of, edge_agg, report)
     return report
 
@@ -195,30 +195,6 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
                                 h.weights[crossed[wrong]].tolist(), want[wrong].tolist()):
         report.violations.append(Violation(
             kind="coarse_weight", nodes=(a, b), observed=seen, bound=fold))
-
-
-def _coarse_of(h: CoarsenedGraph,
-               violations: list[Violation]) -> np.ndarray | None:
-    """Coarse index of each node's centroid; None when h's map is broken,
-    each node assigned to a non-centroid then appended to `violations`."""
-    assignment = h.assignment
-    if assignment.size == 0:
-        return np.empty(0, dtype=np.int64)
-    nc = h.centroids.size
-    if nc == 0:
-        violations.append(Violation(
-            kind="assignment_target", nodes=(), observed=float(assignment.size),
-            bound=0.0))
-        return None
-    idx = np.clip(np.searchsorted(h.centroids, assignment), 0, nc - 1)
-    bad = np.flatnonzero(h.centroids[idx] != assignment)
-    for v in bad.tolist():
-        violations.append(Violation(
-            kind="assignment_target", nodes=(v, int(assignment[v])),
-            observed=float(assignment[v]), bound=float("nan")))
-    if bad.size:
-        return None
-    return idx
 
 
 def _draws(seed: int, count: int, n: int) -> np.ndarray:
@@ -275,8 +251,17 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
     n = g.n
     sample = _pair_sample(n, pairs, sample_pairs, seed) if evidence else None
     assignment = h.assignment
-    coarse_of = _coarse_of(h, report.violations)
-    if coarse_of is None:
+    coarse_of = h._cluster_of
+    bad = np.flatnonzero(coarse_of < 0)
+    if bad.size and not h.centroids.size:  # no centroid at all: one violation
+        report.violations.append(Violation(
+            kind="assignment_target", nodes=(), observed=float(bad.size), bound=0.0))
+        return report
+    for v in bad.tolist():
+        report.violations.append(Violation(
+            kind="assignment_target", nodes=(v, int(assignment[v])),
+            observed=float(assignment[v]), bound=float("nan")))
+    if bad.size:
         return report
     if sample is not None:
         _check_pairs(g, h.graph, k, coarse_of, *sample, report)
@@ -349,8 +334,8 @@ def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
         report.violations.append(Violation(
             kind="component_count", nodes=(),
             observed=float(h_count), bound=float(g_count)))
-    coarse_of = _coarse_of(h, [])
-    if coarse_of is None:  # the distortion check reports a broken map
+    coarse_of = h._cluster_of
+    if (coarse_of < 0).any():  # the distortion check reports a broken map
         return report
     if g.n:
         # one key per (input component, coarse component) pair

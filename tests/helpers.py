@@ -347,6 +347,61 @@ def csr_reference(u, v, w, n):
     return indptr, dst[order2], weights
 
 
+def matrix_market_reference(path):
+    """A Matrix Market file read by a per-entry loop with one dict entry
+    per stored pair: None when the file is rejected, else (n, {(i, j):
+    value}, weighted) over the pairs i < j of 0-based nodes, weighted
+    False and every value None in a pattern file.  Blank lines and lines that start with '%' or '#' are comments.
+    A file is rejected for a bad header or size line, an entry with the
+    wrong field count, an index outside 1..n, a value that is not finite
+    and positive, two values stored for one pair (the diagonal too), more
+    or fewer entries than nnz, a byte that is not UTF-8, or an n whose
+    edge keys n * i + j would overflow int64.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        return None
+    if not lines or not lines[0].lower().startswith("%%matrixmarket"):
+        return None
+    header = [tok.lower() for tok in lines[0].split()]
+    if (len(header) != 5 or header[1:3] != ["matrix", "coordinate"]
+            or header[3] not in ("real", "integer", "pattern")
+            or header[4] not in ("symmetric", "general")):
+        return None
+    pattern = header[3] == "pattern"
+    size, stored, seen = None, {}, 0
+    for raw in lines[1:]:
+        line = raw.strip()
+        if not line or line[0] in "%#":
+            continue
+        parts = line.split()
+        try:
+            if size is None:
+                size = [int(p) for p in parts]
+                if len(size) != 3 or size[0] != size[1] or min(size) < 0:
+                    return None
+                continue
+            if len(parts) != (2 if pattern else 3):
+                return None
+            i, j = int(parts[0]), int(parts[1])
+            value = None if pattern else float(parts[2])
+        except ValueError:
+            return None
+        if not (1 <= i <= size[0] and 1 <= j <= size[0]):
+            return None
+        if value is not None and not 0 < value < float("inf"):
+            return None
+        seen += 1
+        pair = (min(i, j) - 1, max(i, j) - 1)
+        if seen > size[2] or stored.setdefault(pair, value) != value:
+            return None
+    if size is None or seen < size[2] or size[0] > 3_037_000_499:
+        return None
+    return (size[0], {pair: value for pair, value in stored.items() if pair[0] < pair[1]},
+            not pattern)
+
 def traced_peak(fn):
     """(fn(), the peak bytes tracemalloc traced while fn ran)."""
     tracemalloc.start()

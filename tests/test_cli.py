@@ -776,10 +776,18 @@ def test_id_beyond_int64_exits_2(tmp_path, capsys, big):
     assert err.count("error:") == 1 and "line 2" in err and "int64" in err
 
 
-def test_unknown_rank_spec_exits_2(tmp_path, capsys):
+def test_unknown_rank_spec_exits_2(tmp_path, capsys, monkeypatch):
+    """An unknown --rank exits 2 before the input is read, also where no
+    ranking is resolved: under --artifacts and at k = 0."""
     inp = write_path5(tmp_path)
-    assert run(["coarsen", "-i", inp, "-k", "1", "--rank", "zigzag",
-                "-o", tmp_path / "x"]) == 2
+    assert run(["coarsen", "-i", inp, "-k", "1", "--rank", "id", "-o", tmp_path / "art"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(kcoarsen.cli, "load", lambda *args, **kwargs: pytest.fail("read"))
+    for command in (["coarsen", "-k", "1"], ["coarsen", "-k", "0"], ["bench"],
+                    ["verify", "-k", "1", "--artifacts", tmp_path / "art"], ["verify", "-k", "0"]):
+        out = [] if command[0] == "verify" else ["-o", tmp_path / "x"]
+        assert run([*command, *out, "-i", inp, "--rank", "zigzag"]) == 2
+        assert capsys.readouterr().err == "error: unknown ranking spec 'zigzag'\n"
 
 
 def test_unknown_format_is_usage_error(tmp_path):

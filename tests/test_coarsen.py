@@ -236,18 +236,23 @@ def test_reduce_peak_memory_per_edge():
 
 def test_load_peak_memory_per_edge(tmp_path):
     """load's tracemalloc peak on that graph's edgelist, its ids shuffled,
-    stays below 40 bytes per edge.  It reads about 31 now that the ids
-    turn dense inside the loader's own table and the edge keys sort in
-    place; a stacked copy of the table plus a full dense-id array read
-    about 53."""
+    and on its `pattern general` Matrix Market form, ids shuffled too,
+    stays below 40 bytes per edge.  The edgelist reads about 31 now that
+    the ids turn dense inside the loader's own table and the edge keys
+    sort in place; a stacked copy of the table plus a full dense-id array
+    read about 53.  The Matrix Market file reads about 31 too, its entries
+    read by the edge-list reader; a per-entry loop with a dict read about
+    269."""
     u, v, g = uniform_graph()
     ids = np.random.default_rng(1).permutation(g.n)
-    path = tmp_path / "uniform.edgelist"
-    path.write_text("".join(f"{a} {b}\n"
-                            for a, b in zip(ids[u].tolist(), ids[v].tolist())))
-    (loaded, _), peak = helpers.traced_peak(lambda: kcoarsen.graph.load(path))
-    assert loaded.m == g.m
-    assert peak / g.m < 40
+    mm = f"%%MatrixMarket matrix coordinate pattern general\n{g.n} {g.n} {u.size}\n"
+    for fmt, head, first in [("edgelist", "", 0), ("mm", mm, 1)]:
+        path = tmp_path / f"uniform.{fmt}"
+        path.write_text(head + "".join(f"{a} {b}\n" for a, b in zip(
+            (ids[u] + first).tolist(), (ids[v] + first).tolist())))
+        (loaded, _), peak = helpers.traced_peak(lambda: kcoarsen.graph.load(path, fmt))
+        assert loaded.m == g.m
+        assert peak / g.m < 40, fmt
 
 
 def test_walk_counts_peak_memory_per_edge():

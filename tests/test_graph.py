@@ -215,6 +215,12 @@ def test_load_matrix_market_keeps_isolated_rows(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 inf\n", "finite"),
         ("%%MatrixMarket matrix coordinate integer symmetric\n-1 -1 0\n", "non-negative"),
         ("%%MatrixMarket matrix coordinate integer general\n2 2 -1\n", "non-negative"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n1 1 3.0\n",
+         "conflicting duplicate"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n2 1\n",
+         "expected 3 fields"),
+        ("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2 1.0\n2 1 1.0\n",
+         "expected 2 fields"),
     ],
 )
 def test_load_matrix_market_rejects(tmp_path, text, message):
@@ -222,6 +228,29 @@ def test_load_matrix_market_rejects(tmp_path, text, message):
     p.write_text(text)
     with pytest.raises(GraphFormatError, match=message):
         load(p, format="mm")
+
+
+def test_matrix_market_hash_lines_are_comments(tmp_path):
+    """'#' lines count as comments in a Matrix Market file, as '%' lines
+    and blank lines do, before the size line and among the entries."""
+    plain = tmp_path / "plain.mtx"
+    plain.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                     "3 3 2\n2 1 0.5\n3 2 4.0\n")
+    commented = tmp_path / "commented.mtx"
+    commented.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                         "# made by hand\n3 3 2\n2 1 0.5\n# the last entry\n3 2 4.0\n")
+    (g, ids), (expected, expected_ids) = load(commented, "mm"), load(plain, "mm")
+    assert g == expected and ids.tolist() == expected_ids.tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("between", ["", "% a comment\n"])  # fast path, line loop
+def test_matrix_market_entry_errors_name_their_line(tmp_path, between):
+    p = tmp_path / "bad.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate pattern general\n% made by hand\n"
+                 f"3 3 3\n1 2\n\n{between}2 3\n3 4\n")
+    with pytest.raises(GraphFormatError, match="entry out of bounds: '3 4'") as exc:
+        load(p, format="mm")
+    assert exc.value.lineno == 7 + bool(between)
 
 
 def test_load_unknown_format(tmp_path):

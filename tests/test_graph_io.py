@@ -13,6 +13,7 @@ from kcoarsen import GraphFormatError, build, load, store
 from kcoarsen._propagate import ARC_BLOCK
 
 from . import helpers
+from .test_cli_inputs import mutate
 
 INT64_MAX = 2**63 - 1
 
@@ -75,7 +76,7 @@ def edgelist_texts(draw):
 
 
 def load_with_line_loop(path):
-    with mock.patch.object(kcoarsen.graph, "_fast_edgelist", lambda data: None):
+    with mock.patch.object(kcoarsen.graph, "_fast_edgelist", lambda *args: None):
         return load(path)
 
 
@@ -415,3 +416,50 @@ def test_matrix_market_loads_as_its_edgelist(tmp_path_factory, case):
     relabeled = kcoarsen.graph._build_arrays(at[u], at[v], w, g_mm.n)
     assert relabeled == g_el and same_weights(relabeled.weights, g_el.weights)
     assert g_el.weighted == (field != "pattern")
+
+
+@st.composite
+def matrix_market_files(draw):
+    """A Matrix Market file of any field and symmetry as bytes: entries in
+    the lower triangle when symmetric, diagonal entries and stored pairs
+    that repeat, mirrored or not, with agreeing or conflicting values."""
+    field = draw(st.sampled_from(["real", "integer", "pattern"]))
+    symmetry = draw(st.sampled_from(["symmetric", "general"]))
+    n = draw(st.integers(1, 6))
+    value = {"pattern": st.just(""), "integer": st.sampled_from([" 1", " 3"]),
+             "real": st.sampled_from([" 1.5", " 0.1", " 7e3"])}[field]
+    entries = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), value),
+                            max_size=2 * n))
+    if entries and draw(st.booleans()):  # a stored pair again, mirrored or not
+        i, j, _ = draw(st.sampled_from(entries))
+        entries.append((j, i, draw(value)) if draw(st.booleans()) else (i, j, draw(value)))
+    if symmetry == "symmetric":
+        entries = [(max(i, j), min(i, j), w) for i, j, w in entries]
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "% comment",
+             f"{n} {n} {len(entries)}", *(f"{i} {j}{w}" for i, j, w in entries)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_matrix_market_reads_as_the_reference_loop(tmp_path_factory, data):
+    """Under token, line and byte edits, a Matrix Market file gives the
+    verdict of the per-entry reference loop and, when accepted, its graph
+    (the two-lexsort CSR) and ids 1..n."""
+    path = tmp_path_factory.mktemp("mm") / "g.mtx"
+    path.write_bytes(mutate(data, data.draw(matrix_market_files(), label="file")))
+    expected = helpers.matrix_market_reference(path)
+    try:
+        g, ids = load(path, format="mm")
+    except ValueError:  # a GraphFormatError, an n too large or a bad byte
+        assert expected is None
+        return
+    assert expected is not None
+    n, stored, weighted = expected
+    assert ids.dtype == np.int64 and ids.tolist() == list(range(1, n + 1))
+    u = np.array([i for i, _ in stored], dtype=np.int64)
+    v = np.array([j for _, j in stored], dtype=np.int64)
+    w = np.array(list(stored.values()), dtype=np.float64) if weighted else None
+    indptr, indices, weights = helpers.csr_reference(u, v, w, n)
+    assert g.n == n and np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices) and same_weights(g.weights, weights)

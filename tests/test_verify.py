@@ -337,6 +337,23 @@ def test_certificate_makes_the_radius_search_alone(monkeypatch):
     assert report.distortion.per_pair_sample.shape == (0, 4)
 
 
+@pytest.mark.parametrize("evidence", [False, True])
+def test_verify_maps_the_clusters_once(monkeypatch, evidence):
+    """One verify_reduction locates the nodes' centroids among h's
+    centroids once, for all the checks that read the cluster map."""
+    g = build(helpers.grid_edges(6, 6))
+    h, _, _ = coarsen_pipeline(g, 1, ranking="kdeg")
+    searches, real = [], np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        searches.append(a is h.centroids and v is h.assignment)
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    assert verify_reduction(g, h, 1, evidence=evidence).passed
+    assert sum(searches) == 1
+
+
 # the violation kinds that only the pair searches of evidence=True find
 EVIDENCE_KINDS = {"edge_bound", "distortion_lower", "distortion_upper"}
 
