@@ -23,8 +23,8 @@ import numpy as np
 from . import oracle
 from .coarsen import CoarsenedGraph, EDGE_AGGREGATIONS, coarsen_pipeline
 from .graph import (DEFAULT_ORACLE_CAP, Graph, GraphFormatError, data_lines,
-                    load, store, write_table, _edge_keys, _edge_table,
-                    _fast_edgelist, _fold, _id_pair)
+                    load, store, write_table, _create, _edge_keys,
+                    _edge_table, _fast_edgelist, _fold, _id_pair)
 # Called under its own name: perfbench/tracing.py wraps cli._resolve_rank_spec
 # to time the ranking phase.
 from .ranking import check_spec, resolve_ranking as _resolve_rank_spec
@@ -159,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
                              original_ids: np.ndarray, h: CoarsenedGraph) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     config_line = f"config: {config.to_json()}"
     store(h, outdir / "coarse.edgelist", header_lines=[config_line])
     write_table(outdir / "assignment.txt", [config_line, "original_id centroid_id"],
@@ -170,7 +169,7 @@ def _write_coarsen_artifacts(outdir: Path, config: RunConfig,
                 np.arange(h.centroids.size), original_ids[h.centroids], *values)
     write_table(outdir / "node_ids.txt", [config_line, "dense_id original_id"],
                 np.arange(original_ids.size), original_ids)
-    with open(outdir / "run_config.json", "w", encoding="utf-8") as fh:
+    with _create(outdir / "run_config.json", "w", encoding="utf-8") as fh:
         fh.write(config.to_json() + "\n")
 
 
@@ -302,14 +301,10 @@ def cmd_verify(args) -> int:
     report = verify_reduction(g, h, args.k, selected=selected,
                               sample_pairs=pairs, seed=args.seed,
                               edge_agg=args.edge_agg, evidence=args.evidence)
-    text = report.to_text()
-    sys.stdout.write(f"# config: {config.to_json()}\n")
+    text = f"# config: {config.to_json()}\n{report.to_text()}"
     sys.stdout.write(text)
     if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "report.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"# config: {config.to_json()}\n")
+        with _create(Path(args.output, "report.txt"), "w", encoding="utf-8") as fh:
             fh.write(text)
     if not report.passed:
         for section, violation in report.all_violations()[:20]:
@@ -322,7 +317,7 @@ def cmd_verify(args) -> int:
 
 def _write_csv(path: Path, config: RunConfig, rows: list[dict]) -> None:
     """`rows` as a CSV table under the run's `# config:` line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {config.to_json()}\n")
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

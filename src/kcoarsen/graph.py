@@ -490,11 +490,14 @@ def _parse_matrix_market(path: Path):
     ids = np.arange(1, n + 1, dtype=np.int64)
     if pattern:  # `_coalesce` sorts the keys in place and drops the diagonal
         return _coalesce(key, None, n), ids
-    keys, low = _fold(key.copy(), w, "min")
-    clash = low != _fold(key.copy(), w, "max")[1]  # stored values must agree
-    if clash.any():
-        raise _entry_error(path, skip, np.isin(key, keys[clash]).argmax(),
+    order = np.argsort(key, kind="stable")  # `_fold` then sorts sorted keys: fast
+    key, w = key[order], (w[order] if nnz else np.empty(0))  # no rows: w is None
+    clash = (key[1:] == key[:-1]) & (w[1:] != w[:-1])  # stored values must agree
+    if clash.any():  # a run's first entry is its pair's first stored one
+        raise _entry_error(path, skip, order[np.isin(key, key[1:][clash])].min(),
                            "conflicting duplicate entry")
+    del order
+    keys, low = _fold(key, w, "min")
     off = keys % (n + 1) != 0  # lo * n + hi with lo < hi
     return _assemble(keys[off], low[off], n), ids
 
@@ -544,10 +547,21 @@ def write_table(path, header_lines, *columns) -> None:
     Integers print as ``str`` and floats as round-trip ``repr``; the rows
     go out as the bytes `table_text` yields, WRITE_CHUNK rows at a time.
     """
-    with open(path, "wb") as fh:
+    with _create(path) as fh:
         fh.write("".join(f"# {line}\n" for line in header_lines).encode())
         for block in table_text(columns, " "):
             fh.write(block)
+
+
+def _create(path, mode: str = "wb", **open_kw):
+    """Open a new file at `path`, making its directory: an existing file
+    is unlinked, not truncated, so a hard link or symlink there is
+    replaced and its target left alone.  Truncating, or an atomic rename
+    from a temporary file, waits for the old file's write-back on ext4.
+    Nothing is fsynced: a crash mid-write can leave a partial set; re-run."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).unlink(missing_ok=True)
+    return open(path, mode, **open_kw)
 
 
 def table_text(columns, sep: str):

@@ -106,6 +106,52 @@ def test_coarsen_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["coarsen", "-k", 1, "--rank", "id"],
+     ("coarse.edgelist", "assignment.txt", "centroids.txt", "node_ids.txt",
+      "run_config.json")),
+    (["verify", "-k", 1, "--rank", "id"], ("report.txt",)),
+    (["bench", "--k-list", 1, "--trials", 1, "--compare-greedy"],
+     ("bench.csv", "compare.csv")),
+])
+def test_outputs_replace_existing_files(tmp_path, monkeypatch, capsys, argv, names):
+    """Each output is a new file: a hard link or a symlink at its path is
+    replaced and its target keeps its bytes.  The outputs equal those of
+    a run into a fresh directory, and a directory at an output path is
+    one `error:` line and exit 2."""
+    for module in (kcoarsen.cli, kcoarsen.coarsen):  # bench.csv's timings
+        monkeypatch.setattr(module, "perf_counter", lambda: 0.0)
+    inp = write_path5(tmp_path)
+    argv = [*argv, "-i", inp, "-o", "out"]  # the same config line in every cwd
+    sentinels = tmp_path / "sentinels"
+    sentinels.mkdir()
+    for name in names:
+        (sentinels / name).write_bytes(f"sentinel {name}\n".encode())
+    for cwd in ("fresh", "linked", "blocked"):
+        (tmp_path / cwd / "out").mkdir(parents=True)
+    for name in names[1:]:
+        os.link(sentinels / name, tmp_path / "linked" / "out" / name)
+    (tmp_path / "linked" / "out" / names[0]).symlink_to(sentinels / names[0])
+    outputs = {}
+    for cwd in ("fresh", "linked"):
+        monkeypatch.chdir(tmp_path / cwd)
+        assert run(argv) == 0
+        outputs[cwd] = {name: (tmp_path / cwd / "out" / name).read_bytes()
+                        for name in names}
+    for name in names:
+        assert (sentinels / name).read_bytes() == f"sentinel {name}\n".encode()
+    assert outputs["linked"] == outputs["fresh"]
+    assert not (tmp_path / "linked" / "out" / names[0]).is_symlink()
+
+    (tmp_path / "blocked" / "out" / names[-1]).mkdir()
+    monkeypatch.chdir(tmp_path / "blocked")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert names[-1] in err[0]
+
+
 def test_coarsen_score_file_ranking(tmp_path):
     inp = write_path5(tmp_path)
     scores = tmp_path / "scores.txt"
