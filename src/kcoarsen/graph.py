@@ -214,9 +214,7 @@ def _fold(key: np.ndarray, w: np.ndarray | None, how: str | None, *,
     if w is not None:
         w = _aggregate(w[loops:], np.cumsum(first) - 1, count, how, overflow)
     del first
-    for a in range(0, count, ARC_BLOCK):  # by blocks: no count-sized temporary
-        block = starts[a:a + ARC_BLOCK]
-        key[a:a + block.size] = key[block]
+    key[:count] = key[starts]
     if w is None and how is not None:
         w = np.ones(count)
         if how == "sum" and count:  # the run lengths

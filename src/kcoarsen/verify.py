@@ -18,21 +18,21 @@ centroid's coarse index:
   `verify_reduction`: `selection`);
 * every coarse edge joins centroids whose hop distance in the original
   graph lies in [k+1, 2k+1]: at most 2k+1 by C and R, at least k+1 by V
-  (evidence: `check_edge_bounds`'s pair search, `edge_bound`);
+  (evidence: the span search, `edge_bound`);
 * for any two nodes u, v:  d_H(c(u), c(v)) <= d_G(u, v), by C, and
   d_G(u, v) <= (2k+1) * d_H(c(u), c(v)) + 2k, by R and the spans
-  (evidence: `check_distortion`'s pair sample, `distortion_lower`,
-  `distortion_upper`);
+  (evidence: the pair searches, `distortion_lower`, `distortion_upper`);
 * coarsening preserves the number of connected components, mapping each
   input component onto exactly one coarse component, by R and C
   (`check_components`: `component_count`, `component_split`).
 
 C, R and V are a certificate in the sense of certifying algorithms
 (McConnell, Mehlhorn, Naeher & Schweitzer, Comput. Sci. Rev. 2011):
-they imply the other guarantees.  So `verify_reduction` checks them and
-the components by default, and runs the two pair searches, which record
-each coarse edge's span and the sampled pairs' distances, only with
-`evidence=True`.
+they imply the other guarantees.  So each check checks one certificate
+fact, or the components, and only `verify_reduction(evidence=True)`
+adds the span search and the pair searches that re-measure the implied
+bounds.  The checks of C and R keep the names of the report sections
+they fill because the per-layer traces time them by name.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class _Checked:
 
 @dataclass
 class DistortionReport(_Checked):
-    """Distance evidence: realized coarse-edge spans and sampled pairs.
+    """The edge-bounds or distortion section: violations and, from an
+    evidence run, the measured spans or pairs.
 
     `per_coarse_edge` holds int64 rows (a, b, d_G(a, b)) and
     `per_pair_sample` int64 rows (u, v, d_G(u, v), d_H(c(u), c(v))).
@@ -119,51 +120,26 @@ class ValidityReport(_Checked):
     violations: list[Violation] = field(default_factory=list)
 
 
-def check_edge_bounds(g: Graph, h: CoarsenedGraph, k: int,
-                      edge_agg: str = "sum", *,
-                      evidence: bool = True) -> DistortionReport:
-    """Check that the coarse edges and their weights are the contraction
-    of g and, with `evidence`, k+1 <= d_G(a, b) <= 2k+1 for every coarse
-    edge (a, b).
+def check_edge_bounds(g: Graph, h: CoarsenedGraph,
+                      edge_agg: str = "sum") -> DistortionReport:
+    """Check (C): the coarse edges and their weights are the contraction
+    of g.
 
-    The evidence is one depth-capped pair search over every coarse edge,
-    smaller coarse index first in key order, recorded in
-    `per_coarse_edge`; distances beyond 2k+2 hops read as the
-    unreachable sentinel ``g.n`` and are reported as violations.
-    Then each input edge between two clusters must find their coarse
-    edge (a `missing_coarse_edge` per cluster pair that does not, its
-    crossing input edges observed), and each coarse edge must be crossed
-    by an input edge (an `extra_coarse_edge` otherwise), both in key
-    order.  When h has weights, each crossed coarse edge's weight must
-    equal the `_fold` of its crossing edges' weights by `edge_agg`, as
-    `reduce` folds them (a `coarse_weight` otherwise).  A broken
-    assignment skips that part: the distortion check reports it.
+    Each input edge between two clusters must find their coarse edge (a
+    `missing_coarse_edge` per cluster pair that does not, its crossing
+    input edges observed), and each coarse edge must be crossed by an
+    input edge (an `extra_coarse_edge` otherwise), both in key order.
+    When h has weights, each crossed coarse edge's weight must equal the
+    `_fold` of its crossing edges' weights by `edge_agg`, as `reduce`
+    folds them (a `coarse_weight` otherwise).  A broken assignment skips
+    the check: the distortion check reports it.
     """
     if edge_agg not in EDGE_AGGREGATIONS:
         raise ValueError(f"unknown edge aggregation {edge_agg!r}")
     report = DistortionReport()
-    if evidence:
-        lower, upper = k + 1, 2 * k + 1
-        ci, cj, _ = h.edge_list()
-        a, b = h.centroids[ci], h.centroids[cj]
-        d = bfs(g, a, b, max_depth=upper + 1)
-        report.per_coarse_edge = np.stack([a, b, d], axis=1)
-        for i in np.flatnonzero((d == g.n) | (d < lower) | (d > upper)).tolist():
-            observed = float("inf") if d[i] == g.n else float(d[i])
-            report.violations.append(Violation(
-                kind="edge_bound", nodes=(int(a[i]), int(b[i])),
-                observed=observed, bound=float(upper)))
     coarse_of = h._cluster_of
-    if not (coarse_of < 0).any():  # the distortion check reports a broken map
-        _check_contraction(g, h, coarse_of, edge_agg, report)
-    return report
-
-
-def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
-                       edge_agg: str, report: DistortionReport) -> None:
-    """Record the cluster pairs that input edges cross without a coarse
-    edge, then the coarse edges that no input edge crosses, then the
-    crossed ones whose weight is not the fold of the crossing weights."""
+    if (coarse_of < 0).any():
+        return report
     nc = h.centroids.size
     crossing, w = _crossing_keys(g, coarse_of, nc)
     at = np.searchsorted(h.keys, crossing)
@@ -183,7 +159,7 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
         report.violations.append(Violation(
             kind="extra_coarse_edge", nodes=(a, b), observed=0.0, bound=1.0))
     if h.weights is None:
-        return
+        return report
     del at, found
     keys, folded = _fold(crossing, w, edge_agg, overflow="edge_agg 'sum' gives "
                          "a coarse edge weight beyond float64's range")
@@ -195,6 +171,26 @@ def _check_contraction(g: Graph, h: CoarsenedGraph, coarse_of: np.ndarray,
                                 h.weights[crossed[wrong]].tolist(), want[wrong].tolist()):
         report.violations.append(Violation(
             kind="coarse_weight", nodes=(a, b), observed=seen, bound=fold))
+    return report
+
+
+def _edge_spans(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
+    """The span search: k+1 <= d_G(a, b) <= 2k+1 for every coarse edge
+    (a, b), by one depth-capped pair search over every coarse edge,
+    smaller coarse index first in key order, recorded in
+    `per_coarse_edge`; distances beyond 2k+2 hops read as the
+    unreachable sentinel ``g.n`` and are reported as `edge_bound`s."""
+    lower, upper = k + 1, 2 * k + 1
+    ci, cj, _ = h.edge_list()
+    a, b = h.centroids[ci], h.centroids[cj]
+    d = bfs(g, a, b, max_depth=upper + 1)
+    report = DistortionReport(per_coarse_edge=np.stack([a, b, d], axis=1))
+    for i in np.flatnonzero((d == g.n) | (d < lower) | (d > upper)).tolist():
+        observed = float("inf") if d[i] == g.n else float(d[i])
+        report.violations.append(Violation(
+            kind="edge_bound", nodes=(int(a[i]), int(b[i])),
+            observed=observed, bound=float(upper)))
+    return report
 
 
 def _draws(seed: int, count: int, n: int) -> np.ndarray:
@@ -218,41 +214,16 @@ def _draws(seed: int, count: int, n: int) -> np.ndarray:
     return z.astype(np.int64)
 
 
-def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
-                     sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                     seed: int = 0, *, evidence: bool = True) -> DistortionReport:
-    """Check that every node maps to a centroid within k hops and, with
-    `evidence`, the two-sided distance bounds over node pairs.
+def check_distortion(g: Graph, h: CoarsenedGraph, k: int) -> DistortionReport:
+    """Check (R): every node maps to a centroid within k hops of it.
 
     A broken assignment ends the check at its `assignment_target`s.
-    One depth-k pair search from each node's centroid to the node checks
-    the radius, d_G(u, c(u)) <= k, for every node.  The evidence pairs:
-    with `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
-    are checked over all pairs; larger graphs sample about `sample_pairs`
-    pairs: floor(sqrt(sample_pairs)) targets for each of
-    sample_pairs // that many sources.  The draws come from the SplitMix64
-    stream of `seed` (any int >= 0; it is taken mod 2**64): the sources
-    first, then the targets source by source, each reduced mod n.
-    Explicit pairs are taken grouped by source.  One pair search on each
-    graph answers them all.  Pairs in different components of g are
-    skipped (both sides are infinite).  `per_pair_sample` records at most
-    MAX_RECORDED_PAIRS checked pairs; violations are always recorded in
-    full.  Raises ValueError for `sample_pairs` below 1, a negative
-    `seed`, `pairs` without `evidence`, a row that is not a (u, v) pair
-    or a pair with a node outside 0..n-1.
+    Otherwise one depth-k pair search from each node's centroid to the
+    node checks the radius, d_G(u, c(u)) <= k, for every node.
     """
-    if sample_pairs < 1:
-        raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
-    if pairs is not None and not evidence:
-        raise ValueError("pairs are checked only with evidence")
     report = DistortionReport()
-    n = g.n
-    sample = _pair_sample(n, pairs, sample_pairs, seed) if evidence else None
     assignment = h.assignment
-    coarse_of = h._cluster_of
-    bad = np.flatnonzero(coarse_of < 0)
+    bad = np.flatnonzero(h._cluster_of < 0)
     if bad.size and not h.centroids.size:  # no centroid at all: one violation
         report.violations.append(Violation(
             kind="assignment_target", nodes=(), observed=float(bad.size), bound=0.0))
@@ -263,11 +234,8 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
             observed=float(assignment[v]), bound=float("nan")))
     if bad.size:
         return report
-    if sample is not None:
-        _check_pairs(g, h.graph, k, coarse_of, *sample, report)
-    # both bounds rest on every node lying within k hops of its centroid
-    radius = bfs(g, assignment, np.arange(n), max_depth=k)
-    for u in np.flatnonzero(radius == n).tolist():
+    radius = bfs(g, assignment, np.arange(g.n), max_depth=k)
+    for u in np.flatnonzero(radius == g.n).tolist():
         report.violations.append(Violation(
             kind="radius", nodes=(u, int(assignment[u])),
             observed=float("inf"), bound=float(k)))
@@ -276,7 +244,17 @@ def check_distortion(g: Graph, h: CoarsenedGraph, k: int, pairs=None,
 
 def _pair_sample(n: int, pairs, sample_pairs: int,
                  seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sources, targets) of `check_distortion`'s evidence pairs."""
+    """(sources, targets) of the pair searches.
+
+    With `pairs` unset, graphs of at most EXHAUSTIVE_PAIR_LIMIT nodes
+    take all pairs; larger graphs sample about `sample_pairs` pairs:
+    floor(sqrt(sample_pairs)) targets for each of sample_pairs // that
+    many sources.  The draws come from the SplitMix64 stream of `seed`
+    (taken mod 2**64): the sources first, then the targets source by
+    source, each reduced mod n.  Explicit pairs are taken grouped by
+    source; a row that is not a (u, v) pair or a pair with a node
+    outside 0..n-1 raises ValueError.
+    """
     if pairs is not None:
         pair_arr = np.asarray(list(pairs), dtype=np.int64)
         if pair_arr.shape[1:] != (2,) and pair_arr.shape != (0,):
@@ -295,18 +273,22 @@ def _pair_sample(n: int, pairs, sample_pairs: int,
 
 
 def _check_pairs(g: Graph, hg: Graph, k: int, coarse_of: np.ndarray,
-                 src: np.ndarray, dst: np.ndarray,
-                 report: DistortionReport) -> None:
-    """Record the pairs (src[i], dst[i]) and their distance-bound
-    violations: one pair search on g, one on the coarse graph hg."""
+                 src: np.ndarray, dst: np.ndarray) -> DistortionReport:
+    """The pair searches: the distance bounds for the pairs (src[i],
+    dst[i]), by one pair search on g and one on the coarse graph hg.
+
+    Pairs in different components of g are skipped (both sides are
+    infinite).  `per_pair_sample` records at most MAX_RECORDED_PAIRS
+    checked pairs; violations are always recorded in full.
+    """
     n = g.n
     src, dst = src[src != dst], dst[src != dst]
     dg = bfs(g, src, dst)
     src, dst, dg = src[dg < n], dst[dg < n], dg[dg < n]
     dh = bfs(hg, coarse_of[src], coarse_of[dst])
 
-    report.per_pair_sample = np.stack([x[:MAX_RECORDED_PAIRS]
-                                       for x in (src, dst, dg, dh)], axis=1)
+    report = DistortionReport(per_pair_sample=np.stack(
+        [x[:MAX_RECORDED_PAIRS] for x in (src, dst, dg, dh)], axis=1))
     # an unreachable centroid pair breaks the lower bound at any distance
     reachable = dh < hg.n
     observed_h = np.where(reachable, dh, np.inf)
@@ -322,6 +304,7 @@ def _check_pairs(g: Graph, hg: Graph, k: int, coarse_of: np.ndarray,
             report.violations.append(Violation(
                 kind="distortion_upper", nodes=(u, v),
                 observed=float(dg[i]), bound=float(limit[i])))
+    return report
 
 
 def check_components(g: Graph, h: CoarsenedGraph) -> ComponentReport:
@@ -480,23 +463,36 @@ def verify_reduction(g: Graph, h: CoarsenedGraph, k: int, selected=None,
     """Run all four checks against one coarsening.
 
     By default they check the certificate (contraction, radius and
-    validity) and the components, which imply the distance bounds; with
-    `evidence` the edge-bound and distortion checks also run their pair
-    searches, recording `per_coarse_edge` and `per_pair_sample`
-    (`sample_pairs` and `seed` shape the latter).
+    validity) and the components, which imply the distance bounds.  With
+    `evidence` the span search and, on an intact cluster map, the pair
+    searches run first, filling `per_coarse_edge` and `per_pair_sample`
+    (`sample_pairs` and `seed` shape the pair sample, see `_pair_sample`)
+    and leading the edge-bounds and distortion sections with their
+    violations.  Raises ValueError for `sample_pairs` below 1 or a
+    negative `seed`.
     `selected`, the node ids of a selection, defaults to the centroids of
     h; given ids must equal them (a `selection` violation per node in one
     set only, observed 1.0 when selected, bound 1.0 when a centroid).
     k = 0 coarsenings check the degenerate bounds (every coarse edge spans
     exactly one hop).
     """
+    if sample_pairs < 1:
+        raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if selected is None:
         selected = h.centroids
+    spans, pairs = DistortionReport(), DistortionReport()
+    if evidence:
+        spans = _edge_spans(g, h, k)
+        coarse_of = h._cluster_of
+        if not (coarse_of < 0).any():  # check_distortion reports a broken map
+            pairs = _check_pairs(g, h.graph, k, coarse_of,
+                                 *_pair_sample(g.n, None, sample_pairs, seed))
+    spans.violations += check_edge_bounds(g, h, edge_agg).violations
+    pairs.violations += check_distortion(g, h, k).violations
     report = VerificationReport(
-        k=k,
-        edge_bounds=check_edge_bounds(g, h, k, edge_agg, evidence=evidence),
-        distortion=check_distortion(g, h, k, sample_pairs=sample_pairs,
-                                    seed=seed, evidence=evidence),
+        k=k, edge_bounds=spans, distortion=pairs,
         components=check_components(g, h),
         validity=check_kmis_validity(g, k, selected),
     )

@@ -89,7 +89,8 @@ def is_k_independent(adj, members, k):
 
 
 def edge_bounds_reference(adj, centroids, coarse_adj, k):
-    """check_edge_bounds as one search per centroid: (records, violations).
+    """verify_reduction's span search as one search per centroid:
+    (records, violations).
 
     Coarse edges are taken from the smaller coarse index, larger index
     ascending; a distance beyond 2k+2 hops reads as the sentinel n.
@@ -118,7 +119,8 @@ def radius_reference(adj, assignment, k):
 
 
 def distortion_reference(adj, coarse_adj, coarse_of, k, work, max_recorded=1000):
-    """check_distortion's pair loop over (source, targets) work items.
+    """verify_reduction's pair searches as a loop over (source, targets)
+    work items.
 
     Returns (recorded pairs, violations); one search per source on each
     graph, pairs in different components of the input skipped.
@@ -146,7 +148,7 @@ def distortion_reference(adj, coarse_adj, coarse_of, k, work, max_recorded=1000)
 
 
 def pair_work(n, pairs=None):
-    """Work items of check_distortion: explicit pairs grouped by source in
+    """Work items of the pair searches: explicit pairs grouped by source in
     ascending order (targets in input order), else all pairs u < v."""
     if pairs is None:
         return [(u, list(range(u + 1, n))) for u in range(n)]

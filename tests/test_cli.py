@@ -871,6 +871,17 @@ def test_bench_compare_greedy(tmp_path):
     assert len(data) == 1 + 2 * 2  # two rules, two trials
 
 
+def test_bench_skips_the_rules_that_the_oracle_cap_refuses(tmp_path, capsys):
+    inp = write_path5(tmp_path)
+    out = tmp_path / "bench"
+    assert run(["bench", "-i", inp, "--k-list", "1", "--trials", "1",
+                "--compare-greedy", "--oracle-cap", "1", "-o", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"k=1 rule={rule}: skipped (power() refused: n=5 exceeds cap 1)"
+        for rule in ("degree_rule", "weight_rule")]
+    assert (out / "bench.csv").exists() and not (out / "compare.csv").exists()
+
+
 def test_bench_rejects_empty_k_list(tmp_path):
     inp = write_path5(tmp_path)
     assert run(["bench", "-i", inp, "--k-list", "", "-o", tmp_path / "b"]) == 2

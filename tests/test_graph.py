@@ -81,7 +81,7 @@ def test_build_isolated_nodes_via_n():
 @pytest.mark.parametrize(
     "edges, n",
     [([(0, 5)], 3), ([(-1, 0)], None), ([(0, 1, 0.0)], None), ([(0, 1, -2.0)], None),
-     ([(0, 1, np.inf)], None)],
+     ([(0, 1, np.inf)], None), ([(0,)], None), ([(0, 1, 1.0, 2)], None)],
 )
 def test_build_rejects_bad_input(edges, n):
     with pytest.raises((ValueError, GraphFormatError)):
@@ -93,6 +93,19 @@ def test_graph_equality_ignores_isolated_tail():
     b = build([(0, 1)], n=3)
     assert a != b
     assert a == build([(1, 0)])
+    assert a.__eq__((0, 1)) is NotImplemented and a != (0, 1)
+    assert build([(0, 1), (1, 2)]) != build([(0, 1), (0, 2)])  # same n and m
+    assert build([(0, 1, 1.0)]) != a and a != build([(0, 1, 1.0)])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((2, 1, [0, 1], [1, 0]), "indptr must have length n \\+ 1"),
+    ((2, 1, [0, 1, 2], [1]), "indices must have length 2 \\* m"),
+    ((2, 1, [0, 1, 2], [1, 0], [1.0]), "weights must align with indices"),
+])
+def test_graph_rejects_misshapen_arrays(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(*(np.array(x) if isinstance(x, list) else x for x in fields))
 
 
 @given(
@@ -497,6 +510,8 @@ def test_node_weights_validation():
         as_node_weights(np.array([1.0, np.inf]), 2)
     with pytest.raises(ValueError):
         as_node_weights([1.0, 2.0], 3)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        as_node_weights(np.ones((3, 1)), 3)
     assert as_node_weights([1, 1, 1], 3).tolist() == [1.0, 1.0, 1.0]
 
 

@@ -1,5 +1,6 @@
 """Distance-distortion, component, and validity checks plus report I/O."""
 
+import inspect
 import math
 import re
 
@@ -24,6 +25,7 @@ from kcoarsen.verify import (
     DistortionReport,
     ValidityReport,
     Violation,
+    DEFAULT_SAMPLE_PAIRS,
     check_components,
     check_distortion,
     check_edge_bounds,
@@ -39,9 +41,27 @@ def coarsened_path(n=5, k=1):
     return g, h, res
 
 
+def edge_section(g, h, k, edge_agg="sum"):
+    """The edge-bounds section of an evidence run: the span search's
+    records and violations, then check_edge_bounds' violations."""
+    return verify_reduction(g, h, k, edge_agg=edge_agg, evidence=True).edge_bounds
+
+
+def distortion_section(g, h, k, **kwargs):
+    """The distortion section of an evidence run: the pair searches'
+    records and violations, then check_distortion's violations."""
+    return verify_reduction(g, h, k, evidence=True, **kwargs).distortion
+
+
+def pair_search(g, h, k, pairs):
+    """verify_reduction's pair searches over the explicit `pairs`."""
+    sample = kcoarsen.verify._pair_sample(g.n, pairs, DEFAULT_SAMPLE_PAIRS, 0)
+    return kcoarsen.verify._check_pairs(g, h.graph, k, h._cluster_of, *sample)
+
+
 def test_edge_bounds_path5():
     g, h, _ = coarsened_path()
-    report = check_edge_bounds(g, h, 1)
+    report = edge_section(g, h, 1)
     assert report.passed
     assert sorted(map(tuple, report.per_coarse_edge.tolist())) == [(0, 2, 2), (2, 4, 2)]
 
@@ -51,18 +71,20 @@ def test_edge_bounds_detect_fabricated_edge():
     g = build(helpers.path_edges(5))
     h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 4]),
                                   assignment=np.array([0, 0, 0, 4, 4]))
-    report = check_edge_bounds(g, h, 1)
+    report = edge_section(g, h, 1)
     assert not report.passed
     assert report.violations[0].kind == "edge_bound"
     assert report.violations[0].nodes == (0, 4)
     assert report.violations[0].observed == 4.0
+    # the contraction holds: only the span search sees the span
+    assert check_edge_bounds(g, h).passed
 
 
 def test_edge_bounds_detect_disconnected_endpoints():
     g = build([(0, 1), (2, 3)])
     h = CoarsenedGraph.from_graph(build([(0, 1)]), centroids=np.array([0, 2]),
                                   assignment=np.array([0, 0, 2, 2]))
-    report = check_edge_bounds(g, h, 1)
+    report = edge_section(g, h, 1)
     assert not report.passed
     assert report.violations[0].observed == float("inf")
 
@@ -80,14 +102,14 @@ def with_keys(h, keys, weights):
 
 def test_edge_bounds_report_a_dropped_coarse_edge():
     g, h, _ = grid_coarsening()
-    assert check_edge_bounds(g, h, 1).passed
+    assert edge_section(g, h, 1).passed
     drop = 5
     cut = with_keys(h, np.delete(h.keys, drop), np.delete(h.weights, drop))
     i, j = divmod(int(h.keys[drop]), h.centroids.size)
     # unweighted input under edge_agg sum: a coarse weight counts the
     # input edges that cross between its clusters
     assert h.weights[drop] >= 1
-    assert violations(check_edge_bounds(g, cut, 1)) == [(
+    assert violations(edge_section(g, cut, 1)) == [(
         "missing_coarse_edge", (int(h.centroids[i]), int(h.centroids[j])),
         float(h.weights[drop]), 0.0)]
 
@@ -106,7 +128,7 @@ def test_edge_bounds_report_an_extra_coarse_edge_within_the_span_bounds():
     at = np.searchsorted(h.keys, key)
     extra = with_keys(h, np.insert(h.keys, at, key), np.insert(h.weights, at, 1.0))
     a, b = int(h.centroids[i[inside[0]]]), int(h.centroids[j[inside[0]]])
-    assert violations(check_edge_bounds(g, extra, k)) == [
+    assert violations(edge_section(g, extra, k)) == [
         ("extra_coarse_edge", (a, b), 0.0, 1.0)]
     # every other check passes: the distance bounds still hold over all pairs
     report = verify_reduction(g, extra, k, selected=res.selected)
@@ -123,7 +145,7 @@ def test_edge_bounds_report_coarse_weights_one_ulp_off(how):
     cluster_of = np.searchsorted(h.centroids, assignment).tolist()
     want = helpers.contraction_reference(
         list(zip(*(col.tolist() for col in g.edge_list()))), cluster_of, how)
-    assert check_edge_bounds(g, h, 1, how).passed
+    assert edge_section(g, h, 1, how).passed
     bumped = h.weights.copy()
     off = [0, 17, h.keys.size - 1]
     bumped[off] = np.nextafter(bumped[off], np.inf)
@@ -133,23 +155,23 @@ def test_edge_bounds_report_coarse_weights_one_ulp_off(how):
         a, b = divmod(int(h.keys[i]), nc)
         expect.append(("coarse_weight", (int(h.centroids[a]), int(h.centroids[b])),
                        float(bumped[i]), want[a, b]))
-    assert violations(check_edge_bounds(g, with_keys(h, h.keys, bumped), 1, how)) \
+    assert violations(edge_section(g, with_keys(h, h.keys, bumped), 1, how)) \
         == expect
     with pytest.raises(ValueError, match="unknown edge aggregation"):
-        check_edge_bounds(g, h, 1, "median")
+        check_edge_bounds(g, h, "median")
 
 
 def test_distortion_clean_on_pipeline(small_corpus):
     for g, edges, n in small_corpus[:8]:
         for k in (1, 2):
             h, _, res = coarsen_pipeline(g, k, ranking="random", seed=n)
-            report = check_distortion(g, h, k)
+            report = distortion_section(g, h, k)
             assert report.passed
 
 
 def test_distortion_exhaustive_small():
     g, h, _ = coarsened_path(9, 2)
-    report = check_distortion(g, h, 2)
+    report = distortion_section(g, h, 2)
     assert report.passed
     # 9 choose 2 pairs, all same-component, all recorded at n <= 500
     assert len(report.per_pair_sample) == 36
@@ -157,8 +179,8 @@ def test_distortion_exhaustive_small():
 
 def test_distortion_explicit_pairs():
     g, h, _ = coarsened_path()
-    report = check_distortion(g, h, 1, pairs=[(0, 4), (1, 3)])
-    assert report.passed
+    report = pair_search(g, h, 1, [(0, 4), (1, 3)])
+    assert report.passed and check_distortion(g, h, 1).passed
     assert len(report.per_pair_sample) == 2
     got = {(u, v): (dg, dh) for u, v, dg, dh in report.per_pair_sample.tolist()}
     assert got[(0, 4)] == (4, 2)
@@ -169,14 +191,14 @@ def test_distortion_explicit_pairs():
 def test_distortion_rejects_sample_pairs_below_one(sample_pairs):
     g, h, _ = coarsened_path()
     with pytest.raises(ValueError, match=f"sample_pairs must be at least 1, got {sample_pairs}"):
-        check_distortion(g, h, 1, sample_pairs=sample_pairs)
+        verify_reduction(g, h, 1, sample_pairs=sample_pairs)
 
 
 @pytest.mark.parametrize("pair", [(0, -1), (0, 7), (-2, 3), (5, 0)])
 def test_distortion_rejects_pairs_outside_the_graph(pair):
     g, h, _ = coarsened_path()
     with pytest.raises(ValueError, match=re.escape(str(pair))):
-        check_distortion(g, h, 1, pairs=[(1, 3), pair])
+        pair_search(g, h, 1, [(1, 3), pair])
 
 
 @pytest.mark.parametrize("pairs", [
@@ -188,41 +210,59 @@ def test_distortion_rejects_pairs_outside_the_graph(pair):
 def test_distortion_rejects_rows_that_are_not_pairs(pairs):
     g, h, _ = coarsened_path(7)
     with pytest.raises(ValueError, match="pairs must be"):
-        check_distortion(g, h, 1, pairs=pairs)
+        pair_search(g, h, 1, pairs)
 
 
 def test_distortion_accepts_no_pairs():
     g, h, _ = coarsened_path()
-    report = check_distortion(g, h, 1, pairs=[])
-    assert report.passed and report.per_pair_sample.size == 0
+    report = pair_search(g, h, 1, [])
+    assert report.passed and check_distortion(g, h, 1).passed
+    assert report.per_pair_sample.size == 0
 
 
 def violations(report):
     return [(v.kind, v.nodes, v.observed, v.bound) for v in report.violations]
 
 
-def assert_checks_match_reference(g, h, k, work, **kwargs):
-    """Both distance checks, and the contraction check, equal helpers'
-    per-source loops and dict walk exactly."""
+def reference_graphs(g, h):
+    """helpers' views of g and h: the input's adjacency and edges, the
+    coarse adjacency and edges, and each node's coarse index."""
     input_edges = list(zip(*(a.tolist() for a in g.edge_list()[:2])))
-    adj = helpers.adjacency(g.n, input_edges)
     hg = h.graph
     coarse_edges = list(zip(*(a.tolist() for a in hg.edge_list()[:2])))
-    coarse_adj = helpers.adjacency(hg.n, coarse_edges)
     index = {c: i for i, c in enumerate(h.centroids.tolist())}
     coarse_of = [index[a] for a in h.assignment.tolist()]
-    edges = check_edge_bounds(g, h, k)
+    return (helpers.adjacency(g.n, input_edges), input_edges,
+            helpers.adjacency(hg.n, coarse_edges), coarse_edges, coarse_of)
+
+
+def assert_checks_match_reference(g, h, k, work, **kwargs):
+    """The edge-bounds and distortion sections of an evidence run equal
+    helpers' per-source loops and dict walk exactly."""
+    adj, input_edges, coarse_adj, coarse_edges, coarse_of = reference_graphs(g, h)
+    report = verify_reduction(g, h, k, evidence=True, **kwargs)
+    edges = report.edge_bounds
     records, spans = helpers.edge_bounds_reference(adj, h.centroids.tolist(),
                                                    coarse_adj, k)
     contraction = helpers.contraction_violations_reference(
         input_edges, coarse_of, h.centroids.tolist(), coarse_edges)
     assert (list(map(tuple, edges.per_coarse_edge.tolist())), violations(edges)) == \
         (records, spans + contraction)
-    pairs = check_distortion(g, h, k, **kwargs)
+    pairs = report.distortion
     records, far = helpers.distortion_reference(adj, coarse_adj, coarse_of, k, work)
     radius = helpers.radius_reference(adj, h.assignment.tolist(), k)
     assert (list(map(tuple, pairs.per_pair_sample.tolist())), violations(pairs)) == \
         (records, far + radius)
+
+
+def assert_pair_search_matches_reference(g, h, k, pairs):
+    """The pair searches over explicit `pairs` equal helpers' per-source
+    loop over them, grouped by source."""
+    adj, _, coarse_adj, _, coarse_of = reference_graphs(g, h)
+    report = pair_search(g, h, k, pairs)
+    assert (list(map(tuple, report.per_pair_sample.tolist())), violations(report)) == \
+        helpers.distortion_reference(adj, coarse_adj, coarse_of, k,
+                                     helpers.pair_work(g.n, pairs))
 
 
 def fabricated(g, seed):
@@ -250,12 +290,11 @@ def test_checks_match_reference_on_fabricated_coarsenings(corpus):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
         pairs += pairs[:5] + [(pairs[0][0], pairs[0][0])]
         assert_checks_match_reference(g, h, k, helpers.pair_work(n))
-        assert_checks_match_reference(g, h, k, helpers.pair_work(n, pairs),
-                                      pairs=pairs)
+        assert_pair_search_matches_reference(g, h, k, pairs)
 
 
 def sampled_work(n, sample_pairs, seed):
-    """check_distortion's seeded draws for graphs above the exhaustive limit:
+    """The pair searches' seeded draws for graphs above the exhaustive limit:
     the first draws mod n are the sources, the rest their targets in turn."""
     group = max(1, math.isqrt(sample_pairs))
     n_sources = max(1, sample_pairs // group)
@@ -298,12 +337,12 @@ def test_sample_draws_spread_evenly_over_residues():
 def test_sampled_distortion_takes_seeds_mod_2_64_and_rejects_negative_ones():
     g = build(helpers.path_edges(501))
     h, _, _ = coarsen_pipeline(g, 1, ranking="id")
-    report = check_distortion(g, h, 1, seed=2**64)
+    report = distortion_section(g, h, 1, seed=2**64)
     assert report.passed
-    assert np.array_equal(check_distortion(g, h, 1, seed=np.int64(0)).per_pair_sample,
+    assert np.array_equal(distortion_section(g, h, 1, seed=np.int64(0)).per_pair_sample,
                           report.per_pair_sample)
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
-        check_distortion(g, h, 1, seed=-1)
+        verify_reduction(g, h, 1, seed=-1)
 
 
 def searched_depths(monkeypatch, **kwargs):
@@ -322,6 +361,19 @@ def searched_depths(monkeypatch, **kwargs):
     report = verify_reduction(g, h, 2, selected=res.selected, **kwargs)
     assert report.passed
     return depths, report
+
+
+def test_only_verify_reduction_takes_evidence():
+    """Each check takes the graphs, k where it needs it and edge_agg; the
+    pair-sample options and the evidence switch are verify_reduction's."""
+    signatures = {name: list(inspect.signature(getattr(kcoarsen.verify, name)).parameters)
+                  for name in kcoarsen.verify.__all__ if name.startswith("check_")}
+    assert signatures == {"check_edge_bounds": ["g", "h", "edge_agg"],
+                          "check_distortion": ["g", "h", "k"],
+                          "check_components": ["g", "h"],
+                          "check_kmis_validity": ["g", "k", "selected"]}
+    evidence = inspect.signature(verify_reduction).parameters["evidence"]
+    assert evidence.default is False and evidence.kind is evidence.KEYWORD_ONLY
 
 
 def test_verify_makes_one_search_per_distance_question(monkeypatch):
@@ -432,9 +484,12 @@ def test_distortion_flags_merged_far_pair():
     g = build(helpers.path_edges(5))
     h = CoarsenedGraph.from_graph(build([], n=1), centroids=np.array([0]),
                                   assignment=np.array([0, 0, 0, 0, 0]))
-    report = check_distortion(g, h, 1, pairs=[(0, 4)])
+    report = pair_search(g, h, 1, [(0, 4)])
     assert not report.passed
     assert report.violations[0].kind == "distortion_upper"
+    # the radius check names the nodes beyond k hops, not the pair
+    assert [v.nodes for v in check_distortion(g, h, 1).violations] == [
+        (2, 0), (3, 0), (4, 0)]
 
 
 def test_distortion_flags_lower_bound_break():
@@ -443,7 +498,7 @@ def test_distortion_flags_lower_bound_break():
     g = build([(0, 1)])
     h = CoarsenedGraph.from_graph(build([], n=2), centroids=np.array([0, 1]),
                                   assignment=np.array([0, 1]))
-    report = check_distortion(g, h, 1, pairs=[(0, 1)])
+    report = pair_search(g, h, 1, [(0, 1)])
     assert not report.passed
     assert report.violations[0].kind == "distortion_lower"
 
@@ -451,16 +506,16 @@ def test_distortion_flags_lower_bound_break():
 def test_distortion_skips_cross_component_pairs():
     g = build([(0, 1), (2, 3)])
     h, _, res = coarsen_pipeline(g, 1, ranking="id")
-    report = check_distortion(g, h, 1, pairs=[(0, 2)])
-    assert report.passed
+    report = pair_search(g, h, 1, [(0, 2)])
+    assert report.passed and check_distortion(g, h, 1).passed
     assert report.per_pair_sample.size == 0
 
 
 def test_distortion_sampling_is_seeded():
     g = build(helpers.king_grid_edges(8, 8))
     h, _, res = coarsen_pipeline(g, 1, ranking="id")
-    a = check_distortion(g, h, 1, sample_pairs=40, seed=5)
-    b = check_distortion(g, h, 1, sample_pairs=40, seed=5)
+    a = distortion_section(g, h, 1, sample_pairs=40, seed=5)
+    b = distortion_section(g, h, 1, sample_pairs=40, seed=5)
     assert np.array_equal(a.per_pair_sample, b.per_pair_sample)
 
 
@@ -678,6 +733,14 @@ def test_report_evidence_is_int64_rows():
                           report.edge_bounds.per_coarse_edge)
     assert np.array_equal(back.distortion.per_pair_sample,
                           report.distortion.per_pair_sample)
+
+
+def test_report_text_skips_blank_lines_and_needs_a_section_first():
+    g, h, res = coarsened_path()
+    text = verify_reduction(g, h, 1, evidence=True).to_text()
+    assert VerificationReport.from_text(text.replace("\n", "\n\n  \n")).to_text() == text
+    with pytest.raises(ValueError, match="report line outside any section: 'k,1'"):
+        VerificationReport.from_text("k,1\n" + text)
 
 
 def test_report_text_sections():
